@@ -34,13 +34,14 @@ of the smaller vertex first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .errors import (
     InvalidBijection,
     InvalidNumbering,
     MalformedLine,
     SizeMismatch,
+    VerificationFailed,
 )
 from .trees import Tree, _iter_bits
 
@@ -286,6 +287,7 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
     first, then the other direction.
     """
     g1, g2 = b.source, b.target
+    side = g1.bipartition()
     images: list[int | None] = [None] * g1.n
 
     def image_mask(v: int) -> int:
@@ -299,8 +301,7 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
 
     for p_v in range(g1.n):
         for q_v in range(p_v + 1, g1.n):
-            d = g1.distance(p_v, q_v)
-            if d < 2 or d % 2:
+            if side[q_v] != side[p_v]:
                 continue
             p_mask = image_mask(p_v)
             q_mask = image_mask(q_v)
@@ -313,6 +314,24 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
             if hit is not None:
                 return HookViolation(p_v, q_v, "q", (hit[0], hit[1]), hit[2])
     return None
+
+
+Witness = TypeVar("Witness", Numbering, EdgeBijection)
+
+
+def verified(witness: Witness, what: str) -> Witness:
+    """Return a numbering or bijection the package built, after re-checking it.
+
+    Raises VerificationFailed, whatever the interpreter's optimization
+    level, when the reference checker finds a violation.
+    """
+    if isinstance(witness, Numbering):
+        flaw = check_friendly_numbering(witness)
+    else:
+        flaw = check_friendly_bijection(witness)
+    if flaw is not None:
+        raise VerificationFailed(f"{what} failed verification: {flaw}")
+    return witness
 
 
 # -- numbering as a path bijection -------------------------------------------

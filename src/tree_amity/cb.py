@@ -230,8 +230,8 @@ def small_n_pair(tree: Tree, n: int) -> SubtreePair:
         w = min(eid for _, eid in tree.adj[hub] if eid != e)
         return SubtreePair.build(tree, everything - {e}, frozenset((e, w)))
 
-    ecc = max(tree.distance(p, v) for v in range(tree.n))
-    q = min(v for v in range(tree.n) if tree.distance(p, v) == ecc)
+    dist = tree.distances_from(p)
+    q = dist.index(max(dist))
     q1 = _only_neighbor(tree, q)
     q2 = tree.vertex_path(q1, p)[1]
     e_qq1 = tree.edge_between(q, q1)

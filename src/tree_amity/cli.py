@@ -11,6 +11,8 @@ Exit codes are a stable contract:
 * 1: a verified violation or verified nonexistence
 * 2: input error (unreadable or malformed files, bad arguments)
 * 3: method inapplicable or search budget exhausted
+* 4: internal error: a witness the package built failed re-verification,
+  or the run crashed; never a statement about the input
 
 Reports are JSON documents tagged with ``"schema": "tree-amity/1"``.
 Every embedded witness is stored in the same text formats the parsers
@@ -40,6 +42,7 @@ from .amity import (
     format_numbering,
     parse_bijection,
     parse_numbering,
+    verified,
 )
 from .cb import bijection_from_pair, find_subtree_pair, make_cb, small_n_pair
 from .enumeration import enumerate_free_trees
@@ -66,6 +69,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INAPPLICABLE = 3
+EXIT_INTERNAL = 4
 
 __all__ = ["main", "main_entry", "build_parser", "SCHEMA"]
 
@@ -272,8 +276,7 @@ def cmd_number(args) -> int:
     elapsed = time.monotonic() - started
     inputs = [tree_entry]
     if nu is not None:
-        flaw = check_friendly_numbering(nu)
-        assert flaw is None, f"constructed numbering failed verification: {flaw}"
+        verified(nu, f"{used} numbering")
         sys.stdout.write(format_numbering(nu, labels))
         _write_report(args, "number", inputs, {
             "outcome": "ok",
@@ -359,9 +362,7 @@ def cmd_cb_criterion(args) -> int:
         })
         return EXIT_VIOLATION
     cb = make_cb(n1, n2)
-    bj = bijection_from_pair(tree, pair, cb)
-    flaw = check_friendly_bijection(bj)
-    assert flaw is None, f"pair-induced bijection failed verification: {flaw}"
+    bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
     print(f"friendly to the ({n1},{n2}) double star")
     _print_pair(tree, labels, pair)
     sys.stdout.write(format_bijection(bj, target_labels=labels))
@@ -380,9 +381,7 @@ def cmd_cb_pair(args) -> int:
     started = time.monotonic()
     pair = small_n_pair(tree, args.n)
     cb = make_cb(tree.m - args.n + 1, args.n)
-    bj = bijection_from_pair(tree, pair, cb)
-    flaw = check_friendly_bijection(bj)
-    assert flaw is None, f"pair-induced bijection failed verification: {flaw}"
+    bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
     elapsed = time.monotonic() - started
     _print_pair(tree, labels, pair)
     _write_report(args, "cb-pair", [tree_entry], {
@@ -634,6 +633,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # VerificationFailed, RecursionError or any other fault of the
+        # package: exit 1 would claim a verified violation
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

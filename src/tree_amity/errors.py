@@ -4,6 +4,10 @@ Parse errors cover the text formats, structural errors cover trees that
 are not trees, and the remaining types mark operations applied outside
 their preconditions.  The command line maps all of these onto its input
 error and inapplicable-method exit codes.
+
+``VerificationFailed`` stands apart: it reports a fault in the package
+itself, not in its input, so it does not derive from ``TreeAmityError``
+and the command line reports it as an internal error.
 """
 
 
@@ -65,3 +69,7 @@ class InvalidNumbering(TreeAmityError):
 
 class InvalidBijection(TreeAmityError):
     """An edge mapping is not a bijection between the two edge sets."""
+
+
+class VerificationFailed(Exception):
+    """A witness the package produced failed its reference checker."""

@@ -38,6 +38,7 @@ from .amity import (
     format_numbering,
     invert_bijection,
     unlinked,
+    verified,
 )
 from .cb import bijection_from_pair, find_subtree_pair, make_cb
 from .enumeration import enumerate_free_trees
@@ -234,8 +235,7 @@ def search_numbering(
     except _BudgetHit:
         return SearchResult(BUDGET_EXCEEDED, None, nodes, time.monotonic() - start)
     if witness is not None:
-        flaw = check_friendly_numbering(witness)
-        assert flaw is None, f"search returned an unfriendly numbering: {flaw}"
+        verified(witness, "numbering found by search")
         return SearchResult(FOUND, witness, nodes, time.monotonic() - start)
     return SearchResult(PROVED_NONE, None, nodes, time.monotonic() - start)
 
@@ -278,10 +278,10 @@ def search_bijection(
 
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     pairs_at: list[list[int]] = [[] for _ in range(m)]
+    side = source.bipartition()
     for p_v in range(source.n):
         for q_v in range(p_v + 1, source.n):
-            d = source.distance(p_v, q_v)
-            if d < 2 or d % 2:
+            if side[q_v] != side[p_v]:
                 continue
             dp = tuple(sorted(source.coboundary(p_v)))
             dq = tuple(sorted(source.coboundary(q_v)))
@@ -345,8 +345,7 @@ def search_bijection(
     except _BudgetHit:
         return SearchResult(BUDGET_EXCEEDED, None, nodes, time.monotonic() - start)
     if witness is not None:
-        flaw = check_friendly_bijection(witness)
-        assert flaw is None, f"search returned an unfriendly bijection: {flaw}"
+        verified(witness, "bijection found by search")
         return SearchResult(FOUND, witness, nodes, time.monotonic() - start)
     return SearchResult(PROVED_NONE, None, nodes, time.monotonic() - start)
 
@@ -553,24 +552,18 @@ def _flags(tree: Tree) -> tuple[int, bool, bool]:
     return diameter, has_trunk, parity_ready
 
 
-def _verified(nu: Numbering) -> Numbering:
-    flaw = check_friendly_numbering(nu)
-    assert flaw is None, f"constructive numbering failed verification: {flaw}"
-    return nu
-
-
 def _numbering_record(tree: Tree, budget: SearchBudget, constructive: bool) -> SweepRecord:
     diameter, has_trunk, parity_ready = _flags(tree)
     code = tree.canonical_code()
     text = format_tree(tree)
     if constructive and has_trunk:
-        nu = _verified(number_by_trunk(tree))
+        nu = verified(number_by_trunk(tree), "trunk numbering")
         return SweepRecord(
             code, text, tree.m, diameter, has_trunk, parity_ready,
             "trunk", FOUND, format_numbering(nu), 0,
         )
     if constructive and parity_ready:
-        nu = _verified(number_parity_center(tree))
+        nu = verified(number_parity_center(tree), "parity-center numbering")
         return SweepRecord(
             code, text, tree.m, diameter, has_trunk, parity_ready,
             "parity-center", FOUND, format_numbering(nu), 0,
@@ -677,8 +670,7 @@ def _cb_worker(payload, n1: int, n2: int, confirm: bool, budget: SearchBudget) -
     pair = find_subtree_pair(tree, n1, n2)
     if pair is not None:
         bj = bijection_from_pair(tree, pair, cb)
-        flaw = check_friendly_bijection(bj)
-        assert flaw is None, f"pair-induced bijection failed verification: {flaw}"
+        verified(bj, "pair-induced bijection")
         detail = (
             f"e1={sorted(pair.e1)} e2={sorted(pair.e2)} shared={pair.shared}"
         )

@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * The *path between two distinct edges* e and f is the unique edge
   sequence joining their nearest endpoints and containing neither e
   nor f.  Adjacent edges have an empty path.  The path is computed by
-  comparing the four endpoint-to-endpoint distances and walking the
-  minimal pair; in a tree that minimum is attained by exactly one pair.
+  climbing from the upper endpoint of each edge to their meeting point
+  and dropping e or f when the climb ran along it.
 * The *coboundary* of a vertex is the set of edges incident to it.
 * Pruning removes every leaf vertex together with its edge and
   renumbers the survivors densely, preserving relative order.
@@ -18,13 +18,20 @@ several hot paths use integer bitmasks over edge ids; the mask helpers
 are part of the public surface because the checkers and searches lean
 on them.
 
-Trees are immutable after construction.  All per-tree caches (distances,
-edge paths, canonical code) are filled lazily and never invalidated.
+Trees are immutable after construction.  Path and distance queries run
+on one rooted copy of the tree: a single traversal from vertex 0 stores
+each vertex's parent, the edge up to it and its depth, three lists of
+length n built on the first such query and never in the constructor, so
+trees that are built and never queried pay nothing for it.  A query
+climbs both endpoints to their meeting point, which costs the length of
+the path.  Whole-tree questions (diameter, equidistant center) use
+single-source distance lists that are not kept.  The edge path masks
+that the searches ask for again and again, and the canonical code, are
+memoized; no cache is ever invalidated.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -48,9 +55,7 @@ class Tree:
         "adj",
         "degrees",
         "_plain_adj",
-        "_dist",
-        "_parent_edge",
-        "_parent_vertex",
+        "_rooting",
         "_path_masks",
         "_cob_masks",
         "_code",
@@ -106,9 +111,7 @@ class Tree:
         self._plain_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(w for w, _ in a) for a in adj
         )
-        self._dist: list[tuple[int, ...] | None] = [None] * n
-        self._parent_edge: list[tuple[int, ...] | None] = [None] * n
-        self._parent_vertex: list[tuple[int, ...] | None] = [None] * n
+        self._rooting: tuple[list[int], list[int], list[int]] | None = None
         self._path_masks: dict[tuple[int, int], int] = {}
         self._cob_masks: tuple[int, ...] = tuple(
             sum(1 << eid for _, eid in a) for a in adj
@@ -123,41 +126,77 @@ class Tree:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._plain_adj[v]
 
-    def _bfs(self, source: int) -> None:
-        dist = [-1] * self.n
-        pe = [-1] * self.n
-        pv = [-1] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x]
+    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """Parent, edge up and depth of every vertex, rooted at vertex 0.
+
+        Built by one traversal on the first call and kept.
+        """
+        if self._rooting is not None:
+            return self._rooting
+        n = self.n
+        parent = [-1] * n
+        up_edge = [-1] * n
+        depth = [-1] * n
+        depth[0] = 0
+        order = [0]
+        for x in order:
+            dy = depth[x] + 1
             for y, eid in self.adj[x]:
+                if depth[y] < 0:
+                    depth[y] = dy
+                    parent[y] = x
+                    up_edge[y] = eid
+                    order.append(y)
+        self._rooting = (parent, up_edge, depth)
+        return self._rooting
+
+    def distances_from(self, source: int) -> list[int]:
+        """Distance from source to every vertex, by one breadth-first search."""
+        dist = [-1] * self.n
+        dist[source] = 0
+        order = [source]
+        for x in order:
+            dy = dist[x] + 1
+            for y in self._plain_adj[x]:
                 if dist[y] < 0:
-                    dist[y] = dx + 1
-                    pe[y] = eid
-                    pv[y] = x
-                    queue.append(y)
-        self._dist[source] = tuple(dist)
-        self._parent_edge[source] = tuple(pe)
-        self._parent_vertex[source] = tuple(pv)
+                    dist[y] = dy
+                    order.append(y)
+        return dist
 
     def distance(self, u: int, v: int) -> int:
         """Number of edges on the unique u-v path."""
-        if self._dist[u] is None:
-            self._bfs(u)
-        return self._dist[u][v]  # type: ignore[index]
+        parent, _, depth = self._rooted()
+        d = 0
+        while u != v:
+            if depth[u] >= depth[v]:
+                u = parent[u]
+            else:
+                v = parent[v]
+            d += 1
+        return d
 
     def vertex_path(self, a: int, b: int) -> tuple[int, ...]:
         """Vertices of the unique a-b path, endpoints included."""
-        if self._dist[a] is None:
-            self._bfs(a)
-        pv = self._parent_vertex[a]
-        path = [b]
-        while path[-1] != a:
-            path.append(pv[path[-1]])  # type: ignore[index]
-        path.reverse()
-        return tuple(path)
+        parent, _, depth = self._rooted()
+        left, right = [a], [b]
+        while left[-1] != right[-1]:
+            x, y = left[-1], right[-1]
+            if depth[x] >= depth[y]:
+                left.append(parent[x])
+            else:
+                right.append(parent[y])
+        right.pop()
+        right.reverse()
+        return tuple(left + right)
+
+    def bipartition(self) -> tuple[int, ...]:
+        """The 2-coloring by depth parity, 0 or 1 per vertex.
+
+        Two vertices get the same color exactly when their distance is
+        even, so two distinct vertices of one color lie at even
+        distance two or more.
+        """
+        return tuple(d & 1 for d in self._rooted()[2])
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Edge id joining u and v, or None when they are not adjacent."""
@@ -188,12 +227,9 @@ class Tree:
     def diameter(self) -> int:
         if self.n == 1:
             return 0
-        if self._dist[0] is None:
-            self._bfs(0)
-        far = max(range(self.n), key=lambda v: self._dist[0][v])  # type: ignore[index]
-        if self._dist[far] is None:
-            self._bfs(far)
-        return max(self._dist[far])  # type: ignore[arg-type]
+        d0 = self.distances_from(0)
+        far = max(range(self.n), key=d0.__getitem__)
+        return max(self.distances_from(far))
 
     # -- edge paths ------------------------------------------------------
 
@@ -209,25 +245,22 @@ class Tree:
         cached = self._path_masks.get(key)
         if cached is not None:
             return cached
+        parent, up_edge, depth = self._rooted()
+        # Climb from the upper endpoint of each edge; the climb may run
+        # along e1 or e2 itself, which the nearest-endpoint path excludes.
         a, b = self.edges[e1]
+        x = a if depth[a] < depth[b] else b
         c, d = self.edges[e2]
-        best = None
-        for x in (a, b):
-            if self._dist[x] is None:
-                self._bfs(x)
-            dx = self._dist[x]
-            for y in (c, d):
-                dv = dx[y]  # type: ignore[index]
-                if best is None or dv < best[0]:
-                    best = (dv, x, y)
-        _, x, y = best  # type: ignore[misc]
-        pe = self._parent_edge[x]
-        pv = self._parent_vertex[x]
+        y = c if depth[c] < depth[d] else d
         mask = 0
-        cur = y
-        while cur != x:
-            mask |= 1 << pe[cur]  # type: ignore[index]
-            cur = pv[cur]  # type: ignore[index]
+        while x != y:
+            if depth[x] >= depth[y]:
+                mask |= 1 << up_edge[x]
+                x = parent[x]
+            else:
+                mask |= 1 << up_edge[y]
+                y = parent[y]
+        mask &= ~((1 << e1) | (1 << e2))
         self._path_masks[key] = mask
         return mask
 
@@ -261,16 +294,24 @@ class Tree:
         return tuple(tree_centers(self._plain_adj))
 
     def equidistant_center(self) -> tuple[int, int] | None:
-        """Smallest-id vertex equally distant from every leaf, with that
-        distance, or None.  The single-vertex tree reports (0, 0)."""
+        """The vertex equally distant from every leaf, with that distance,
+        or None.  The single-vertex tree reports (0, 0).
+
+        Such a vertex sits in the middle of every longest path, so only
+        the unique center of a tree with even diameter can qualify, and
+        one breadth-first search from it decides.
+        """
         if self.n == 1:
             return (0, 0)
-        leaves = sorted(self.leaf_vertices())
-        for v in range(self.n):
-            dists = {self.distance(v, leaf) for leaf in leaves}
-            if len(dists) == 1:
-                return (v, dists.pop())
-        return None
+        centers = self.centers()
+        if len(centers) != 1:
+            return None
+        center = centers[0]
+        dist = self.distances_from(center)
+        radii = {dist[v] for v in range(self.n) if self.degrees[v] == 1}
+        if len(radii) != 1:
+            return None
+        return (center, radii.pop())
 
     # -- isomorphism -------------------------------------------------------
 

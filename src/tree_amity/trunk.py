@@ -71,10 +71,12 @@ def find_trunk(tree: Tree) -> tuple[int, ...] | None:
         return tree.vertex_path(ends[0], ends[1])
     if len(heavy) == 1:
         return _extend_to_leaf(tree, [heavy[0]])
-    x = max(heavy, key=lambda v: (tree.distance(heavy[0], v), v))
-    y = max(heavy, key=lambda v: (tree.distance(x, v), v))
-    span = tree.distance(x, y)
-    if any(tree.distance(x, v) + tree.distance(v, y) != span for v in heavy):
+    d0 = tree.distances_from(heavy[0])
+    x = max(heavy, key=lambda v: (d0[v], v))
+    dx = tree.distances_from(x)
+    y = max(heavy, key=lambda v: (dx[v], v))
+    dy = tree.distances_from(y)
+    if any(dx[v] + dy[v] != dx[y] for v in heavy):
         return None
     first, last = (x, y) if x < y else (y, x)
     core = list(tree.vertex_path(first, last))

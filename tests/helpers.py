@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -59,6 +60,67 @@ def tri_y() -> Tree:
 
 def from_prufer(seq, n: int) -> Tree:
     return Tree(oracles.prufer_decode(list(seq), n), n)
+
+
+# -- seeded large trees ----------------------------------------------------------
+
+
+def shuffled(tree: Tree, rng: random.Random) -> Tree:
+    """The same tree with vertex ids, edge order and edge ends shuffled."""
+    relabel = list(range(tree.n))
+    rng.shuffle(relabel)
+    out = [
+        (relabel[u], relabel[v]) if rng.random() < 0.5 else (relabel[v], relabel[u])
+        for u, v in tree.edges
+    ]
+    rng.shuffle(out)
+    return Tree(out, tree.n)
+
+
+def random_prufer_tree(m: int, rng: random.Random) -> Tree:
+    n = m + 1
+    return from_prufer([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+def random_caterpillar(m: int, rng: random.Random) -> Tree:
+    """A spine of m // 3 edges with the other edges as hairs at random spots."""
+    spine = max(1, m // 3)
+    edges = [(i, i + 1) for i in range(spine)]
+    for leaf in range(spine + 1, m + 1):
+        edges.append((rng.randrange(spine + 1), leaf))
+    return shuffled(Tree(edges, m + 1), rng)
+
+
+def random_trunk_tree(m: int, rng: random.Random) -> Tree:
+    """A trunk of m // 4 edges with the rest hanging off it as paths of
+    1 to 6 edges."""
+    trunk = max(1, m // 4)
+    edges = [(i, i + 1) for i in range(trunk)]
+    n = trunk + 1
+    while len(edges) < m:
+        prev = rng.randrange(trunk + 1)
+        for _ in range(min(m - len(edges), rng.randint(1, 6))):
+            edges.append((prev, n))
+            prev = n
+            n += 1
+    return shuffled(Tree(edges, n), rng)
+
+
+def complete_tree(center_degree: int, children: int, radius: int) -> Tree:
+    """Every vertex above depth `radius` has `children` children, the
+    center has `center_degree`."""
+    edges = []
+    level = [0]
+    n = 1
+    for depth in range(radius):
+        nxt = []
+        for v in level:
+            for _ in range(center_degree if depth == 0 else children):
+                edges.append((v, n))
+                nxt.append(n)
+                n += 1
+        level = nxt
+    return Tree(edges, n)
 
 
 @lru_cache(maxsize=None)

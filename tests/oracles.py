@@ -4,7 +4,9 @@ Everything here is written straight from the definitions and shares no
 code with the package, so it can serve as a second opinion: breadth
 first search distances and paths, a naive friendliness checker for
 numberings and for bijections, Pruefer coding, a brute force
-isomorphism test, and counting oracles for unlabeled trees.
+isomorphism test, counting oracles for unlabeled trees, and linear-time
+references (diameter, leaf distances, trunks) for trees too large for
+the brute-force ones.
 """
 
 from __future__ import annotations
@@ -144,6 +146,68 @@ def check_bijection_naive(src_edges, src_n, dst_edges, dst_n, mapping):
             if hooks_naive(dst_edges, dst_n, q_img, p_img):
                 return False
     return True
+
+
+def children_from_root(adj):
+    """Breadth-first order from vertex 0 and each vertex's children."""
+    parent = [None] * len(adj)
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w, _ in adj[v]:
+            if parent[w] is None:
+                parent[w] = v
+                order.append(w)
+    kids = [[w for w, _ in adj[v] if w != 0 and parent[w] == v] for v in range(len(adj))]
+    return order, kids
+
+
+def diameter_by_heights(edges, n):
+    """Longest path length, as the largest sum of the two tallest subtrees
+    hanging below a vertex of the tree rooted at vertex 0."""
+    order, kids = children_from_root(adjacency(edges, n))
+    height = [0] * n
+    best = 0
+    for v in reversed(order):
+        tall = sorted((height[w] + 1 for w in kids[v]), reverse=True)[:2]
+        height[v] = tall[0] if tall else 0
+        best = max(best, sum(tall))
+    return best
+
+
+def leaf_distance_bounds(edges, n):
+    """(nearest, farthest) leaf distance of every vertex of a tree with at
+    least one edge.
+
+    Rooted at vertex 0: the first pass bounds the leaves inside each
+    subtree, the second hands each child the bounds of the leaves outside
+    its subtree, taken over its parent's outside leaves and its siblings'
+    subtrees.  The sibling scan costs the square of the degree.
+    """
+    adj = adjacency(edges, n)
+    order, kids = children_from_root(adj)
+    inf = float("inf")
+    lo_in, hi_in = [inf] * n, [-inf] * n
+    for v in reversed(order):
+        if len(adj[v]) == 1 and v != 0:
+            lo_in[v] = hi_in[v] = 0
+        for w in kids[v]:
+            lo_in[v] = min(lo_in[v], lo_in[w] + 1)
+            hi_in[v] = max(hi_in[v], hi_in[w] + 1)
+    lo_out, hi_out = [inf] * n, [-inf] * n
+    if len(adj[0]) == 1:
+        lo_out[0] = hi_out[0] = 0
+    for v in order:
+        for w in kids[v]:
+            lo = lo_out[v]
+            hi = hi_out[v]
+            for s in kids[v]:
+                if s != w:
+                    lo = min(lo, lo_in[s] + 1)
+                    hi = max(hi, hi_in[s] + 1)
+            lo_out[w] = lo + 1
+            hi_out[w] = hi + 1
+    return [(min(lo_in[v], lo_out[v]), max(hi_in[v], hi_out[v])) for v in range(n)]
 
 
 # -- Pruefer coding -----------------------------------------------------------
@@ -298,6 +362,52 @@ def heavy_on_one_path(edges, n):
         if all(h in on for h in heavy):
             return True
     return False
+
+
+def heavy_span(edges, n):
+    """Vertices of the smallest subtree holding every vertex of degree three
+    or more, with their degrees inside it; found by stripping the other
+    leaves until none is left.  Empty when there are no such vertices."""
+    adj = adjacency(edges, n)
+    heavy = {v for v in range(n) if len(adj[v]) >= 3}
+    if not heavy:
+        return {}
+    alive = set(range(n))
+    deg = [len(a) for a in adj]
+    stack = [v for v in range(n) if deg[v] <= 1 and v not in heavy]
+    while stack:
+        v = stack.pop()
+        alive.discard(v)
+        for w, _ in adj[v]:
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] <= 1 and w not in heavy:
+                    stack.append(w)
+    return {v: deg[v] for v in alive}
+
+
+def trunk_reference(edges, n):
+    """The trunk find_trunk documents, or None when no path holds every
+    vertex of degree three or more.
+
+    The heavy vertices' spanning subtree must be a path; it runs from its
+    smaller-id end to its larger-id end and is then extended to a leaf,
+    always stepping to the smallest-id new neighbor.  Without heavy
+    vertices the tree is a path, walked from its smaller-id leaf.
+    """
+    adj = adjacency(edges, n)
+    span = heavy_span(edges, n)
+    if not span:
+        ends = sorted(v for v in range(n) if len(adj[v]) == 1)
+        return tuple(vertex_path(adj, ends[0], ends[1]))
+    if any(d > 2 for d in span.values()):
+        return None
+    ends = sorted(v for v, d in span.items() if d <= 1)
+    walk = vertex_path(adj, ends[0], ends[-1])
+    while len(adj[walk[-1]]) != 1:
+        prev = walk[-2] if len(walk) >= 2 else None
+        walk.append(min(w for w, _ in adj[walk[-1]] if w != prev))
+    return tuple(walk)
 
 
 def equidistant_vertices(edges, n):

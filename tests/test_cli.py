@@ -1,9 +1,14 @@
 """End-to-end command line behavior: exit codes, formats, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tree_amity
 from helpers import path, spider, star, tri_y
 from tree_amity import (
     check_friendly_bijection,
@@ -15,6 +20,8 @@ from tree_amity import (
     parse_tree,
     parse_tree_labeled,
 )
+from tree_amity import amity, cli
+from tree_amity.amity import NumberingPairViolation
 from tree_amity.cli import main
 
 
@@ -292,3 +299,65 @@ def test_enumerate_output(capsys):
 def test_enumerate_single_vertex(capsys):
     assert main(["enumerate", "-m", "0"]) == 0
     assert capsys.readouterr().out.strip() == "."
+
+
+# -- internal errors and entry points ------------------------------------------------
+
+SRC_DIR = str(Path(tree_amity.__file__).resolve().parents[1])
+
+
+def _run_python(*args, timeout=120):
+    paths = [SRC_DIR] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def _fake_violation(nu):
+    return NumberingPairViolation(k=1, j=2, s=0, path_edges=(), path_numbers=())
+
+
+def test_failed_reverification_exits_internal(tmp_path, capsys, monkeypatch):
+    t = tree_file(tmp_path, "t.txt", path(3))
+    monkeypatch.setattr(amity, "check_friendly_numbering", _fake_violation)
+    assert main(["number", t]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: VerificationFailed")
+    assert captured.err.count("\n") == 1
+
+
+def test_failed_reverification_exits_internal_under_optimize(tmp_path):
+    t = tree_file(tmp_path, "t.txt", path(3))
+    script = (
+        "import sys\n"
+        "from tree_amity import amity\n"
+        "from tree_amity.cli import main\n"
+        "amity.check_friendly_numbering = lambda nu: 'fake violation'\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    proc = _run_python("-O", "-c", script, "number", t)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: VerificationFailed")
+
+
+def test_unexpected_crash_exits_internal(tmp_path, capsys, monkeypatch):
+    t = tree_file(tmp_path, "t.txt", path(3))
+
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "search_numbering", crash)
+    assert main(["search", t]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: RecursionError: maximum recursion depth exceeded\n"
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_python("-m", "tree_amity", "enumerate", "-m", "3")
+    assert proc.returncode == 0, proc.stderr
+    shapes = [parse_tree(block) for block in proc.stdout.split("\n\n")]
+    assert sorted(max(t.degrees) for t in shapes) == [2, 3]

@@ -1,0 +1,193 @@
+"""The rooted tree core at size, cross-checked against BFS oracles.
+
+Path and distance queries climb one rooted copy of the tree, and the
+whole-tree questions run single-source searches.  Every answer is
+compared here with the independent references in ``oracles.py`` on
+seeded trees of 1,000 to 3,000 edges, and the new references are first
+checked against the brute-force ones on every small tree.
+"""
+
+import itertools
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given
+
+import oracles
+from helpers import (
+    complete_tree,
+    path,
+    random_caterpillar,
+    random_prufer_tree,
+    random_trees,
+    random_trunk_tree,
+    shuffled,
+    trees_up_to,
+)
+from tree_amity import Tree, check_friendly_numbering, find_trunk, number_by_trunk
+
+
+FAMILIES = {
+    "prufer-1000": lambda rng: random_prufer_tree(1000, rng),
+    "prufer-3000": lambda rng: random_prufer_tree(3000, rng),
+    "caterpillar-1500": lambda rng: random_caterpillar(1500, rng),
+    "trunk-2000": lambda rng: random_trunk_tree(2000, rng),
+    "path-3000": lambda rng: shuffled(path(3000), rng),
+    "complete-1456": lambda rng: shuffled(complete_tree(4, 3, 6), rng),
+    "complete-2186": lambda rng: shuffled(complete_tree(2, 3, 7), rng),
+}
+
+
+@pytest.fixture(params=sorted(FAMILIES))
+def large(request):
+    rng = random.Random(request.param)
+    return FAMILIES[request.param](rng), rng
+
+
+def test_distance_and_vertex_path_match_bfs(large):
+    tree, rng = large
+    adj = oracles.adjacency(tree.edges, tree.n)
+    for _ in range(40):
+        a = rng.randrange(tree.n)
+        dist = oracles.bfs_distances(adj, a)
+        for b in [rng.randrange(tree.n) for _ in range(5)] + [a]:
+            assert tree.distance(a, b) == dist[b]
+            assert list(tree.vertex_path(a, b)) == oracles.vertex_path(adj, a, b)
+
+
+def test_edge_path_mask_matches_bfs(large):
+    tree, rng = large
+    for _ in range(40):
+        e1, e2 = rng.sample(range(tree.m), 2)
+        mask = tree.edge_path_mask(e1, e2)
+        got = {e for e in range(tree.m) if mask >> e & 1}
+        assert got == oracles.edges_between(tree.edges, tree.n, e1, e2)
+    # edges sharing a vertex have an empty path
+    for v in rng.sample(range(tree.n), 20):
+        for (_, e1), (_, e2) in itertools.combinations(tree.adj[v], 2):
+            assert tree.edge_path_mask(e1, e2) == 0
+
+
+def test_diameter_and_equidistant_center_match_references(large):
+    tree, _ = large
+    assert tree.diameter() == oracles.diameter_by_heights(tree.edges, tree.n)
+    bounds = oracles.leaf_distance_bounds(tree.edges, tree.n)
+    want = [(v, lo) for v, (lo, hi) in enumerate(bounds) if lo == hi]
+    got = tree.equidistant_center()
+    assert (got is None and want == []) or [got] == want
+
+
+def test_complete_trees_and_even_paths_have_an_equidistant_center():
+    rng = random.Random(7)
+    big = shuffled(complete_tree(4, 3, 6), rng)
+    center, radius = big.equidistant_center()
+    assert radius == 6 and big.degrees[center] == 4
+    assert path(3000).equidistant_center() == (1500, 1500)
+    assert path(2999).equidistant_center() is None
+
+
+def test_find_trunk_matches_reference(large):
+    tree, _ = large
+    assert find_trunk(tree) == oracles.trunk_reference(tree.edges, tree.n)
+
+
+def test_find_trunk_finds_trunks_at_size():
+    rng = random.Random(3)
+    for m in (1000, 3000):
+        tree = random_trunk_tree(m, rng)
+        trunk = find_trunk(tree)
+        assert trunk is not None
+        assert trunk == oracles.trunk_reference(tree.edges, tree.n)
+
+
+# -- the linear references against the brute-force ones ---------------------------
+
+
+def test_linear_references_agree_with_brute_force_small():
+    for t in trees_up_to(9):
+        adj = oracles.adjacency(t.edges, t.n)
+        brute = max(max(oracles.bfs_distances(adj, v)) for v in range(t.n))
+        assert oracles.diameter_by_heights(t.edges, t.n) == brute
+        bounds = oracles.leaf_distance_bounds(t.edges, t.n)
+        linear = [(v, lo) for v, (lo, hi) in enumerate(bounds) if lo == hi]
+        assert linear == oracles.equidistant_vertices(t.edges, t.n)
+        has_trunk = oracles.trunk_reference(t.edges, t.n) is not None
+        assert has_trunk == oracles.heavy_on_one_path(t.edges, t.n)
+        assert find_trunk(t) == oracles.trunk_reference(t.edges, t.n)
+
+
+@given(random_trees(min_vertices=2, max_vertices=12))
+def test_linear_references_agree_with_brute_force_random(t):
+    bounds = oracles.leaf_distance_bounds(t.edges, t.n)
+    linear = [(v, lo) for v, (lo, hi) in enumerate(bounds) if lo == hi]
+    assert linear == oracles.equidistant_vertices(t.edges, t.n)
+    assert find_trunk(t) == oracles.trunk_reference(t.edges, t.n)
+
+
+# -- the depth-parity pair filter --------------------------------------------------
+
+
+def _pairs_by_side(tree: Tree) -> set:
+    side = tree.bipartition()
+    return {
+        (p, q)
+        for p in range(tree.n)
+        for q in range(p + 1, tree.n)
+        if side[p] == side[q]
+    }
+
+
+def _even_pairs(tree: Tree) -> set:
+    adj = oracles.adjacency(tree.edges, tree.n)
+    out = set()
+    for p in range(tree.n):
+        dist = oracles.bfs_distances(adj, p)
+        out.update(
+            (p, q) for q in range(p + 1, tree.n) if dist[q] >= 2 and dist[q] % 2 == 0
+        )
+    return out
+
+
+@given(random_trees(max_vertices=14))
+def test_same_side_pairs_are_the_even_distance_pairs(t):
+    assert _pairs_by_side(t) == _even_pairs(t)
+
+
+def test_same_side_pairs_are_the_even_distance_pairs_at_size():
+    tree = random_prufer_tree(400, random.Random(11))
+    assert _pairs_by_side(tree) == _even_pairs(tree)
+
+
+# -- laziness and memory -------------------------------------------------------------
+
+
+def test_rooting_is_lazy_and_happens_once():
+    tree = random_caterpillar(300, random.Random(5))
+    assert tree._rooting is None
+    tree.canonical_code()
+    tree.diameter()
+    tree.equidistant_center()
+    tree.leaf_edges()
+    assert tree._rooting is None
+    tree.distance(0, 1)
+    rooting = tree._rooting
+    assert rooting is not None
+    tree.vertex_path(3, 7)
+    tree.edge_path_mask(0, 1)
+    tree.bipartition()
+    number_by_trunk(tree)
+    assert tree._rooting is rooting
+
+
+def test_numbering_ten_thousand_edges_in_linear_memory():
+    tree = random_trunk_tree(10_000, random.Random(1))
+    tracemalloc.start()
+    try:
+        nu = number_by_trunk(tree)
+        flaw = check_friendly_numbering(nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flaw is None
+    assert peak < 16 * 1024 * 1024
