@@ -288,25 +288,23 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
     """
     g1, g2 = b.source, b.target
     side = g1.bipartition()
-    images: list[int | None] = [None] * g1.n
+    images: list[tuple[int, list[int]] | None] = [None] * g1.n
 
-    def image_mask(v: int) -> int:
+    def image(v: int) -> tuple[int, list[int]]:
         got = images[v]
         if got is None:
-            got = 0
+            mask = 0
             for e in g1.coboundary(v):
-                got |= 1 << b.mapping[e]
-            images[v] = got
+                mask |= 1 << b.mapping[e]
+            got = images[v] = (mask, list(_iter_bits(mask)))
         return got
 
     for p_v in range(g1.n):
         for q_v in range(p_v + 1, g1.n):
             if side[q_v] != side[p_v]:
                 continue
-            p_mask = image_mask(p_v)
-            q_mask = image_mask(q_v)
-            p_edges = sorted(_iter_bits(p_mask))
-            q_edges = sorted(_iter_bits(q_mask))
+            p_mask, p_edges = image(p_v)
+            q_mask, q_edges = image(q_v)
             hit = _hook_pair(g2, p_edges, q_mask)
             if hit is not None:
                 return HookViolation(p_v, q_v, "p", (hit[0], hit[1]), hit[2])

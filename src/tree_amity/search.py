@@ -9,6 +9,17 @@ coboundary images are fully assigned.  Both carry an explicit budget,
 re-verify every hit through the reference checkers, and claim that
 nothing exists only after exhausting the whole space.
 
+With pruning on, both searches break twin-leaf symmetry.  Twin leaf
+edges are leaf edges hanging from the same vertex; swapping two of them
+is a tree automorphism, and automorphisms preserve friendliness.  The
+searches therefore only accept assignments in which twin edges appear
+in increasing id order.  This never changes the status or the first
+witness: each search returns the lexicographically first friendly
+assignment in its scan order, and putting every twin class back into id
+order turns any friendly assignment into one that is friendly, meets
+the rule and is lexicographically no larger.  So the first friendly
+assignment already meets the rule.
+
 On top of the searches sit the surveys: ``sweep_question_path``
 classifies every unlabeled tree up to a size bound by whether it admits
 a friendly numbering, ``sweep_hypothesis`` restricts that to two
@@ -110,6 +121,22 @@ class _BudgetHit(Exception):
     pass
 
 
+def _twin_before(tree: Tree) -> list[int]:
+    """For each edge, the next smaller leaf edge on the same vertex, or -1."""
+    before = [-1] * tree.m
+    last = [-1] * tree.n
+    for e, (u, v) in enumerate(tree.edges):
+        if tree.degrees[u] == 1:
+            hub = v
+        elif tree.degrees[v] == 1:
+            hub = u
+        else:
+            continue
+        before[e] = last[hub]
+        last[hub] = e
+    return before
+
+
 def search_numbering(
     tree: Tree, budget: SearchBudget | None = None, prune: bool = True
 ) -> SearchResult:
@@ -121,8 +148,11 @@ def search_numbering(
     every located consecutive pair, the path between its two edges:
     a placed number landing on such a path must have its parity partner
     on the path too, and a partner that is already placed elsewhere, or
-    falls outside 1..m, kills the branch.  Every witness is re-verified
-    through the reference checker before being returned.
+    falls outside 1..m, kills the branch.  Pruning also numbers twin
+    leaf edges in increasing id order (an edge is a candidate only once
+    its smaller twin is numbered); the first friendly numbering always
+    does, so the witness is the unpruned search's.  Every witness is
+    re-verified through the reference checker before being returned.
     """
 
     budget = budget or SearchBudget()
@@ -135,6 +165,7 @@ def search_numbering(
     deadline = None if budget.exhaustive else start + budget.time_limit
     nodes = 0
 
+    twin = _twin_before(tree) if prune else [-1] * m
     number_of = [0] * m
     edge_of: list[int | None] = [None] * (m + 2)
     obligations: dict[int, list[int]] = {}
@@ -212,7 +243,7 @@ def search_numbering(
             return None
         nxt = t + 1
         for f in range(m):
-            if number_of[f]:
+            if number_of[f] or (twin[f] >= 0 and not number_of[twin[f]]):
                 continue
             tick()
             if prune:
@@ -252,7 +283,12 @@ def search_bijection(
     sum (most constrained first); target candidates go in ascending id
     order.  With pruning on, each even-distance vertex pair of the
     source is tested the moment the images of both coboundaries are
-    complete.  Witnesses are re-verified through the reference checker.
+    complete, and twin-leaf symmetry is broken on both sides: a source
+    twin's image must exceed its smaller twin's (twins share a degree
+    sum, so the smaller one is assigned first), and a target edge is a
+    candidate only once its smaller twin is used.  The first friendly
+    bijection meets both rules, so the witness is the unpruned search's.
+    Witnesses are re-verified through the reference checker.
     """
 
     budget = budget or SearchBudget()
@@ -275,6 +311,8 @@ def search_bijection(
         return (-(source.degrees[u] + source.degrees[v]), e)
 
     order = sorted(range(m), key=weight)
+    source_twin = _twin_before(source) if prune else [-1] * m
+    target_twin = _twin_before(target) if prune else [-1] * m
 
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     pairs_at: list[list[int]] = [[] for _ in range(m)]
@@ -315,8 +353,9 @@ def search_bijection(
                 return bj
             return None
         e = order[i]
-        for f in range(m):
-            if used[f]:
+        low = mapping[source_twin[e]] + 1 if source_twin[e] >= 0 else 0
+        for f in range(low, m):
+            if used[f] or (target_twin[f] >= 0 and not used[target_twin[f]]):
                 continue
             tick()
             mapping[e] = f

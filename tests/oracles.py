@@ -3,10 +3,10 @@
 Everything here is written straight from the definitions and shares no
 code with the package, so it can serve as a second opinion: breadth
 first search distances and paths, a naive friendliness checker for
-numberings and for bijections, Pruefer coding, a brute force
-isomorphism test, counting oracles for unlabeled trees, and linear-time
-references (diameter, leaf distances, trunks) for trees too large for
-the brute-force ones.
+numberings and for bijections, Pruefer coding, brute force isomorphism
+and automorphism tests, counting oracles for unlabeled trees, and
+linear-time references (diameter, leaf distances, trunks) for trees too
+large for the brute-force ones.
 """
 
 from __future__ import annotations
@@ -349,6 +349,12 @@ def isomorphic_brute(edges1, n1, edges2, n2):
         if {frozenset((perm[u], perm[v])) for u, v in edges1} == want:
             return True
     return False
+
+
+def is_automorphism(edges, perm):
+    """True when relabeling every vertex v as perm[v] keeps the edge set."""
+    want = {frozenset(e) for e in edges}
+    return {frozenset((perm[u], perm[v])) for u, v in edges} == want
 
 
 def heavy_on_one_path(edges, n):

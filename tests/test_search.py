@@ -6,7 +6,7 @@ import math
 import pytest
 
 import oracles
-from helpers import all_trees, path, spider, star, tri_y
+from helpers import all_trees, path, spider, star, trees_up_to, tri_y
 from tree_amity import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -26,6 +26,7 @@ from tree_amity import (
     sweep_question_path,
     symmetry_audit,
 )
+from tree_amity.search import _twin_before
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
 
@@ -41,11 +42,11 @@ def test_budget_validation():
 
 
 def test_budget_exhaustion_is_reported():
-    result = search_numbering(tri_y(), SearchBudget(max_nodes=50))
+    result = search_numbering(tri_y(), SearchBudget(max_nodes=20))
     assert result.status == BUDGET_EXCEEDED
     assert result.witness is None
     # the counter includes the node that tripped the limit
-    assert result.nodes == 51
+    assert result.nodes == 21
 
 
 def test_exhaustive_flag_overrides_limits():
@@ -86,6 +87,33 @@ def test_pruning_changes_nothing_small():
             if fast.status == FOUND:
                 assert fast.witness.numbers == slow.witness.numbers
             assert fast.nodes <= slow.nodes
+
+
+def test_pruning_keeps_the_numbering_witness():
+    for t in trees_up_to(7):
+        fast = search_numbering(t, EXHAUSTIVE, prune=True)
+        slow = search_numbering(t, EXHAUSTIVE, prune=False)
+        assert fast.status == slow.status, t.edges
+        if fast.status == FOUND:
+            assert fast.witness.numbers == slow.witness.numbers, t.edges
+
+
+def test_twins_are_swapped_by_an_automorphism():
+    for t in trees_up_to(8):
+        before = _twin_before(t)
+        for e, (u, v) in enumerate(t.edges):
+            twins = []
+            for f in range(e):
+                shared = {u, v} & set(t.edges[f])
+                if len(shared) != 1:
+                    continue
+                (a,) = {u, v} - shared
+                (b,) = set(t.edges[f]) - shared
+                perm = list(range(t.n))
+                perm[a], perm[b] = b, a
+                if oracles.is_automorphism(t.edges, perm):
+                    twins.append(f)
+            assert before[e] == max(twins, default=-1), (t.edges, e)
 
 
 def test_search_is_deterministic():
@@ -129,6 +157,27 @@ def test_bijection_search_proves_the_known_negative():
     result = search_bijection(cb.tree, spider(3, 3, 3), EXHAUSTIVE)
     assert result.status == PROVED_NONE
     assert result.witness is None
+
+
+def test_bijection_proof_of_absence_breaks_twin_symmetry():
+    # without twin-leaf symmetry breaking this proof takes 326,529 nodes
+    cb = make_cb(5, 5)
+    result = search_bijection(cb.tree, spider(3, 3, 3), EXHAUSTIVE)
+    assert result.status == PROVED_NONE
+    assert result.nodes <= 10_000
+
+
+def test_bijection_pruning_changes_nothing_small():
+    for m in range(1, 6):
+        shapes = all_trees(m)
+        for s in shapes:
+            for t in shapes:
+                fast = search_bijection(s, t, EXHAUSTIVE, prune=True)
+                slow = search_bijection(s, t, EXHAUSTIVE, prune=False)
+                assert fast.status == slow.status, (s.edges, t.edges)
+                if fast.status == FOUND:
+                    assert fast.witness.mapping == slow.witness.mapping
+                assert fast.nodes <= slow.nodes
 
 
 def test_bijection_budget_exhaustion():
