@@ -21,7 +21,6 @@ plain "found") are printed as they appear.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -32,13 +31,12 @@ from tree_amity import (
     sweep_question_path,
     symmetry_audit,
 )
+from tree_amity.cli import report_text
 
-SCHEMA = "tree-amity/1"
 
-
-def save(out_dir: Path, name: str, doc: dict) -> Path:
+def save(out_dir: Path, name: str, command: str, report) -> Path:
     path = out_dir / f"{name}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path.write_text(report_text(command, report.to_json_dict()), encoding="utf-8")
     return path
 
 
@@ -46,9 +44,7 @@ def run_sweep(out_dir: Path, name: str, make_report, jobs: int) -> None:
     started = time.monotonic()
     report = make_report(jobs)
     elapsed = time.monotonic() - started
-    doc = {"schema": SCHEMA, "command": "sweep", "seed": 0}
-    doc.update(report.to_json_dict())
-    path = save(out_dir, name, doc)
+    path = save(out_dir, name, "sweep", report)
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
     print(f"{name}: {len(report.records)} trees ({counts}) "
           f"in {elapsed:.1f}s -> {path}")
@@ -99,9 +95,7 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     audit = symmetry_audit(args.audit_edges, jobs=args.jobs)
-    doc = {"schema": SCHEMA, "command": "audit-symmetry", "seed": 0}
-    doc.update(audit.to_json_dict())
-    path = save(out_dir, f"audit-{args.audit_edges}", doc)
+    path = save(out_dir, f"audit-{args.audit_edges}", "audit-symmetry", audit)
     print(f"audit-{args.audit_edges}: {len(audit.records)} pairs, "
           f"{audit.total_friendly} friendly, "
           f"{audit.total_failures} inverse failures "

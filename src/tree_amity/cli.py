@@ -71,7 +71,7 @@ EXIT_INPUT = 2
 EXIT_INAPPLICABLE = 3
 EXIT_INTERNAL = 4
 
-__all__ = ["main", "main_entry", "build_parser", "SCHEMA"]
+__all__ = ["main", "main_entry", "build_parser", "report_text", "SCHEMA"]
 
 
 # -- small helpers ------------------------------------------------------------
@@ -123,18 +123,18 @@ def _budget_from(args, default_exhaustive: bool = False) -> SearchBudget:
     return SearchBudget(**kwargs)
 
 
+def report_text(command: str, body: dict) -> str:
+    """The JSON report of one command: schema tag, command name, body."""
+    doc = {"schema": SCHEMA, "command": command, **body}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _write_report(args, command: str, inputs: list[dict], payload: dict) -> None:
     path = getattr(args, "report", None)
     if not path:
         return
-    doc = {
-        "schema": SCHEMA,
-        "command": command,
-        "seed": args.seed,
-        "inputs": inputs,
-        **payload,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    text = report_text(command, {"inputs": inputs, **payload})
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _edge_label(tree: Tree, labels, eid: int) -> list[int]:
@@ -437,8 +437,8 @@ def cmd_search(args) -> int:
     return EXIT_INAPPLICABLE
 
 
-def _emit_json(args, doc: dict) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit_report(args, command: str, body: dict) -> None:
+    text = report_text(command, body)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -463,9 +463,7 @@ def cmd_sweep(args) -> int:
             report = sweep_hypothesis(
                 args.max_edges, args.kind, budget=budget, jobs=jobs
             )
-    doc = {"schema": SCHEMA, "command": "sweep", "seed": args.seed}
-    doc.update(report.to_json_dict())
-    _emit_json(args, doc)
+    _emit_report(args, "sweep", report.to_json_dict())
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
     findings = len(report.findings)
     print(
@@ -479,9 +477,7 @@ def cmd_sweep(args) -> int:
 def cmd_audit_symmetry(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
-    doc = {"schema": SCHEMA, "command": "audit-symmetry", "seed": args.seed}
-    doc.update(report.to_json_dict())
-    _emit_json(args, doc)
+    _emit_report(args, "audit-symmetry", report.to_json_dict())
     print(
         f"audit: {len(report.records)} pairs, {report.total_friendly} friendly "
         f"bijections, {report.total_failures} inverse failures",
@@ -520,9 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
             "checkers, constructions, searches, and surveys."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in reports and used by any "
-                             "randomized sampling (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-numbering",

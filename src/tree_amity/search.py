@@ -5,9 +5,15 @@ numbers 1..m in increasing order, so the constraint between consecutive
 numbers becomes checkable the moment the second one lands.
 ``search_bijection`` looks for a friendly edge bijection between two
 trees, checking each even-distance vertex pair as soon as both
-coboundary images are fully assigned.  Both carry an explicit budget,
-re-verify every hit through the reference checkers, and claim that
-nothing exists only after exhausting the whole space.
+coboundary images are fully assigned.  A numbering is friendly exactly
+when the bijection from the path onto the tree is, so both are one
+search: ``_search`` is an iterative depth-first engine with an explicit
+stack, and each search supplies only its state and four plug-ins (the
+candidates at a depth, place, lift, and finish).  The engine counts
+nodes, enforces the budget, re-verifies every hit through the reference
+checkers, and claims that nothing exists only after exhausting the
+whole space.  Its depth is bounded by memory, not by the interpreter's
+recursion limit.
 
 With pruning on, both searches break twin-leaf symmetry.  Twin leaf
 edges are leaf edges hanging from the same vertex; swapping two of them
@@ -35,10 +41,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import permutations
-from typing import Callable, Sequence
+from itertools import islice, permutations
+from typing import Callable, Iterator, Sequence
 
 from .amity import (
     EdgeBijection,
@@ -117,10 +123,6 @@ class SearchResult:
     elapsed: float
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _twin_before(tree: Tree) -> list[int]:
     """For each edge, the next smaller leaf edge on the same vertex, or -1."""
     before = [-1] * tree.m
@@ -135,6 +137,75 @@ def _twin_before(tree: Tree) -> list[int]:
         before[e] = last[hub]
         last[hub] = e
     return before
+
+
+def _search(
+    start: float,
+    budget: SearchBudget | None,
+    size: int,
+    candidates: Callable[[int], list[int]],
+    place: Callable[[int, int], bool],
+    lift: Callable[[int, int], None],
+    finish: Callable[[], Numbering | EdgeBijection | None],
+    found_by: str,
+) -> SearchResult:
+    """Depth-first search over ``size`` placements with an explicit stack.
+
+    Depth t tries ``candidates(t)`` in order.  The list is read once,
+    when the depth opens; that is what a lazy scan would see, because
+    every deeper placement is lifted before the next value is read.
+    Each tried value is one node, counted before ``place`` assigns it
+    and prunes; ``lift`` undoes a ``place`` whether or not its branch
+    survived.  At full depth ``finish`` builds the witness or rejects
+    the assignment, and a witness is re-verified through the reference
+    checker before it is returned.  The clock runs from ``start``.
+    """
+
+    budget = budget or SearchBudget()
+    bounded = not budget.exhaustive
+    deadline = start + budget.time_limit
+    nodes = 0
+    status = None
+    witness = None
+    levels: list[Iterator[int]] = [iter(())] * size
+    placed = [0] * size
+    depth = 0
+    while status is None:
+        if depth < size:
+            levels[depth] = iter(candidates(depth))
+        else:
+            witness = finish()
+            if witness is not None:
+                status = FOUND
+                break
+            depth -= 1
+            lift(depth, placed[depth])
+        # place the next surviving value, backtracking from exhausted depths
+        while True:
+            for value in levels[depth]:
+                nodes += 1
+                if bounded and (
+                    nodes > budget.max_nodes
+                    or (nodes % 1024 == 0 and time.monotonic() > deadline)
+                ):
+                    status = BUDGET_EXCEEDED
+                    break
+                if place(depth, value):
+                    placed[depth] = value
+                    depth += 1
+                    break
+                lift(depth, value)
+            else:
+                if depth == 0:
+                    status = PROVED_NONE
+                    break
+                depth -= 1
+                lift(depth, placed[depth])
+                continue
+            break
+    if witness is not None:
+        verified(witness, found_by)
+    return SearchResult(status, witness, nodes, time.monotonic() - start)
 
 
 def search_numbering(
@@ -155,30 +226,21 @@ def search_numbering(
     re-verified through the reference checker before being returned.
     """
 
-    budget = budget or SearchBudget()
-    m = tree.m
     start = time.monotonic()
-    if m == 0:
-        return SearchResult(FOUND, Numbering(tree, []), 0, time.monotonic() - start)
-
-    max_nodes = None if budget.exhaustive else budget.max_nodes
-    deadline = None if budget.exhaustive else start + budget.time_limit
-    nodes = 0
-
+    m = tree.m
     twin = _twin_before(tree) if prune else [-1] * m
     number_of = [0] * m
     edge_of: list[int | None] = [None] * (m + 2)
     obligations: dict[int, list[int]] = {}
     paths_at_edge: list[list[int]] = [[] for _ in range(m)]
     pair_mask: dict[int, int] = {}
+    undo_at: list[list] = [[] for _ in range(m)]
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _BudgetHit
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise _BudgetHit
+    def candidates(t: int) -> list[int]:
+        return [
+            f for f in range(m)
+            if not number_of[f] and (twin[f] < 0 or number_of[twin[f]])
+        ]
 
     def partner_ok(j: int, k: int, mask: int, undo: list) -> bool:
         p = j + 1 if (j - k) % 2 == 0 else j - 1
@@ -191,10 +253,13 @@ def search_numbering(
         undo.append((1, p))
         return True
 
-    def try_assign(num: int, f: int, undo: list) -> bool:
+    def place(t: int, f: int) -> bool:
+        num = t + 1
         number_of[f] = num
         edge_of[num] = f
-        undo.append((0, num, f))
+        undo = undo_at[t] = [(0, num, f)]
+        if not prune:
+            return True
         need = obligations.get(num)
         if need is not None:
             for k in need:
@@ -218,8 +283,8 @@ def search_numbering(
                     return False
         return True
 
-    def unwind(undo: list) -> None:
-        for entry in reversed(undo):
+    def lift(t: int, f: int) -> None:
+        for entry in reversed(undo_at[t]):
             tag = entry[0]
             if tag == 0:
                 _, num, f = entry
@@ -235,40 +300,16 @@ def search_numbering(
                 for e in _iter_bits(mask):
                     paths_at_edge[e].pop()
 
-    def extend(t: int) -> Numbering | None:
-        if t == m:
-            nu = Numbering(tree, list(number_of))
-            if prune or check_friendly_numbering(nu) is None:
-                return nu
-            return None
-        nxt = t + 1
-        for f in range(m):
-            if number_of[f] or (twin[f] >= 0 and not number_of[twin[f]]):
-                continue
-            tick()
-            if prune:
-                undo: list = []
-                if try_assign(nxt, f, undo):
-                    got = extend(nxt)
-                    if got is not None:
-                        return got
-                unwind(undo)
-            else:
-                number_of[f] = nxt
-                got = extend(nxt)
-                number_of[f] = 0
-                if got is not None:
-                    return got
+    def finish() -> Numbering | None:
+        nu = Numbering(tree, list(number_of))
+        if prune or check_friendly_numbering(nu) is None:
+            return nu
         return None
 
-    try:
-        witness = extend(0)
-    except _BudgetHit:
-        return SearchResult(BUDGET_EXCEEDED, None, nodes, time.monotonic() - start)
-    if witness is not None:
-        verified(witness, "numbering found by search")
-        return SearchResult(FOUND, witness, nodes, time.monotonic() - start)
-    return SearchResult(PROVED_NONE, None, nodes, time.monotonic() - start)
+    return _search(
+        start, budget, m, candidates, place, lift, finish,
+        "numbering found by search",
+    )
 
 
 def search_bijection(
@@ -291,20 +332,12 @@ def search_bijection(
     Witnesses are re-verified through the reference checker.
     """
 
-    budget = budget or SearchBudget()
     if source.m != target.m:
         raise SizeMismatch(
             f"edge counts differ: {source.m} versus {target.m}"
         )
-    m = source.m
     start = time.monotonic()
-    if m == 0:
-        bj = EdgeBijection(source, target, [])
-        return SearchResult(FOUND, bj, 0, time.monotonic() - start)
-
-    max_nodes = None if budget.exhaustive else budget.max_nodes
-    deadline = None if budget.exhaustive else start + budget.time_limit
-    nodes = 0
+    m = source.m
 
     def weight(e: int) -> tuple[int, int]:
         u, v = source.edges[e]
@@ -314,79 +347,72 @@ def search_bijection(
     source_twin = _twin_before(source) if prune else [-1] * m
     target_twin = _twin_before(target) if prune else [-1] * m
 
+    # with pruning off no pair is tracked, so every branch survives
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     pairs_at: list[list[int]] = [[] for _ in range(m)]
-    side = source.bipartition()
-    for p_v in range(source.n):
-        for q_v in range(p_v + 1, source.n):
-            if side[q_v] != side[p_v]:
-                continue
-            dp = tuple(sorted(source.coboundary(p_v)))
-            dq = tuple(sorted(source.coboundary(q_v)))
-            idx = len(pairs)
-            pairs.append((dp, dq))
-            for e in dp:
-                pairs_at[e].append(idx)
-            for e in dq:
-                pairs_at[e].append(idx)
+    if prune:
+        side = source.bipartition()
+        for p_v in range(source.n):
+            for q_v in range(p_v + 1, source.n):
+                if side[q_v] != side[p_v]:
+                    continue
+                dp = tuple(sorted(source.coboundary(p_v)))
+                dq = tuple(sorted(source.coboundary(q_v)))
+                idx = len(pairs)
+                pairs.append((dp, dq))
+                for e in dp:
+                    pairs_at[e].append(idx)
+                for e in dq:
+                    pairs_at[e].append(idx)
     remaining = [len(dp) + len(dq) for dp, dq in pairs]
 
     mapping = [-1] * m
     used = [False] * m
+    # how many of its pairs each depth's place counted down; None for all
+    touched: list[int | None] = [None] * m
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _BudgetHit
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise _BudgetHit
+    def candidates(i: int) -> list[int]:
+        e = order[i]
+        low = mapping[source_twin[e]] + 1 if source_twin[e] >= 0 else 0
+        return [
+            f for f in range(low, m)
+            if not used[f] and (target_twin[f] < 0 or used[target_twin[f]])
+        ]
 
     def pair_ok(idx: int) -> bool:
         dp, dq = pairs[idx]
         return unlinked(target, [mapping[e] for e in dp], [mapping[e] for e in dq])
 
-    def extend(i: int) -> EdgeBijection | None:
-        if i == m:
-            bj = EdgeBijection(source, target, list(mapping))
-            if prune or check_friendly_bijection(bj) is None:
-                return bj
-            return None
+    def place(i: int, f: int) -> bool:
         e = order[i]
-        low = mapping[source_twin[e]] + 1 if source_twin[e] >= 0 else 0
-        for f in range(low, m):
-            if used[f] or (target_twin[f] >= 0 and not used[target_twin[f]]):
-                continue
-            tick()
-            mapping[e] = f
-            used[f] = True
-            touched: list[int] = []
-            alive = True
-            if prune:
-                for idx in pairs_at[e]:
-                    remaining[idx] -= 1
-                    touched.append(idx)
-                    if remaining[idx] == 0 and not pair_ok(idx):
-                        alive = False
-                        break
-            if alive:
-                got = extend(i + 1)
-                if got is not None:
-                    return got
-            for idx in touched:
-                remaining[idx] += 1
-            mapping[e] = -1
-            used[f] = False
+        mapping[e] = f
+        used[f] = True
+        here = pairs_at[e]
+        for idx in here:
+            remaining[idx] -= 1
+            if not remaining[idx] and not pair_ok(idx):
+                touched[i] = here.index(idx) + 1
+                return False
+        touched[i] = None
+        return True
+
+    def lift(i: int, f: int) -> None:
+        e = order[i]
+        mapping[e] = -1
+        used[f] = False
+        for idx in islice(pairs_at[e], touched[i]):
+            remaining[idx] += 1
+
+    def finish() -> EdgeBijection | None:
+        bj = EdgeBijection(source, target, list(mapping))
+        if prune or check_friendly_bijection(bj) is None:
+            return bj
         return None
 
-    try:
-        witness = extend(0)
-    except _BudgetHit:
-        return SearchResult(BUDGET_EXCEEDED, None, nodes, time.monotonic() - start)
-    if witness is not None:
-        verified(witness, "bijection found by search")
-        return SearchResult(FOUND, witness, nodes, time.monotonic() - start)
-    return SearchResult(PROVED_NONE, None, nodes, time.monotonic() - start)
+    return _search(
+        start, budget, m, candidates, place, lift, finish,
+        "bijection found by search",
+    )
 
 
 # -- parallel driver ----------------------------------------------------------
@@ -423,14 +449,7 @@ class AuditRecord:
     inverse_failures: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "code_a": self.code_a,
-            "code_b": self.code_b,
-            "edges": self.edges,
-            "bijections": self.bijections,
-            "friendly": self.friendly,
-            "inverse_failures": self.inverse_failures,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -538,17 +557,8 @@ class SweepRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "code": self.code,
-            "tree": self.tree_text,
-            "edges": self.edges,
-            "diameter": self.diameter,
-            "has_trunk": self.has_trunk,
-            "parity_ready": self.parity_ready,
-            "method": self.method,
-            "outcome": self.outcome,
-            "witness": self.witness,
-            "nodes": self.nodes,
-            "detail": self.detail,
+            "tree" if key == "tree_text" else key: value
+            for key, value in asdict(self).items()
         }
 
 
@@ -591,7 +601,8 @@ def _flags(tree: Tree) -> tuple[int, bool, bool]:
     return diameter, has_trunk, parity_ready
 
 
-def _numbering_record(tree: Tree, budget: SearchBudget, constructive: bool) -> SweepRecord:
+def _numbering_worker(payload, budget: SearchBudget, constructive: bool) -> SweepRecord:
+    tree = _unpack(payload)
     diameter, has_trunk, parity_ready = _flags(tree)
     code = tree.canonical_code()
     text = format_tree(tree)
@@ -615,14 +626,6 @@ def _numbering_record(tree: Tree, budget: SearchBudget, constructive: bool) -> S
     )
 
 
-def _question_worker(payload, budget: SearchBudget) -> SweepRecord:
-    return _numbering_record(_unpack(payload), budget, constructive=True)
-
-
-def _hypothesis_worker(payload, budget: SearchBudget) -> SweepRecord:
-    return _numbering_record(_unpack(payload), budget, constructive=False)
-
-
 def sweep_question_path(
     max_edges: int,
     budget: SearchBudget | None = None,
@@ -642,7 +645,8 @@ def sweep_question_path(
         for m in range(1, max_edges + 1)
         for tree in enumerate_free_trees(m)
     ]
-    records = _run_jobs(partial(_question_worker, budget=budget), payloads, jobs)
+    worker = partial(_numbering_worker, budget=budget, constructive=True)
+    records = _run_jobs(worker, payloads, jobs)
     records.sort(key=lambda r: (r.edges, r.code))
     note = (
         "Empirical survey. Every 'found' witness re-verifies through the "
@@ -683,7 +687,8 @@ def sweep_hypothesis(
                 )
             if keep:
                 payloads.append(_pack(tree))
-    records = _run_jobs(partial(_hypothesis_worker, budget=budget), payloads, jobs)
+    worker = partial(_numbering_worker, budget=budget, constructive=False)
+    records = _run_jobs(worker, payloads, jobs)
     records.sort(key=lambda r: (r.edges, r.code))
     if which == HYPOTHESIS_D4:
         note = (

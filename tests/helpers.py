@@ -65,14 +65,21 @@ def from_prufer(seq, n: int) -> Tree:
 # -- seeded large trees ----------------------------------------------------------
 
 
-def shuffled(tree: Tree, rng: random.Random) -> Tree:
-    """The same tree with vertex ids, edge order and edge ends shuffled."""
+def relabeled(tree: Tree, rng: random.Random) -> Tree:
+    """The same tree with vertex ids and edge ends shuffled; edge ids
+    keep their order."""
     relabel = list(range(tree.n))
     rng.shuffle(relabel)
     out = [
         (relabel[u], relabel[v]) if rng.random() < 0.5 else (relabel[v], relabel[u])
         for u, v in tree.edges
     ]
+    return Tree(out, tree.n)
+
+
+def shuffled(tree: Tree, rng: random.Random) -> Tree:
+    """The same tree with vertex ids, edge order and edge ends shuffled."""
+    out = list(relabeled(tree, rng).edges)
     rng.shuffle(out)
     return Tree(out, tree.n)
 

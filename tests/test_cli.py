@@ -1,7 +1,9 @@
 """End-to-end command line behavior: exit codes, formats, reports."""
 
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tree_amity
-from helpers import path, spider, star, tri_y
+from helpers import path, relabeled, spider, star, tri_y
 from tree_amity import (
     check_friendly_bijection,
     check_friendly_numbering,
@@ -65,12 +67,12 @@ def test_check_numbering_report(tmp_path, capsys):
     t = tree_file(tmp_path, "t.txt", path(3))
     nb = write(tmp_path, "n.txt", "0 1 1\n1 2 2\n2 3 3\n")
     rep = str(tmp_path / "report.json")
-    assert main(["--seed", "7", "check-numbering", t, nb, "--report", rep]) == 0
+    assert main(["check-numbering", t, nb, "--report", rep]) == 0
     capsys.readouterr()
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["schema"] == "tree-amity/1"
     assert doc["command"] == "check-numbering"
-    assert doc["seed"] == 7
+    assert "seed" not in doc
     assert doc["outcome"] == "ok"
     assert len(doc["inputs"]) == 2
     for entry in doc["inputs"]:
@@ -356,8 +358,52 @@ def test_unexpected_crash_exits_internal(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_search_command_numbers_a_1500_edge_path(tmp_path, capsys):
+    t = tree_file(tmp_path, "t.txt", relabeled(path(1500), random.Random(1500)))
+    proc = _run_python("-m", "tree_amity", "search", t)
+    assert proc.returncode == 0, proc.stderr
+    nb = write(tmp_path, "n.txt", proc.stdout)
+    assert main(["check-numbering", t, nb]) == 0
+    capsys.readouterr()
+
+
 def test_python_dash_m_runs_the_cli():
     proc = _run_python("-m", "tree_amity", "enumerate", "-m", "3")
     assert proc.returncode == 0, proc.stderr
     shapes = [parse_tree(block) for block in proc.stdout.split("\n\n")]
     assert sorted(max(t.degrees) for t in shapes) == [2, 3]
+
+
+# -- the survey script ---------------------------------------------------------------
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+
+
+def test_run_sweeps_writes_cli_reports(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_sweeps", SCRIPT)
+    run_sweeps = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_sweeps)
+    out_dir = tmp_path / "out"
+    assert run_sweeps.main([
+        "--question-edges", "4", "--d4-edges", "4", "--odd-edges", "5",
+        "--cb", "2", "2", "--audit-edges", "3", "--out-dir", str(out_dir),
+    ]) == 0
+    assert main(["sweep", "--kind", "d4", "-m", "3",
+                 "--out", str(tmp_path / "sweep.json")]) == 0
+    assert main(["audit-symmetry", "-m", "2",
+                 "--out", str(tmp_path / "audit.json")]) == 0
+    capsys.readouterr()
+    keys = {
+        doc["command"]: list(doc)
+        for doc in (json.loads((tmp_path / name).read_text())
+                    for name in ("sweep.json", "audit.json"))
+    }
+    files = sorted(out_dir.glob("*.json"))
+    assert [f.name for f in files] == [
+        "audit-3.json", "cb-2-2.json", "d4-4.json", "odd-5.json",
+        "question-path-4.json",
+    ]
+    for f in files:
+        doc = json.loads(f.read_text())
+        assert doc["schema"] == "tree-amity/1", f.name
+        assert list(doc) == keys[doc["command"]], f.name

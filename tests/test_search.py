@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
 import oracles
-from helpers import all_trees, path, spider, star, trees_up_to, tri_y
+from helpers import all_trees, path, relabeled, spider, star, trees_up_to, tri_y
 from tree_amity import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -116,6 +117,16 @@ def test_twins_are_swapped_by_an_automorphism():
             assert before[e] == max(twins, default=-1), (t.edges, e)
 
 
+def test_numbering_search_runs_1500_deep():
+    # 1,500 placements deep, past the interpreter's recursion limit; edge
+    # ids keep path order, because candidates are scanned in id order and
+    # a shuffled order makes even a 40-edge path take millions of nodes
+    tree = relabeled(path(1500), random.Random(1500))
+    result = search_numbering(tree)
+    assert result.status == FOUND
+    assert check_friendly_numbering(result.witness) is None
+
+
 def test_search_is_deterministic():
     t = spider(2, 2, 1)
     a = search_numbering(t, EXHAUSTIVE)
@@ -165,6 +176,17 @@ def test_bijection_proof_of_absence_breaks_twin_symmetry():
     result = search_bijection(cb.tree, spider(3, 3, 3), EXHAUSTIVE)
     assert result.status == PROVED_NONE
     assert result.nodes <= 10_000
+
+
+def test_bijection_proofs_of_absence_node_counts():
+    # pins the node accounting: every tried value is one node
+    cb = make_cb(6, 6).tree
+    negatives = [
+        t for t in enumerate_free_trees(11) if find_subtree_pair(t, 6, 6) is None
+    ]
+    results = [search_bijection(cb, t, EXHAUSTIVE) for t in negatives]
+    assert [r.status for r in results] == [PROVED_NONE] * 3
+    assert [r.nodes for r in results] == [38_764, 26_717, 18_488]
 
 
 def test_bijection_pruning_changes_nothing_small():
