@@ -286,7 +286,7 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
     of the smaller vertex's coboundary is tested as hooking side "p"
     first, then the other direction.
     """
-    g1, g2 = b.source, b.target
+    g1, g2, mapping = b.source, b.target, b.mapping
     side = g1.bipartition()
     images: list[tuple[int, list[int]] | None] = [None] * g1.n
 
@@ -294,8 +294,8 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
         got = images[v]
         if got is None:
             mask = 0
-            for e in g1.coboundary(v):
-                mask |= 1 << b.mapping[e]
+            for _, e in g1.adj[v]:
+                mask |= 1 << mapping[e]
             got = images[v] = (mask, list(_iter_bits(mask)))
         return got
 

@@ -2,11 +2,15 @@
 
 Rooted trees on a fixed vertex count are produced as canonical level
 sequences (root first, depth-first order, children sorted so the
-sequence is lexicographically maximal).  Free trees are obtained by
-deduplicating rooted ones on a centered canonical code.  The counting
-functions use the classical rooted-tree convolution and the even/odd
-center correction, so generated families can be cross-checked against
-closed-form counts.
+sequence is lexicographically maximal), in decreasing lexicographic
+order.  A free tree is represented by the largest of its canonical level
+sequences over all roots.  That sequence starts 1, 2, ..., d + 1 for the
+diameter d, so its root is a leaf at one end of a longest path and has
+one child; free trees are therefore generated directly, one per shape,
+by rooting every rooted tree on m vertices under a new leaf and keeping
+the candidates no other root beats.  The counting functions use the
+classical rooted-tree convolution and the even/odd center correction,
+so generated families can be cross-checked against closed-form counts.
 """
 
 from __future__ import annotations
@@ -72,20 +76,96 @@ def tree_from_level_sequence(seq: tuple[int, ...]) -> Tree:
 def enumerate_free_trees(m: int) -> Iterator[Tree]:
     """All unlabeled trees with m edges, one representative per shape.
 
-    Rooted level sequences on m + 1 vertices are generated and
-    deduplicated on the canonical code, so the yield order is the order
-    of first appearance and is fully deterministic.
+    Each shape is built from the largest of its canonical level
+    sequences over all roots, so vertex 0 is a leaf at one end of a
+    longest path.  Shapes come in decreasing lexicographic order of
+    those sequences, which is their order of first appearance among
+    the rooted trees on m + 1 vertices; the order is fully
+    deterministic.  Only the yielded trees are ever built.
     """
 
     if m < 0:
         raise ShapeMismatch("edge count must be nonnegative")
-    seen: set[str] = set()
-    for seq in level_sequences(m + 1):
-        tree = tree_from_level_sequence(seq)
-        code = tree.canonical_code()
-        if code not in seen:
-            seen.add(code)
-            yield tree
+    if m == 0:
+        yield tree_from_level_sequence((1,))
+        return
+    for branch in level_sequences(m):
+        seq = (1,) + tuple(x + 1 for x in branch)
+        if _is_representative(seq):
+            yield tree_from_level_sequence(seq)
+
+
+def _is_representative(seq: tuple[int, ...]) -> bool:
+    """True when the canonical level sequence seq, whose root has one
+    child, is the largest canonical level sequence of its free tree.
+
+    The largest one belongs to a root of greatest eccentricity, so seq
+    must reach the diameter, and no other leaf of that eccentricity may
+    give a larger sequence.  Vertex h, the first at the greatest depth
+    h, is farthest from the root and so ends a longest path: one
+    breadth-first search from it yields the diameter, and once that is
+    h, a vertex's eccentricity is the larger of its depth and its
+    distance from vertex h.  Leaves on one vertex share a rooted shape,
+    so one leaf per vertex is re-rooted, and none beside vertex 0.
+    """
+
+    n = len(seq)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    last_at = [0] * (n + 1)
+    for i in range(1, n):
+        p = last_at[seq[i] - 1]
+        adj[p].append(i)
+        adj[i].append(p)
+        last_at[seq[i]] = i
+    h = max(seq) - 1
+    far = [-1] * n
+    far[h] = 0
+    order = [h]
+    for x in order:
+        for y in adj[x]:
+            if far[y] < 0:
+                far[y] = far[x] + 1
+                order.append(y)
+    if far[order[-1]] != h:
+        return False
+    tried = {1}
+    for w in range(2, n):
+        if len(adj[w]) == 1 and (far[w] == h or seq[w] == h + 1):
+            stem = adj[w][0]
+            if stem not in tried:
+                tried.add(stem)
+                if _rooted_sequence(adj, w) > seq:
+                    return False
+    return True
+
+
+def _rooted_sequence(adj: list[list[int]], root: int) -> tuple[int, ...]:
+    """Canonical level sequence of the tree rooted at root.
+
+    A subtree's sequence is its root's level followed by its children's
+    sequences in decreasing order; absolute levels compare as relative
+    ones because siblings share a level.
+    """
+
+    n = len(adj)
+    level = [0] * n
+    level[root] = 1
+    order = [root]
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for x in order:
+        below = level[x] + 1
+        for y in adj[x]:
+            if not level[y]:
+                level[y] = below
+                order.append(y)
+                kids[x].append(y)
+    code: list[tuple[int, ...]] = [()] * n
+    for v in reversed(order):
+        out = [level[v]]
+        for part in sorted((code[y] for y in kids[v]), reverse=True):
+            out.extend(part)
+        code[v] = tuple(out)
+    return code[root]
 
 
 def _divisors(k: int) -> list[int]:

@@ -26,8 +26,9 @@ trees that are built and never queried pay nothing for it.  A query
 climbs both endpoints to their meeting point, which costs the length of
 the path.  Whole-tree questions (diameter, equidistant center) use
 single-source distance lists that are not kept.  The edge path masks
-that the searches ask for again and again, and the canonical code, are
-memoized; no cache is ever invalidated.
+that the searches ask for again and again, the depth-parity coloring
+that the bijection checker asks for on every call, and the canonical
+code are memoized; no cache is ever invalidated.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class Tree:
         "degrees",
         "_plain_adj",
         "_rooting",
+        "_side",
         "_path_masks",
         "_cob_masks",
         "_code",
@@ -112,6 +114,7 @@ class Tree:
             tuple(w for w, _ in a) for a in adj
         )
         self._rooting: tuple[list[int], list[int], list[int]] | None = None
+        self._side: tuple[int, ...] | None = None
         self._path_masks: dict[tuple[int, int], int] = {}
         self._cob_masks: tuple[int, ...] = tuple(
             sum(1 << eid for _, eid in a) for a in adj
@@ -343,9 +346,6 @@ def is_isomorphic(t1: Tree, t2: Tree) -> bool:
 
 
 # -- canonical coding on raw adjacency -----------------------------------
-#
-# These work on plain neighbor lists so that enumeration and test oracles
-# can canonicalize a shape without paying for Tree construction.
 
 
 def tree_centers(adj) -> list[int]:

@@ -310,6 +310,43 @@ def count_trees_prufer_dedup(m):
     return len(seen)
 
 
+def free_trees_first_seen(m):
+    """(edges, n) of one tree per shape with m edges, in order of first
+    appearance among the rooted trees on m + 1 vertices.
+
+    Rooted trees are walked as canonical level sequences in decreasing
+    lexicographic order, by the Beyer-Hedetniemi successor rule; each
+    sequence becomes edges from the latest vertex one level up, and a
+    shape is kept the first time its shape_key turns up.
+    """
+    n = m + 1
+    seq = list(range(1, n + 1))
+    table: dict = {}
+    seen = set()
+    out = []
+    while True:
+        last = {1: 0}
+        edges = []
+        plain = [[] for _ in range(n)]
+        for i in range(1, n):
+            parent = last[seq[i] - 1]
+            edges.append((parent, i))
+            plain[parent].append(i)
+            plain[i].append(parent)
+            last[seq[i]] = i
+        key = shape_key(plain, n, table)
+        if key not in seen:
+            seen.add(key)
+            out.append((tuple(edges), n))
+        tall = [i for i in range(n) if seq[i] > 2]
+        if not tall:
+            return out
+        p = tall[-1]
+        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        for i in range(p, n):
+            seq[i] = seq[i - (p - q)]
+
+
 def rooted_tree_counts(limit):
     """r[k] = rooted unlabeled trees on k vertices, 0 <= k <= limit."""
     r = [0] * (limit + 1)

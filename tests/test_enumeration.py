@@ -8,6 +8,7 @@ import oracles
 from helpers import all_trees
 from tree_amity import (
     ShapeMismatch,
+    Tree,
     count_free_trees,
     count_rooted_trees,
     enumerate_free_trees,
@@ -55,7 +56,7 @@ def test_bad_level_sequences_are_rejected():
 
 
 def test_enumeration_counts_match_the_closed_form():
-    for m in range(0, 10):
+    for m in range(0, 14):
         assert len(all_trees(m)) == FREE[m] == count_free_trees(m)
 
 
@@ -63,6 +64,20 @@ def test_enumeration_counts_match_prufer_dedup():
     # the heavyweight m = 8 run lives in the acceptance suite
     for m in range(0, 7):
         assert len(all_trees(m)) == oracles.count_trees_prufer_dedup(m)
+
+
+def test_enumeration_matches_the_first_seen_dedup_oracle():
+    for m in range(0, 12):
+        got = [(t.edges, t.n) for t in enumerate_free_trees(m)]
+        assert got == oracles.free_trees_first_seen(m)
+
+
+def test_enumeration_computes_no_canonical_code(monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumeration asked for a canonical code")
+
+    monkeypatch.setattr(Tree, "canonical_code", refuse)
+    assert sum(1 for _ in enumerate_free_trees(9)) == FREE[9]
 
 
 def test_enumerated_shapes_are_distinct():
