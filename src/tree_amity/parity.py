@@ -3,134 +3,77 @@ interior degrees.
 
 The construction covers trees where some vertex C sits at one common
 distance rho from every leaf and every non-leaf vertex has even degree.
-In such a tree the leaves are exactly the vertices at distance rho from
-C, so pruning the leaves yields a smaller tree of the same kind with
-radius rho - 1, down to the single vertex C.  Numbering proceeds up
-that tower.  The pruned tree is numbered recursively with 1..|E'|,
-which keeps every non-leaf edge below every leaf edge (the *leaf-edge
-property*).  The leaf edges are then appended with the remaining
-numbers in *counter-run* order: each leaf edge e hangs under a parent
-edge f_pa(e), the unique edge joining e's interior endpoint toward C,
-and whenever one parent edge carries a smaller number than another its
-leaf edges must carry larger numbers.  Leaf edges sharing a parent are
-mutually unconstrained and are ordered by edge id.
+Seen from C such a tree is layered: every vertex nearer than rho is
+interior and every vertex at distance rho is a leaf.  Call an edge's
+*depth* the distance from C to its far endpoint; the edges of depth
+rho are exactly the leaf edges.
 
-The same shape forces one more fact used by the correctness argument
-and exposed here as ``odd_distance_witness``: the distance between a
-leaf and any vertex adjacent to a leaf is always odd, because those
-vertices sit at depths rho and rho - 1.
+The edges are numbered one depth layer at a time, outward from C, with
+consecutive numbers, so every edge is numbered below every deeper edge
+and in particular every non-leaf edge below every leaf edge (the
+*leaf-edge property*).  Depth-1 edges take their numbers in edge-id
+order.  In each deeper layer the edges run in *counter-run* order: an
+edge whose parent edge (the edge above its near endpoint) carries a
+smaller number gets a larger number, and edges sharing a parent edge
+take their numbers in edge-id order.  Stripping the leaf layer leaves
+a tree of the same kind with radius rho - 1, numbered the same way, so
+the numbering is the one built by pruning leaves level by level.
+
+The same layering gives the fact the correctness argument leans on:
+the distance between a leaf and any vertex adjacent to a leaf is odd,
+because those vertices sit at depths rho and rho - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .amity import Numbering
 from .errors import PreconditionFailed
-from .trees import PruneResult, Tree
+from .trees import Tree
 
 
-@dataclass(frozen=True)
-class ParityContext:
-    """Everything the construction needs: the pruning tower of the tree.
-
-    tower[i] prunes level i to level i+1 (level 0 is the tree itself,
-    level radius is the single vertex C).  fpa[i] maps each leaf edge of
-    level i to its parent edge, both in level-i edge ids; at the last
-    level the pruned tree has no edges left and the map is empty.
-    """
-
-    tree: Tree
-    center: int
-    radius: int
-    tower: tuple[PruneResult, ...]
-    fpa: tuple[dict[int, int], ...]
-
-    def levels(self) -> tuple[Tree, ...]:
-        return (self.tree,) + tuple(step.pruned for step in self.tower)
-
-
-def check_precondition(tree: Tree) -> ParityContext | None:
-    """Build the pruning tower, or None when the tree is not covered."""
+def check_precondition(tree: Tree) -> tuple[int, int] | None:
+    """The equidistant center and its distance to every leaf, or None
+    when the tree is not covered."""
     found = tree.equidistant_center()
-    if found is None:
+    if found is None or any(d % 2 for d in tree.degrees if d != 1):
         return None
-    center, radius = found
-    leaves = tree.leaf_vertices()
-    if any(tree.degrees[v] % 2 for v in range(tree.n) if v not in leaves):
-        return None
-    tower = []
-    fpa = []
-    level = tree
-    for _ in range(radius):
-        fpa.append(_parent_edges(level))
-        step = level.prune_leaves()
-        tower.append(step)
-        level = step.pruned
-    if level.n != 1:
-        # the two conditions always shrink to a point; reaching here
-        # would mean the tower argument above is wrong
-        raise AssertionError("pruning tower did not end in a single vertex")
-    return ParityContext(
-        tree=tree,
-        center=center,
-        radius=radius,
-        tower=tuple(tower),
-        fpa=tuple(fpa),
-    )
-
-
-def _parent_edges(level: Tree) -> dict[int, int]:
-    """Map each leaf edge to the unique non-leaf edge at its interior end."""
-    leaf_vs = level.leaf_vertices()
-    leaf_es = level.leaf_edges()
-    if len(leaf_es) == level.m:
-        return {}
-    out = {}
-    for eid in leaf_es:
-        u, v = level.edges[eid]
-        interior = v if u in leaf_vs else u
-        parents = [
-            pe for _, pe in level.adj[interior] if pe not in leaf_es
-        ]
-        if len(parents) != 1:
-            raise AssertionError(
-                f"leaf edge {eid} has {len(parents)} parent edges"
-            )
-        out[eid] = parents[0]
-    return out
+    return found
 
 
 def number_parity_center(tree: Tree) -> Numbering:
-    """Friendly numbering via the pruning tower; see the module docstring.
+    """Friendly numbering layer by layer from the center; see the module
+    docstring.
 
     Raises PreconditionFailed when the tree lacks an equidistant center
     or has a non-leaf vertex of odd degree.
     """
-    ctx = check_precondition(tree)
-    if ctx is None:
+    found = check_precondition(tree)
+    if found is None:
         raise PreconditionFailed(
             "needs an equidistant center and even non-leaf degrees"
         )
-    levels = ctx.levels()
-
-    numbers_above: list[int] = []  # numbers for levels[i+1], by its edge id
-    for i in range(ctx.radius - 1, -1, -1):
-        level = levels[i]
-        numbers = [0] * level.m
-        for pruned_eid, num in enumerate(numbers_above):
-            numbers[ctx.tower[i].edge_map[pruned_eid]] = num
-        base = levels[i + 1].m
-        parent_of = ctx.fpa[i]
-        leaf_edges = sorted(level.leaf_edges())
-        if parent_of:
-            leaf_edges.sort(key=lambda e: (-numbers[parent_of[e]], e))
-        k = base + 1
-        for eid in leaf_edges:
-            numbers[eid] = k
+    center, _ = found
+    numbers = [0] * tree.m
+    # the number of the edge above each vertex; 0 at the center, so that
+    # the depth-1 edges sort by id alone
+    above = [0] * tree.n
+    seen = [False] * tree.n
+    seen[center] = True
+    layer = [center]
+    k = 1
+    while layer:
+        below = []
+        for x in layer:
+            for y, eid in tree.adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    below.append((-above[x], eid, y))
+        below.sort()
+        for _, eid, y in below:
+            numbers[eid] = above[y] = k
             k += 1
-        numbers_above = numbers
-    return Numbering(tree, numbers_above if tree.m else [])
+        layer = [y for _, _, y in below]
+    return Numbering(tree, numbers)
 
 
 def leaf_edge_property(nu: Numbering) -> bool:
@@ -141,19 +84,3 @@ def leaf_edge_property(nu: Numbering) -> bool:
     if not inner or not outer:
         return True
     return max(inner) < min(outer)
-
-
-def odd_distance_witness(ctx: ParityContext, p: int, q: int) -> int:
-    """Distance between q, a leaf, and p, a vertex adjacent to a leaf.
-
-    On trees covered by the construction this distance is always odd;
-    callers inspect the parity.  Raises PreconditionFailed when the
-    roles do not hold.
-    """
-    t = ctx.tree
-    leaves = t.leaf_vertices()
-    if q not in leaves:
-        raise PreconditionFailed(f"vertex {q} is not a leaf")
-    if not any(w in leaves for w in t.neighbors(p)):
-        raise PreconditionFailed(f"vertex {p} is not adjacent to a leaf")
-    return t.distance(p, q)

@@ -39,12 +39,13 @@ replayable through the checkers and serializable to JSON.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .amity import (
     EdgeBijection,
@@ -62,7 +63,7 @@ from .enumeration import enumerate_free_trees
 from .errors import ShapeMismatch, SizeMismatch
 from .parity import check_precondition, number_parity_center
 from .trees import Tree, _iter_bits, format_tree
-from .trunk import find_trunk, number_by_trunk
+from .trunk import _number_along, find_trunk
 
 __all__ = [
     "FOUND",
@@ -418,20 +419,25 @@ def search_bijection(
 # -- parallel driver ----------------------------------------------------------
 
 
-def _run_jobs(worker: Callable, payloads: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
+def _run_jobs(worker: Callable, payloads: Iterable, jobs: int) -> list:
+    """The worker's result for every payload, in payload order.
+
+    A process pool starts all of its workers at once, so it gets no more
+    of them than there are payloads or cores; with one left, the work
+    runs in this process and draws the payloads one at a time, so a tree
+    and the caches its record filled are freed before the next is made.
+    Payloads (trees, or pairs of trees) cross a process boundary pickled
+    as they are.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        payloads = list(payloads)
+        workers = min(workers, len(payloads))
+    if workers <= 1:
         return [worker(x) for x in payloads]
-    chunk = max(1, len(payloads) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(payloads) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads, chunksize=chunk))
-
-
-def _pack(tree: Tree) -> tuple[tuple[tuple[int, int], ...], int]:
-    return (tree.edges, tree.n)
-
-
-def _unpack(payload: tuple[tuple[tuple[int, int], ...], int]) -> Tree:
-    return Tree(list(payload[0]), payload[1])
 
 
 # -- symmetry audit -----------------------------------------------------------
@@ -487,10 +493,8 @@ class AuditReport:
         }
 
 
-def _audit_worker(payload) -> tuple[int, int]:
-    (edges_a, n_a), (edges_b, n_b) = payload
-    a = Tree(list(edges_a), n_a)
-    b = Tree(list(edges_b), n_b)
+def _audit_worker(pair: tuple[Tree, Tree]) -> tuple[int, int]:
+    a, b = pair
     friendly = 0
     failures = 0
     for perm in permutations(range(a.m)):
@@ -514,14 +518,14 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
     if max_edges < 1:
         raise ShapeMismatch("max_edges must be at least 1")
     pair_meta: list[tuple[str, str, int]] = []
-    payloads = []
+    pairs = []
     for m in range(1, max_edges + 1):
         trees = list(enumerate_free_trees(m))
         for i, a in enumerate(trees):
             for b in trees[i:]:
                 pair_meta.append((a.canonical_code(), b.canonical_code(), m))
-                payloads.append((_pack(a), _pack(b)))
-    outcomes = _run_jobs(_audit_worker, payloads, jobs)
+                pairs.append((a, b))
+    outcomes = _run_jobs(_audit_worker, pairs, jobs)
     records = [
         AuditRecord(code_a, code_b, m, math.factorial(m), friendly, failures)
         for (code_a, code_b, m), (friendly, failures) in zip(pair_meta, outcomes)
@@ -594,20 +598,21 @@ class SweepReport:
         }
 
 
-def _flags(tree: Tree) -> tuple[int, bool, bool]:
+def _flags(tree: Tree) -> tuple[int, tuple[int, ...] | None, bool]:
+    """Diameter, trunk (None when there is none) and parity readiness."""
     diameter = tree.diameter()
-    has_trunk = tree.m > 0 and find_trunk(tree) is not None
+    trunk = find_trunk(tree) if tree.m > 0 else None
     parity_ready = check_precondition(tree) is not None
-    return diameter, has_trunk, parity_ready
+    return diameter, trunk, parity_ready
 
 
-def _numbering_worker(payload, budget: SearchBudget, constructive: bool) -> SweepRecord:
-    tree = _unpack(payload)
-    diameter, has_trunk, parity_ready = _flags(tree)
+def _numbering_worker(tree: Tree, budget: SearchBudget, constructive: bool) -> SweepRecord:
+    diameter, trunk, parity_ready = _flags(tree)
+    has_trunk = trunk is not None
     code = tree.canonical_code()
     text = format_tree(tree)
     if constructive and has_trunk:
-        nu = verified(number_by_trunk(tree), "trunk numbering")
+        nu = verified(_number_along(tree, trunk), "trunk numbering")
         return SweepRecord(
             code, text, tree.m, diameter, has_trunk, parity_ready,
             "trunk", FOUND, format_numbering(nu), 0,
@@ -640,13 +645,13 @@ def sweep_question_path(
     """
 
     budget = budget or SearchBudget(exhaustive=True)
-    payloads = [
-        _pack(tree)
+    trees = (
+        tree
         for m in range(1, max_edges + 1)
         for tree in enumerate_free_trees(m)
-    ]
+    )
     worker = partial(_numbering_worker, budget=budget, constructive=True)
-    records = _run_jobs(worker, payloads, jobs)
+    records = _run_jobs(worker, trees, jobs)
     records.sort(key=lambda r: (r.edges, r.code))
     note = (
         "Empirical survey. Every 'found' witness re-verifies through the "
@@ -675,7 +680,7 @@ def sweep_hypothesis(
     if which not in (HYPOTHESIS_D4, HYPOTHESIS_ODD):
         raise ValueError(f"unknown hypothesis {which!r}; use 'd4' or 'odd'")
     budget = budget or SearchBudget(exhaustive=True)
-    payloads = []
+    trees = []
     for m in range(1, max_edges + 1):
         for tree in enumerate_free_trees(m):
             if which == HYPOTHESIS_D4:
@@ -686,9 +691,9 @@ def sweep_hypothesis(
                     and tree.equidistant_center() is not None
                 )
             if keep:
-                payloads.append(_pack(tree))
+                trees.append(tree)
     worker = partial(_numbering_worker, budget=budget, constructive=False)
-    records = _run_jobs(worker, payloads, jobs)
+    records = _run_jobs(worker, trees, jobs)
     records.sort(key=lambda r: (r.edges, r.code))
     if which == HYPOTHESIS_D4:
         note = (
@@ -705,9 +710,9 @@ def sweep_hypothesis(
     return SweepReport(which, max_edges, {"which": which}, note, records)
 
 
-def _cb_worker(payload, n1: int, n2: int, confirm: bool, budget: SearchBudget) -> SweepRecord:
-    tree = _unpack(payload)
-    diameter, has_trunk, parity_ready = _flags(tree)
+def _cb_worker(tree: Tree, n1: int, n2: int, confirm: bool, budget: SearchBudget) -> SweepRecord:
+    diameter, trunk, parity_ready = _flags(tree)
+    has_trunk = trunk is not None
     code = tree.canonical_code()
     text = format_tree(tree)
     cb = make_cb(n1, n2)
@@ -760,9 +765,9 @@ def sweep_cb_universal(
 
     budget = budget or SearchBudget(exhaustive=True)
     m = n1 + n2 - 1
-    payloads = [_pack(tree) for tree in enumerate_free_trees(m)]
+    trees = enumerate_free_trees(m)
     worker = partial(_cb_worker, n1=n1, n2=n2, confirm=confirm, budget=budget)
-    records = _run_jobs(worker, payloads, jobs)
+    records = _run_jobs(worker, trees, jobs)
     records.sort(key=lambda r: (r.edges, r.code))
     note = (
         f"Criterion survey for the ({n1},{n2}) double star over all trees "

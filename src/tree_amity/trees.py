@@ -10,13 +10,11 @@ Conventions used throughout the package:
   climbing from the upper endpoint of each edge to their meeting point
   and dropping e or f when the climb ran along it.
 * The *coboundary* of a vertex is the set of edges incident to it.
-* Pruning removes every leaf vertex together with its edge and
-  renumbers the survivors densely, preserving relative order.
 
 Edge sets are passed around as frozensets of edge ids.  Internally
-several hot paths use integer bitmasks over edge ids; the mask helpers
-are part of the public surface because the checkers and searches lean
-on them.
+several hot paths use integer bitmasks over edge ids; ``edge_path_mask``
+is part of the public surface because the checkers and searches lean
+on it.
 
 Trees are immutable after construction.  Path and distance queries run
 on one rooted copy of the tree: a single traversal from vertex 0 stores
@@ -33,7 +31,6 @@ code are memoized; no cache is ever invalidated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -59,7 +56,6 @@ class Tree:
         "_rooting",
         "_side",
         "_path_masks",
-        "_cob_masks",
         "_code",
     )
 
@@ -116,9 +112,6 @@ class Tree:
         self._rooting: tuple[list[int], list[int], list[int]] | None = None
         self._side: tuple[int, ...] | None = None
         self._path_masks: dict[tuple[int, int], int] = {}
-        self._cob_masks: tuple[int, ...] = tuple(
-            sum(1 << eid for _, eid in a) for a in adj
-        )
         self._code: str | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -199,7 +192,9 @@ class Tree:
         even, so two distinct vertices of one color lie at even
         distance two or more.
         """
-        return tuple(d & 1 for d in self._rooted()[2])
+        if self._side is None:
+            self._side = tuple(d & 1 for d in self._rooted()[2])
+        return self._side
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Edge id joining u and v, or None when they are not adjacent."""
@@ -211,9 +206,6 @@ class Tree:
     def coboundary(self, v: int) -> frozenset[int]:
         """Edges incident to v."""
         return frozenset(eid for _, eid in self.adj[v])
-
-    def coboundary_mask(self, v: int) -> int:
-        return self._cob_masks[v]
 
     def leaf_vertices(self) -> frozenset[int]:
         """Vertices of degree one.  A single-vertex tree has none."""
@@ -267,29 +259,6 @@ class Tree:
         self._path_masks[key] = mask
         return mask
 
-    # -- pruning ---------------------------------------------------------
-
-    def prune_leaves(self) -> "PruneResult":
-        """Drop all leaves at once; maps go from new ids to old ids.
-
-        A single vertex prunes to itself with empty maps.  A single edge
-        prunes to the one-vertex tree on its smaller-id endpoint.
-        """
-        if self.n == 1:
-            return PruneResult(self, {}, {})
-        if self.n == 2:
-            return PruneResult(Tree([], 1), {}, {0: 0})
-        keep = [v for v in range(self.n) if self.degrees[v] >= 2]
-        new_id = {old: new for new, old in enumerate(keep)}
-        new_edges = []
-        edge_map = {}
-        for eid, (u, v) in enumerate(self.edges):
-            if u in new_id and v in new_id:
-                edge_map[len(new_edges)] = eid
-                new_edges.append((new_id[u], new_id[v]))
-        pruned = Tree(new_edges, len(keep))
-        return PruneResult(pruned, edge_map, {new: old for old, new in new_id.items()})
-
     # -- centers and equidistance -----------------------------------------
 
     def centers(self) -> tuple[int, ...]:
@@ -326,19 +295,6 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(n={self.n}, edges={list(self.edges)})"
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    """Outcome of one leaf-pruning pass.
-
-    edge_map and vertex_map send ids of the pruned tree back to ids of
-    the original tree.
-    """
-
-    pruned: Tree
-    edge_map: dict[int, int]
-    vertex_map: dict[int, int]
 
 
 def is_isomorphic(t1: Tree, t2: Tree) -> bool:

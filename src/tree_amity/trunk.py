@@ -158,6 +158,11 @@ def number_by_trunk(tree: Tree) -> Numbering:
     trunk = find_trunk(tree)
     if trunk is None:
         raise PreconditionFailed("branch vertices do not lie on a single path")
+    return _number_along(tree, trunk)
+
+
+def _number_along(tree: Tree, trunk: tuple[int, ...]) -> Numbering:
+    """The numbering of ``number_by_trunk`` along a trunk already found."""
     deco = decompose(tree, trunk)
     numbers = [0] * tree.m
     k = 1

@@ -6,7 +6,8 @@ first search distances and paths, a naive friendliness checker for
 numberings and for bijections, Pruefer coding, brute force isomorphism
 and automorphism tests, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
-large for the brute-force ones.
+large for the brute-force ones, and the parity-center numbering built
+the slow way, on a tower of pruned trees.
 """
 
 from __future__ import annotations
@@ -466,3 +467,79 @@ def equidistant_vertices(edges, n):
         if len(spread) == 1:
             out.append((v, spread.pop()))
     return out
+
+
+# -- the parity-center construction as a pruning tower ---------------------------
+
+
+def parity_covered(edges, n):
+    """True when some vertex is equally far from every leaf and every
+    non-leaf vertex has even degree."""
+    degree = [len(a) for a in adjacency(edges, n)]
+    if any(d != 1 and d % 2 for d in degree):
+        return False
+    return bool(equidistant_vertices(edges, n))
+
+
+def prune_leaves(edges, n):
+    """Drop every leaf vertex and its edge at once.
+
+    Survivors are renumbered densely in their old order.  Returns the
+    pruned edges, the pruned vertex count and, for each pruned edge id,
+    its old id.  A single edge prunes to one vertex.
+    """
+    degree = [len(a) for a in adjacency(edges, n)]
+    keep = [v for v in range(n) if degree[v] >= 2]
+    if not keep:
+        return [], 1, []
+    new_id = {v: i for i, v in enumerate(keep)}
+    pruned, old_ids = [], []
+    for eid, (u, v) in enumerate(edges):
+        if u in new_id and v in new_id:
+            pruned.append((new_id[u], new_id[v]))
+            old_ids.append(eid)
+    return pruned, len(keep), old_ids
+
+
+def parity_tower_numbering(edges, n):
+    """The parity-center numbering built on the tree's pruning tower.
+
+    Meant for covered trees.  Level 0 is the tree and each level prunes
+    the leaves of the one before, down to a single vertex.  Going back
+    down, each level keeps the numbers of the level above on its inner
+    edges and gives its leaf edges the next numbers, in order of falling
+    number of their parent edge (the one inner edge at the leaf edge's
+    inner end), ties by id.  At the top level every edge is a leaf edge
+    with no parent edge, so there the order is by id alone.
+    """
+    tower = [(list(edges), n, None)]
+    while tower[-1][1] > 1:
+        tower.append(prune_leaves(tower[-1][0], tower[-1][1]))
+    numbers = []
+    for level in range(len(tower) - 2, -1, -1):
+        lv_edges, lv_n, _ = tower[level]
+        adj = adjacency(lv_edges, lv_n)
+        here = [0] * len(lv_edges)
+        for new, old in enumerate(tower[level + 1][2]):
+            here[old] = numbers[new]
+        leaf_es = [
+            eid for eid, (u, v) in enumerate(lv_edges)
+            if len(adj[u]) == 1 or len(adj[v]) == 1
+        ]
+        leaf_set = set(leaf_es)
+        top = len(leaf_es) == len(lv_edges)
+
+        def parent_number(eid):
+            if top:
+                return 0
+            u, v = lv_edges[eid]
+            inner = v if len(adj[u]) == 1 else u
+            parents = [f for _, f in adj[inner] if f not in leaf_set]
+            assert len(parents) == 1, (lv_edges, eid)
+            return here[parents[0]]
+
+        leaf_es.sort(key=lambda eid: (-parent_number(eid), eid))
+        for k, eid in enumerate(leaf_es, start=len(numbers) + 1):
+            here[eid] = k
+        numbers = here
+    return numbers

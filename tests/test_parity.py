@@ -1,12 +1,15 @@
 """Center-out numbering for trees with even inner degrees."""
 
+import random
+
 import pytest
 
 import oracles
-from helpers import all_trees, path, spider, star, tri_y
+from helpers import all_trees, complete_tree, path, shuffled, spider, star, tri_y
 from tree_amity import (
     Numbering,
     PreconditionFailed,
+    Tree,
     check_friendly_bijection,
     check_friendly_numbering,
     check_precondition,
@@ -14,19 +17,21 @@ from tree_amity import (
     leaf_edge_property,
     number_parity_center,
     numbering_to_path_bijection,
-    odd_distance_witness,
 )
 
 
 QUALIFYING_BY_EDGES = {1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 3, 7: 0, 8: 6}
 
+# (center degree, children per inner vertex, radius): 484, 936 and 1456 edges
+COMPLETE_SHAPES = ((4, 3, 5), (6, 5, 4), (4, 3, 6))
 
-def qualifying(max_edges):
-    for m in range(1, max_edges + 1):
+
+def qualifying(max_edges, min_edges=1):
+    for m in range(min_edges, max_edges + 1):
         for t in all_trees(m):
-            ctx = check_precondition(t)
-            if ctx is not None:
-                yield t, ctx
+            found = check_precondition(t)
+            if found is not None:
+                yield t, found
 
 
 # -- precondition ----------------------------------------------------------------
@@ -55,6 +60,15 @@ def test_qualifying_counts_small():
         assert got == want, m
 
 
+def test_precondition_accepts_exactly_the_covered_trees():
+    for m in range(13):
+        for t in all_trees(m):
+            found = check_precondition(t)
+            assert (found is not None) == oracles.parity_covered(t.edges, t.n), t.edges
+            if found is not None:
+                assert found in oracles.equidistant_vertices(t.edges, t.n)
+
+
 def test_no_qualifying_tree_has_an_odd_edge_count():
     for t, _ in qualifying(9):
         assert t.m % 2 == 0
@@ -62,19 +76,25 @@ def test_no_qualifying_tree_has_an_odd_edge_count():
 
 def test_context_reports_the_center():
     t = spider(2, 2, 2, 2)
-    ctx = check_precondition(t)
-    assert (ctx.center, ctx.radius) == t.equidistant_center()
-    assert len(ctx.tower) == ctx.radius
-    levels = ctx.levels()
-    assert levels[0] is t
-    assert levels[-1].n == 1
-    assert len(ctx.fpa) == len(ctx.tower)
+    assert check_precondition(t) == t.equidistant_center() == (0, 2)
+    assert check_precondition(Tree([], 1)) == (0, 0)
 
 
 def test_tower_shrinks_by_whole_leaf_layers():
-    for t, ctx in qualifying(8):
-        for before, after in zip(ctx.levels(), ctx.levels()[1:]):
-            assert after.n == before.n - len(before.leaf_vertices())
+    """Pruning the leaves of a covered tree strips exactly its deepest
+    layer seen from the center and leaves a covered tree, so the pruning
+    tower is the center's depth layers."""
+    for t, (center, radius) in qualifying(8):
+        depth = oracles.bfs_distances(oracles.adjacency(t.edges, t.n), center)
+        edge_depth = [max(depth[u], depth[v]) for u, v in t.edges]
+        edges, n, ids = list(t.edges), t.n, list(range(t.m))
+        for r in range(radius, 0, -1):
+            edges, n, kept = oracles.prune_leaves(edges, n)
+            ids = [ids[i] for i in kept]
+            assert ids == [e for e in range(t.m) if edge_depth[e] < r], t.edges
+            assert n == sum(1 for d in depth if d < r)
+            assert oracles.parity_covered(edges, n)
+        assert n == 1
 
 
 # -- the construction --------------------------------------------------------------
@@ -90,6 +110,26 @@ def test_construction_is_friendly_both_ways_small():
         assert check_friendly_bijection(invert_bijection(bridge)) is None, t.edges
         count += 1
     assert count == 1 + 2 + 3 + 6 + 9
+
+
+def test_construction_matches_the_pruning_tower():
+    rng = random.Random(6)
+    covered = 0
+    for t, _ in qualifying(12, min_edges=0):
+        for copy in [t] + [shuffled(t, rng) for _ in range(20)]:
+            want = oracles.parity_tower_numbering(copy.edges, copy.n)
+            assert list(number_parity_center(copy).numbers) == want, copy.edges
+        covered += 1
+    assert covered == 1 + 1 + 2 + 3 + 6 + 9 + 17
+
+
+@pytest.mark.parametrize("shape", COMPLETE_SHAPES)
+def test_construction_matches_the_pruning_tower_on_complete_trees(shape):
+    rng = random.Random(sum(shape))
+    for t in [complete_tree(*shape)] + [shuffled(complete_tree(*shape), rng) for _ in range(3)]:
+        nu = number_parity_center(t)
+        assert list(nu.numbers) == oracles.parity_tower_numbering(t.edges, t.n)
+        assert check_friendly_numbering(nu) is None
 
 
 def test_rejects_uncovered_trees():
@@ -111,14 +151,20 @@ def test_leaf_edge_property_can_fail():
 
 def test_leaf_edges_run_counter_to_their_parents():
     checked = 0
-    for t, ctx in qualifying(10):
-        parents = ctx.fpa[0]
-        if not parents:
+    for t, _ in qualifying(10):
+        leaf_vs = t.leaf_vertices()
+        leaf_es = t.leaf_edges()
+        if len(leaf_es) == t.m:
             continue
+        parents = {}
+        for e in leaf_es:
+            u, v = t.edges[e]
+            inner = v if u in leaf_vs else u
+            (parents[e],) = [f for _, f in t.adj[inner] if f not in leaf_es]
         nu = number_parity_center(t)
-        leaf_es = sorted(t.leaf_edges(), key=nu.number_of)
-        want = sorted(t.leaf_edges(), key=lambda e: (-nu.number_of(parents[e]), e))
-        assert leaf_es == want, t.edges
+        got = sorted(leaf_es, key=nu.number_of)
+        want = sorted(leaf_es, key=lambda e: (-nu.number_of(parents[e]), e))
+        assert got == want, t.edges
         checked += 1
     assert checked > 0
 
@@ -133,18 +179,9 @@ def test_leaf_to_near_leaf_distances_are_odd():
     is the fact the numbering construction leans on.
     """
 
-    for t, ctx in qualifying(13):
+    for t, _ in qualifying(13):
         leaves = t.leaf_vertices()
         near = [p for p in range(t.n) if any(w in leaves for w in t.neighbors(p))]
         for p in near:
             for q in leaves:
-                assert odd_distance_witness(ctx, p, q) % 2 == 1, (t.edges, p, q)
-
-
-def test_witness_validates_roles():
-    t = spider(2, 2, 2, 2)
-    ctx = check_precondition(t)
-    with pytest.raises(PreconditionFailed):
-        odd_distance_witness(ctx, 1, 0)
-    with pytest.raises(PreconditionFailed):
-        odd_distance_witness(ctx, 0, 2)
+                assert t.distance(p, q) % 2 == 1, (t.edges, p, q)

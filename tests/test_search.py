@@ -7,6 +7,8 @@ import random
 import pytest
 
 import oracles
+import tree_amity.search as search_module
+import tree_amity.trunk as trunk_module
 from helpers import all_trees, path, relabeled, spider, star, trees_up_to, tri_y
 from tree_amity import (
     BUDGET_EXCEEDED,
@@ -15,6 +17,7 @@ from tree_amity import (
     SearchBudget,
     ShapeMismatch,
     SizeMismatch,
+    Tree,
     check_friendly_bijection,
     check_friendly_numbering,
     enumerate_free_trees,
@@ -298,3 +301,72 @@ def test_sweep_parallel_run_matches_serial():
     serial = sweep_question_path(4, jobs=1)
     parallel = sweep_question_path(4, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [(500, 8, 4), (500, 2, 2), (3, 8, 3), (1, 8, None), (500, 1, None)],
+)
+def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, workers):
+    """Four trees with up to 3 edges: the pool never gets more workers
+    than trees or cores, and none at all when that leaves one."""
+    sizes = []
+
+    class FakePool:
+        """Records its size and runs the work here; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    serial = sweep_question_path(3).to_json_dict()
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: cores)
+    assert sweep_question_path(3, jobs=jobs).to_json_dict() == serial
+    assert sizes == ([] if workers is None else [workers])
+
+
+@pytest.fixture(scope="module")
+def survey_calls():
+    """Tree builds and trunk searches made by the question-path survey to
+    12 edges and the diameter-4 survey to 10 edges, with their record
+    count."""
+    counts = {"builds": 0, "trunks": 0}
+    build = Tree.__init__
+    find = trunk_module.find_trunk
+
+    def counted_build(self, *args, **kwargs):
+        counts["builds"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_find(tree):
+        counts["trunks"] += 1
+        return find(tree)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tree, "__init__", counted_build)
+        mp.setattr(trunk_module, "find_trunk", counted_find)
+        mp.setattr(search_module, "find_trunk", counted_find)
+        records = len(sweep_question_path(12).records)
+        records += len(sweep_hypothesis(10, "d4").records)
+    return counts, records
+
+
+def test_surveys_build_each_enumerated_tree_once(survey_calls):
+    counts, _ = survey_calls
+    # 2,287 free trees with 1..12 edges and 435 with 1..10
+    assert counts["builds"] == 2287 + 435
+
+
+def test_surveys_find_each_trunk_once(survey_calls):
+    counts, records = survey_calls
+    assert records == 2287 + 113
+    assert counts["trunks"] == records

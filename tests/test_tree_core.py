@@ -180,6 +180,11 @@ def test_rooting_is_lazy_and_happens_once():
     assert tree._rooting is rooting
 
 
+def test_bipartition_is_kept():
+    tree = random_caterpillar(300, random.Random(5))
+    assert tree.bipartition() is tree.bipartition()
+
+
 def test_numbering_ten_thousand_edges_in_linear_memory():
     tree = random_trunk_tree(10_000, random.Random(1))
     tracemalloc.start()

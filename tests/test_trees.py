@@ -165,11 +165,9 @@ def test_coboundary():
     t = caterpillar(3, {1: 2})
     eids = t.coboundary(1)
     assert eids == frozenset(e for e in range(t.m) if 1 in t.edges[e])
-    mask = t.coboundary_mask(1)
-    assert {e for e in range(t.m) if mask >> e & 1} == set(eids)
 
 
-# -- centers and pruning --------------------------------------------------------
+# -- centers --------------------------------------------------------------------
 
 
 @given(random_trees(max_vertices=10))
@@ -196,27 +194,6 @@ def test_equidistant_examples():
     assert path(3).equidistant_center() is None
     assert star(5).equidistant_center() == (0, 1)
     assert Tree([], 1).equidistant_center() == (0, 0)
-
-
-def test_prune_leaves_removes_exactly_the_leaves():
-    t = caterpillar(4, {1: 1, 3: 2})
-    result = t.prune_leaves()
-    inner = t.prune_leaves().pruned
-    kept = sorted(result.vertex_map.values())
-    leaves = t.leaf_vertices()
-    assert kept == sorted(v for v in range(t.n) if v not in leaves)
-    assert inner.n == t.n - len(leaves)
-    for small_eid, big_eid in result.edge_map.items():
-        u, v = inner.edges[small_eid]
-        pulled = {result.vertex_map[u], result.vertex_map[v]}
-        assert pulled == set(t.edges[big_eid])
-
-
-def test_prune_path_to_point():
-    t = path(2)
-    result = t.prune_leaves()
-    assert result.pruned.n == 1
-    assert result.pruned.m == 0
 
 
 # -- canonical codes and isomorphism --------------------------------------------
