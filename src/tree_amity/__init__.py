@@ -19,11 +19,9 @@ from .amity import (
     NumberingPairViolation,
     check_friendly_bijection,
     check_friendly_numbering,
-    does_not_hook,
     format_bijection,
     format_numbering,
     invert_bijection,
-    is_self_standing,
     numbering_to_path_bijection,
     parse_bijection,
     parse_numbering,
@@ -34,10 +32,8 @@ from .cb import (
     CBShape,
     SubtreePair,
     bijection_from_pair,
-    connected_edge_sets_containing,
     find_subtree_pair,
     is_connected_edge_set,
-    is_friendly_to_cb,
     make_cb,
     small_n_pair,
 )
@@ -67,7 +63,6 @@ from .errors import (
 )
 from .parity import (
     check_precondition,
-    leaf_edge_property,
     number_parity_center,
 )
 from .search import (
@@ -116,8 +111,6 @@ __all__ = [
     "HookViolation",
     "check_friendly_numbering",
     "check_friendly_bijection",
-    "is_self_standing",
-    "does_not_hook",
     "unlinked",
     "invert_bijection",
     "path_tree",
@@ -133,15 +126,12 @@ __all__ = [
     "number_by_trunk",
     "check_precondition",
     "number_parity_center",
-    "leaf_edge_property",
     "CBShape",
     "SubtreePair",
     "make_cb",
     "is_connected_edge_set",
-    "connected_edge_sets_containing",
     "find_subtree_pair",
     "bijection_from_pair",
-    "is_friendly_to_cb",
     "small_n_pair",
     "level_sequences",
     "tree_from_level_sequence",

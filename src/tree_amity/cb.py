@@ -1,14 +1,20 @@
 """Double stars and the subtree-pair criterion.
 
 A double star is two stars whose centers are joined by one shared edge.
-Whether an arbitrary tree admits a friendly numbering-like relation to a
-double star reduces to a purely structural question: can the tree's edge
-set be covered by two connected edge subtrees of prescribed sizes that
-intersect in exactly one edge?  This module builds double stars, decides
-that cover question, and turns a cover into an explicit edge bijection.
+A tree is friendly to the (n1, n2) double star exactly when its edges
+split into two connected subtrees of n1 and n2 edges that share exactly
+one edge.  This module builds double stars, decides that split question,
+and turns a split into an explicit edge bijection.
+
+The split is decided from branch sizes.  Seen from a shared edge uv,
+each other edge f at u or v together with every edge beyond f forms a
+branch, and a valid split never cuts a branch: an edge beyond f in the
+other part would reach the shared edge only through f, sharing f too.
+So the first part is the shared edge plus whole branches whose sizes add
+up to n1 - 1, and any such choice is valid.
 
 For the smallest interesting sizes (one part of size 2, 3, or 4) the
-cover always exists and ``small_n_pair`` constructs it directly, without
+split always exists and ``small_n_pair`` constructs it directly, without
 search, by a case analysis on the neighborhood of an endpoint of a
 longest path.
 """
@@ -26,10 +32,8 @@ __all__ = [
     "SubtreePair",
     "make_cb",
     "is_connected_edge_set",
-    "connected_edge_sets_containing",
     "find_subtree_pair",
     "bijection_from_pair",
-    "is_friendly_to_cb",
     "small_n_pair",
 ]
 
@@ -95,37 +99,6 @@ def is_connected_edge_set(tree: Tree, edges: frozenset[int] | set[int]) -> bool:
     return True
 
 
-def connected_edge_sets_containing(tree: Tree, anchor: int, size: int) -> list[frozenset[int]]:
-    """All connected edge sets of the given size that contain ``anchor``.
-
-    Grown by repeatedly attaching an incident edge, deduplicated, and
-    returned sorted so iteration order is reproducible.
-    """
-
-    if size < 1 or size > tree.m:
-        return []
-    current = {frozenset((anchor,))}
-    for _ in range(size - 1):
-        grown: set[frozenset[int]] = set()
-        for s in current:
-            for f in _incident_frontier(tree, s):
-                grown.add(s | {f})
-        current = grown
-    return sorted(current, key=sorted)
-
-
-def _incident_frontier(tree: Tree, edge_set: frozenset[int]) -> set[int]:
-    """Edges outside the set sharing an endpoint with some edge in it."""
-
-    out: set[int] = set()
-    for e in edge_set:
-        for v in tree.edges[e]:
-            for _, eid in tree.adj[v]:
-                if eid not in edge_set:
-                    out.add(eid)
-    return out
-
-
 @dataclass(frozen=True)
 class SubtreePair:
     """Two connected edge sets covering the tree and sharing one edge."""
@@ -149,12 +122,15 @@ class SubtreePair:
 
 
 def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
-    """Search for connected edge sets of sizes n1, n2 sharing one edge.
+    """The first pair of connected edge sets of sizes n1, n2 sharing one edge.
 
-    Exhaustive over candidate shared edges in ascending id order, then
-    over connected sets of size n1 through the shared edge in sorted
-    order, so the first valid pair found is deterministic.  Returns
-    None when no pair exists.
+    Shared edges are tried in ascending id order.  At the first one
+    whose branches can make up n1 - 1 edges, the branches are walked by
+    smallest edge id and each is taken into the first part whenever the
+    branches after it can still make up the rest.  This yields the first
+    part whose sorted edge list is smallest, because between two unions
+    of branches the smallest differing edge is the first edge of the
+    first branch where they differ.  Returns None when no pair exists.
     """
 
     if n1 < 1 or n2 < 1:
@@ -165,13 +141,43 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
         )
     everything = frozenset(range(tree.m))
     for shared in range(tree.m):
-        for e1 in connected_edge_sets_containing(tree, shared, n1):
-            if shared not in e1:
-                continue
-            e2 = (everything - e1) | {shared}
-            if is_connected_edge_set(tree, e2):
-                return SubtreePair(e1, e2, shared)
+        branches = sorted(_branches(tree, shared), key=min)
+        # bit s of reach[i] is set when branches[i:] hold a subset of s edges
+        reach = [1]
+        for branch in reversed(branches):
+            reach.append(reach[-1] | reach[-1] << len(branch))
+        reach.reverse()
+        left = n1 - 1
+        if not reach[0] >> left & 1:
+            continue
+        e1 = {shared}
+        for branch, rest in zip(branches, reach[1:]):
+            if len(branch) <= left and rest >> (left - len(branch)) & 1:
+                e1.update(branch)
+                left -= len(branch)
+        e1 = frozenset(e1)
+        return SubtreePair(e1, (everything - e1) | {shared}, shared)
     return None
+
+
+def _branches(tree: Tree, shared: int) -> list[list[int]]:
+    """Each edge at an end of ``shared`` with every edge beyond it."""
+
+    out = []
+    for end in tree.edges[shared]:
+        for w, f in tree.adj[end]:
+            if f == shared:
+                continue
+            branch = [f]
+            stack = [(w, end)]
+            while stack:
+                x, back = stack.pop()
+                for y, g in tree.adj[x]:
+                    if y != back:
+                        branch.append(g)
+                        stack.append((y, x))
+            out.append(branch)
+    return out
 
 
 def bijection_from_pair(tree: Tree, pair: SubtreePair, cb: CBShape) -> EdgeBijection:
@@ -191,16 +197,6 @@ def bijection_from_pair(tree: Tree, pair: SubtreePair, cb: CBShape) -> EdgeBijec
     mapping.extend(sorted(pair.e1 - {pair.shared}))
     mapping.extend(sorted(pair.e2 - {pair.shared}))
     return EdgeBijection(cb.tree, tree, mapping)
-
-
-def is_friendly_to_cb(tree: Tree, n1: int, n2: int) -> bool:
-    """Decide the subtree-pair criterion for the (n1, n2) double star."""
-
-    if n1 < 1 or n2 < 1:
-        raise ShapeMismatch("part sizes must be positive")
-    if tree.m != n1 + n2 - 1:
-        return False
-    return find_subtree_pair(tree, n1, n2) is not None
 
 
 def _only_neighbor(tree: Tree, leaf: int) -> int:

@@ -46,7 +46,7 @@ from .amity import (
 )
 from .cb import bijection_from_pair, find_subtree_pair, make_cb, small_n_pair
 from .enumeration import enumerate_free_trees
-from .errors import PreconditionFailed, TreeAmityError
+from .errors import PreconditionFailed, ShapeMismatch, TreeAmityError
 from .parity import number_parity_center
 from .search import (
     BUDGET_EXCEEDED,
@@ -334,6 +334,10 @@ def _pair_dict(tree: Tree, labels, pair) -> dict:
 def cmd_cb_criterion(args) -> int:
     tree, labels, tree_entry = _load_tree(args.tree)
     n1, n2 = args.n1, args.n2
+    if n1 < 1 or n2 < 1:
+        # bad input, not a size mismatch; checked without building the
+        # double star, which a huge part size would make costly
+        raise ShapeMismatch("double star parts must each have at least one edge")
     started = time.monotonic()
     inputs = [tree_entry]
     needed = n1 + n2 - 1

@@ -644,6 +644,8 @@ def sweep_question_path(
     found yet; such records are surfaced via ``SweepReport.findings``.
     """
 
+    if max_edges < 1:
+        raise ShapeMismatch("max_edges must be at least 1")
     budget = budget or SearchBudget(exhaustive=True)
     trees = (
         tree
@@ -679,6 +681,8 @@ def sweep_hypothesis(
 
     if which not in (HYPOTHESIS_D4, HYPOTHESIS_ODD):
         raise ValueError(f"unknown hypothesis {which!r}; use 'd4' or 'odd'")
+    if max_edges < 1:
+        raise ShapeMismatch("max_edges must be at least 1")
     budget = budget or SearchBudget(exhaustive=True)
     trees = []
     for m in range(1, max_edges + 1):

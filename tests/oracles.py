@@ -6,8 +6,9 @@ first search distances and paths, a naive friendliness checker for
 numberings and for bijections, Pruefer coding, brute force isomorphism
 and automorphism tests, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
-large for the brute-force ones, and the parity-center numbering built
-the slow way, on a tower of pruned trees.
+large for the brute-force ones, the parity-center numbering built
+the slow way, on a tower of pruned trees, and the first double-star
+subtree pair found by trying every edge set.
 """
 
 from __future__ import annotations
@@ -294,15 +295,31 @@ def shape_key(plain_adj, n, table):
 
 
 def count_trees_prufer_dedup(m):
-    """Unlabeled trees with m edges, by decoding every Pruefer sequence."""
+    """Unlabeled trees with m edges, by decoding every Pruefer sequence.
+
+    Decoding emits each edge of the tree rooted at n - 1 as (child,
+    parent), every child before its parent, so each child's rooted code
+    is interned as its edge is emitted.  shape_key then runs once per
+    distinct rooted tree instead of once per sequence.
+    """
     n = m + 1
     if n <= 2:
         return 1
     table: dict = {}
+    rooted = set()
     seen = set()
     rng = range(n)
     for seq in itertools.product(rng, repeat=n - 2):
         edges = prufer_decode(seq, n)
+        kids = [[] for _ in rng]
+        for child, parent in edges:
+            kids[child].sort()
+            kids[parent].append(_intern(table, tuple(kids[child])))
+        kids[n - 1].sort()
+        root = _intern(table, tuple(kids[n - 1]))
+        if root in rooted:
+            continue
+        rooted.add(root)
         plain = [[] for _ in rng]
         for u, v in edges:
             plain[u].append(v)
@@ -393,6 +410,42 @@ def is_automorphism(edges, perm):
     """True when relabeling every vertex v as perm[v] keeps the edge set."""
     want = {frozenset(e) for e in edges}
     return {frozenset((perm[u], perm[v])) for u, v in edges} == want
+
+
+def edges_connected(edges, eids):
+    """True when the listed edges form one connected piece (union-find)."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in eids:
+        u, v = edges[e]
+        parent[find(u)] = find(v)
+    return len({find(edges[e][0]) for e in eids}) <= 1
+
+
+def first_subtree_pair(edges, n, n1, n2):
+    """(e1, e2, shared) of the first split into connected edge sets of
+    n1 and n2 edges sharing one edge, or None.
+
+    Shared edges are tried in id order, and for each the n1-edge sets
+    through it in order of their sorted edge lists; the first set whose
+    complement plus the shared edge is connected too wins.
+    """
+    m = len(edges)
+    assert m == n1 + n2 - 1
+    for shared in range(m):
+        others = [e for e in range(m) if e != shared]
+        for combo in itertools.combinations(others, n1 - 1):
+            e1 = frozenset(combo) | {shared}
+            e2 = (frozenset(range(m)) - e1) | {shared}
+            if edges_connected(edges, e1) and edges_connected(edges, e2):
+                return e1, e2, shared
+    return None
 
 
 def heavy_on_one_path(edges, n):

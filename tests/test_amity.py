@@ -19,11 +19,9 @@ from tree_amity import (
     SizeMismatch,
     check_friendly_bijection,
     check_friendly_numbering,
-    does_not_hook,
     format_bijection,
     format_numbering,
     invert_bijection,
-    is_self_standing,
     numbering_to_path_bijection,
     parse_bijection,
     parse_numbering,
@@ -31,6 +29,7 @@ from tree_amity import (
     path_tree,
     unlinked,
 )
+from tree_amity.amity import does_not_hook, is_self_standing
 
 
 # -- containers -----------------------------------------------------------------

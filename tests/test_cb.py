@@ -1,12 +1,12 @@
 """Double stars: the subtree-pair criterion and the small-part lemma."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
 
 import oracles
-from helpers import all_trees, caterpillar, path, random_trees, spider, star
+from helpers import all_trees, caterpillar, path, shuffled, spider, star
 from tree_amity import (
     EdgeBijection,
     ShapeMismatch,
@@ -16,10 +16,8 @@ from tree_amity import (
     Tree,
     bijection_from_pair,
     check_friendly_bijection,
-    connected_edge_sets_containing,
     find_subtree_pair,
     is_connected_edge_set,
-    is_friendly_to_cb,
     make_cb,
     small_n_pair,
 )
@@ -69,46 +67,12 @@ def test_is_connected_edge_set_examples():
     assert is_connected_edge_set(s, {0, 3, 4})
 
 
-def _connected_by_union_find(tree, eids):
-    """Second opinion: the edges form a connected subgraph."""
-    eids = list(eids)
-    if len(eids) <= 1:
-        return True
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in eids:
-        u, v = tree.edges[e]
-        parent[find(u)] = find(v)
-    roots = {find(tree.edges[e][0]) for e in eids}
-    return len(roots) == 1
-
-
-@settings(max_examples=80)
-@given(random_trees(min_vertices=3, max_vertices=8))
-def test_connected_edge_sets_match_brute_force(t):
-    for size in range(1, min(t.m, 4) + 1):
-        for anchor in range(min(t.m, 3)):
-            got = set(connected_edge_sets_containing(t, anchor, size))
-            want = {
-                frozenset(combo)
-                for combo in itertools.combinations(range(t.m), size)
-                if anchor in combo and _connected_by_union_find(t, combo)
-            }
-            assert got == want
-
-
 def test_is_connected_matches_union_find_exhaustively():
     t = caterpillar(3, {1: 2})
     for size in range(t.m + 1):
         for combo in itertools.combinations(range(t.m), size):
-            assert is_connected_edge_set(t, set(combo)) == _connected_by_union_find(
-                t, combo
+            assert is_connected_edge_set(t, set(combo)) == oracles.edges_connected(
+                t.edges, combo
             )
 
 
@@ -157,13 +121,59 @@ def test_found_pairs_are_valid_and_deterministic():
                 assert is_connected_edge_set(t, pair.e2)
 
 
+def _pair_tuple(pair):
+    return None if pair is None else (pair.e1, pair.e2, pair.shared)
+
+
+def test_find_subtree_pair_matches_the_first_pair_oracle():
+    """The branch-size decision returns the very pair that trying every
+    edge set in order finds first, on every split up to nine edges and
+    on shuffled copies of every tree up to seven."""
+
+    rng = random.Random(7)
+    splits = 0
+    for m in range(1, 10):
+        for t in all_trees(m):
+            copies = [t]
+            if m <= 7:
+                copies += [shuffled(t, rng) for _ in range(10)]
+            for c in copies:
+                for n1 in range(1, m + 1):
+                    n2 = m + 1 - n1
+                    want = oracles.first_subtree_pair(c.edges, c.n, n1, n2)
+                    assert _pair_tuple(find_subtree_pair(c, n1, n2)) == want, (
+                        c.edges, n1, n2,
+                    )
+                    splits += 1
+    assert splits == 1608 + 2780
+
+
+@pytest.mark.parametrize(
+    "tree, n1",
+    [
+        (make_cb(1000, 1001).tree, 1000),
+        (spider(700, 700, 600), 301),
+        (caterpillar(1000, {v: 1 for v in range(1000)}), 1000),
+    ],
+    ids=["double-star", "spider", "caterpillar"],
+)
+def test_find_subtree_pair_on_2000_edge_trees(tree, n1):
+    n2 = tree.m + 1 - n1
+    pair = find_subtree_pair(tree, n1, n2)
+    assert pair is not None
+    assert len(pair.e1) == n1 and len(pair.e2) == n2
+    assert pair.e1 & pair.e2 == {pair.shared}
+    assert pair.e1 | pair.e2 == set(range(tree.m))
+    assert oracles.edges_connected(tree.edges, pair.e1)
+    assert oracles.edges_connected(tree.edges, pair.e2)
+
+
 def test_criterion_bijections_are_friendly_small():
     for m in range(1, 7):
         for t in all_trees(m):
             for n1 in range(1, m + 1):
                 n2 = m + 1 - n1
                 pair = find_subtree_pair(t, n1, n2)
-                assert (pair is not None) == is_friendly_to_cb(t, n1, n2)
                 if pair is None:
                     continue
                 b = bijection_from_pair(t, pair, make_cb(n1, n2))

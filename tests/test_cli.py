@@ -175,6 +175,15 @@ def test_cb_criterion_size_mismatch(tmp_path, capsys):
     assert json.loads((tmp_path / "r.json").read_text())["outcome"] == "size-mismatch"
 
 
+@pytest.mark.parametrize("n1", ["0", "-2"])
+def test_cb_criterion_rejects_empty_parts(tmp_path, capsys, n1):
+    t = tree_file(tmp_path, "t.txt", path(3))
+    assert main(["cb-criterion", t, "--n1", n1, "--n2", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "not friendly" not in captured.out
+    assert "at least one edge" in captured.err
+
+
 def test_cb_criterion_witness_replays(tmp_path, capsys):
     target = star(3)
     t = tree_file(tmp_path, "t.txt", target)
@@ -261,6 +270,13 @@ def test_sweep_argument_errors(tmp_path, capsys):
     assert main(["sweep", "--kind", "cb", "--n1", "2"]) == 2
     assert main(["sweep", "--kind", "d4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["question-path", "d4", "odd"])
+def test_sweep_rejects_sizes_below_one(tmp_path, capsys, kind):
+    assert main(["sweep", "--kind", kind, "-m", "-2"]) == 2
+    assert main(["sweep", "--kind", kind, "-m", "0"]) == 2
+    assert "max_edges must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_env_overrides_jobs(tmp_path, capsys, monkeypatch):

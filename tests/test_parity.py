@@ -14,10 +14,10 @@ from tree_amity import (
     check_friendly_numbering,
     check_precondition,
     invert_bijection,
-    leaf_edge_property,
     number_parity_center,
     numbering_to_path_bijection,
 )
+from tree_amity.parity import leaf_edge_property
 
 
 QUALIFYING_BY_EDGES = {1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 3, 7: 0, 8: 6}

@@ -288,6 +288,15 @@ def test_sweep_rejects_unknown_hypothesis():
         sweep_hypothesis(4, "diameter")
 
 
+@pytest.mark.parametrize("max_edges", [0, -2])
+def test_numbering_sweeps_reject_sizes_below_one(max_edges):
+    with pytest.raises(ShapeMismatch):
+        sweep_question_path(max_edges)
+    for which in ("d4", "odd"):
+        with pytest.raises(ShapeMismatch):
+            sweep_hypothesis(max_edges, which)
+
+
 def test_cb_sweep_matches_direct_criterion():
     report = sweep_cb_universal(3, 3)
     trees = {t.canonical_code(): t for t in all_trees(5)}
