@@ -52,7 +52,6 @@ from .errors import (
     EqualEdges,
     InvalidBijection,
     InvalidNumbering,
-    InvalidTrunk,
     MalformedLine,
     PreconditionFailed,
     SelfLoop,
@@ -91,9 +90,6 @@ from .trees import (
     parse_tree_labeled,
 )
 from .trunk import (
-    Link,
-    TrunkDecomposition,
-    decompose,
     find_trunk,
     number_by_trunk,
 )
@@ -119,10 +115,7 @@ __all__ = [
     "format_numbering",
     "parse_bijection",
     "format_bijection",
-    "Link",
-    "TrunkDecomposition",
     "find_trunk",
-    "decompose",
     "number_by_trunk",
     "check_precondition",
     "number_parity_center",
@@ -163,7 +156,6 @@ __all__ = [
     "Disconnected",
     "EqualEdges",
     "EmptyTree",
-    "InvalidTrunk",
     "PreconditionFailed",
     "SizeMismatch",
     "ShapeMismatch",

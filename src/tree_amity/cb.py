@@ -81,22 +81,20 @@ def make_cb(n1: int, n2: int) -> CBShape:
 
 
 def is_connected_edge_set(tree: Tree, edges: frozenset[int] | set[int]) -> bool:
-    """True when every path between two edges of the set stays in the set.
+    """True when the edges form a subtree: every path between two of
+    them stays in the set.
 
-    Empty and singleton sets are connected.  Equivalent to the edges
-    forming a subtree, but stated through between-edge paths so it can
-    be reused verbatim as a check on arbitrary edge subsets.
+    Edges of a tree never close a cycle, so k >= 1 of them are connected
+    exactly when they touch k + 1 distinct vertices; the empty set is
+    connected.  Raises ValueError on an edge id outside 0..m-1.
     """
 
-    es = sorted(edges)
-    inside = 0
-    for e in es:
-        inside |= 1 << e
-    for i, a in enumerate(es):
-        for b in es[i + 1 :]:
-            if tree.edge_path_mask(a, b) & ~inside:
-                return False
-    return True
+    ends = set()
+    for e in edges:
+        if not 0 <= e < tree.m:
+            raise ValueError(f"edge id {e} is not in 0..{tree.m - 1}")
+        ends.update(tree.edges[e])
+    return not edges or len(ends) == len(edges) + 1
 
 
 @dataclass(frozen=True)

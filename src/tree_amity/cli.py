@@ -237,7 +237,7 @@ def cmd_check_bijection(args) -> int:
 def _try_construct(tree: Tree, method: str):
     try:
         if method == "trunk":
-            return number_by_trunk(tree)
+            return number_by_trunk(tree) if tree.m > 0 else None
         if method == "parity-center":
             return number_parity_center(tree)
     except PreconditionFailed:

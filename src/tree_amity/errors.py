@@ -43,10 +43,6 @@ class EmptyTree(TreeAmityError):
     """The operation needs at least one edge."""
 
 
-class InvalidTrunk(TreeAmityError):
-    """A vertex sequence is not a valid trunk of the tree."""
-
-
 class PreconditionFailed(TreeAmityError):
     """A constructive method was applied to a tree it does not cover."""
 

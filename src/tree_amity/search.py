@@ -110,7 +110,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 

@@ -7,15 +7,16 @@ of non-trunk edges descending from it to a leaf; off the trunk every
 vertex has degree at most two, so branches are plain paths.  Branch
 parity is its edge count.
 
-Link m consists of the m-th trunk vertex, all branches leaving it, and
-the trunk edge from it toward the trunk's end.  Every edge lies in
-exactly one of the d links, and links are numbered in contiguous blocks
-from the trunk's start.  Inside one block the order is: all odd
+The i-th link consists of the i-th trunk vertex, all branches leaving
+it, and the trunk edge from it toward the trunk's end.  Every edge lies
+in exactly one of the d links, and links are numbered in contiguous
+blocks from the trunk's start.  Inside one block the order is: all odd
 branches, trunk to leaf, one after another; the link's trunk edge; the
 first edge of every even branch in branch order; then for each even
 branch in reverse branch order its remaining edges, trunk to leaf.
-The resulting numbering is always friendly, which the test suite
-checks exhaustively at small sizes.
+The numbers are assigned in one walk along the trunk, each link as it
+is met.  The resulting numbering is always friendly, which the test
+suite checks exhaustively at small sizes.
 
 Deterministic choices: when no vertex has degree three or more the
 whole tree is a path and the trunk starts at its smaller-id endpoint;
@@ -27,38 +28,9 @@ a link are ordered by the id of their first edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .amity import Numbering
-from .errors import EmptyTree, InvalidTrunk, PreconditionFailed
+from .errors import EmptyTree, PreconditionFailed
 from .trees import Tree
-
-
-@dataclass(frozen=True)
-class Link:
-    """One link of a trunk decomposition; branches are edge-id tuples."""
-
-    index: int
-    trunk_vertex: int
-    trunk_edge: int
-    odd_branches: tuple[tuple[int, ...], ...]
-    even_branches: tuple[tuple[int, ...], ...]
-
-    @property
-    def edge_count(self) -> int:
-        return 1 + sum(len(b) for b in self.odd_branches) + sum(
-            len(b) for b in self.even_branches
-        )
-
-
-@dataclass(frozen=True)
-class TrunkDecomposition:
-    trunk: tuple[int, ...]
-    links: tuple[Link, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.trunk) - 1
 
 
 def find_trunk(tree: Tree) -> tuple[int, ...] | None:
@@ -91,65 +63,6 @@ def _extend_to_leaf(tree: Tree, core: list[int]) -> tuple[int, ...]:
     return tuple(path)
 
 
-def decompose(tree: Tree, trunk: tuple[int, ...]) -> TrunkDecomposition:
-    """Split the tree into links along a trunk, validating the trunk."""
-    if len(trunk) < 2 or len(set(trunk)) != len(trunk):
-        raise InvalidTrunk(f"not a path: {trunk}")
-    edge_ids = {}
-    for eid, (u, v) in enumerate(tree.edges):
-        edge_ids[(u, v)] = eid
-        edge_ids[(v, u)] = eid
-    trunk_edges = []
-    for a, b in zip(trunk, trunk[1:]):
-        eid = edge_ids.get((a, b))
-        if eid is None:
-            raise InvalidTrunk(f"vertices {a} and {b} are not adjacent")
-        trunk_edges.append(eid)
-    on_trunk = set(trunk)
-    if any(tree.degrees[v] >= 3 and v not in on_trunk for v in range(tree.n)):
-        raise InvalidTrunk("a vertex of degree >= 3 lies off the trunk")
-    if tree.degrees[trunk[-1]] != 1:
-        raise InvalidTrunk("the trunk must end in a leaf")
-
-    trunk_edge_set = set(trunk_edges)
-    links = []
-    covered = 0
-    for i, v in enumerate(trunk[:-1]):
-        odd, even = [], []
-        starts = sorted(
-            eid for _, eid in tree.adj[v] if eid not in trunk_edge_set
-        )
-        for first in starts:
-            branch = [first]
-            prev, cur = v, _other_end(tree, first, v)
-            while tree.degrees[cur] == 2:
-                step = next(
-                    (w, eid) for w, eid in tree.adj[cur] if w != prev
-                )
-                branch.append(step[1])
-                prev, cur = cur, step[0]
-            if tree.degrees[cur] != 1:
-                raise InvalidTrunk(f"branch from {v} runs into branch vertex {cur}")
-            (odd if len(branch) % 2 else even).append(tuple(branch))
-        link = Link(
-            index=i + 1,
-            trunk_vertex=v,
-            trunk_edge=trunk_edges[i],
-            odd_branches=tuple(odd),
-            even_branches=tuple(even),
-        )
-        covered += link.edge_count
-        links.append(link)
-    if covered != tree.m:
-        raise InvalidTrunk(f"links cover {covered} of {tree.m} edges")
-    return TrunkDecomposition(trunk=trunk, links=tuple(links))
-
-
-def _other_end(tree: Tree, eid: int, v: int) -> int:
-    u, w = tree.edges[eid]
-    return w if u == v else u
-
-
 def number_by_trunk(tree: Tree) -> Numbering:
     """Friendly numbering built link by link along a trunk.
 
@@ -162,22 +75,40 @@ def number_by_trunk(tree: Tree) -> Numbering:
 
 
 def _number_along(tree: Tree, trunk: tuple[int, ...]) -> Numbering:
-    """The numbering of ``number_by_trunk`` along a trunk already found."""
-    deco = decompose(tree, trunk)
+    """The numbering of ``number_by_trunk`` along a trunk already found.
+
+    Adjacency lists are in edge-id order, so branches are met in branch
+    order; odd branches are numbered as they are walked.
+    """
     numbers = [0] * tree.m
     k = 1
-    for link in deco.links:
-        for branch in link.odd_branches:
-            for eid in branch:
-                numbers[eid] = k
-                k += 1
-        numbers[link.trunk_edge] = k
+    prev = -1
+    for v, nxt in zip(trunk, trunk[1:]):
+        even = []
+        for w, eid in tree.adj[v]:
+            if w == nxt:
+                trunk_edge = eid
+            elif w != prev:
+                branch = [eid]
+                back, cur = v, w
+                while tree.degrees[cur] == 2:
+                    step = next(s for s in tree.adj[cur] if s[0] != back)
+                    branch.append(step[1])
+                    back, cur = cur, step[0]
+                if len(branch) % 2:
+                    for e in branch:
+                        numbers[e] = k
+                        k += 1
+                else:
+                    even.append(branch)
+        numbers[trunk_edge] = k
         k += 1
-        for branch in link.even_branches:
+        for branch in even:
             numbers[branch[0]] = k
             k += 1
-        for branch in reversed(link.even_branches):
-            for eid in branch[1:]:
-                numbers[eid] = k
+        for branch in reversed(even):
+            for e in branch[1:]:
+                numbers[e] = k
                 k += 1
+        prev = v
     return Numbering(tree, numbers)

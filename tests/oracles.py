@@ -6,9 +6,9 @@ first search distances and paths, a naive friendliness checker for
 numberings and for bijections, Pruefer coding, brute force isomorphism
 and automorphism tests, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
-large for the brute-force ones, the parity-center numbering built
-the slow way, on a tower of pruned trees, and the first double-star
-subtree pair found by trying every edge set.
+large for the brute-force ones, the trunk numbering's edge order, the
+parity-center numbering built the slow way, on a tower of pruned trees,
+and the first double-star subtree pair found by trying every edge set.
 """
 
 from __future__ import annotations
@@ -505,6 +505,42 @@ def trunk_reference(edges, n):
         prev = walk[-2] if len(walk) >= 2 else None
         walk.append(min(w for w, _ in adj[walk[-1]] if w != prev))
     return tuple(walk)
+
+
+def trunk_block_order(edges, n, trunk):
+    """Edge ids in the order the trunk numbering gives them numbers 1..m.
+
+    Link i is trunk vertex i, the branches hanging there (maximal paths
+    of non-trunk edges down to a leaf, ordered by first edge id) and the
+    trunk edge toward the next trunk vertex.  Each link's block holds its
+    odd branches trunk to leaf, then the trunk edge, then the first edge
+    of each even branch, then the rest of each even branch trunk to
+    leaf, the even branches taken in reverse order.
+    """
+    adj = adjacency(edges, n)
+    edge_of = {frozenset(e): eid for eid, e in enumerate(edges)}
+    trunk_edges = [edge_of[frozenset(p)] for p in zip(trunk, trunk[1:])]
+    order = []
+    for i, v in enumerate(trunk[:-1]):
+        branches = []
+        for w, eid in sorted(adj[v], key=lambda a: a[1]):
+            if eid in trunk_edges:
+                continue
+            branch, prev = [eid], v
+            while len(adj[w]) == 2:
+                nxt, step = next(a for a in adj[w] if a[0] != prev)
+                branch.append(step)
+                prev, w = w, nxt
+            branches.append(branch)
+        odd = [b for b in branches if len(b) % 2 == 1]
+        even = [b for b in branches if len(b) % 2 == 0]
+        for b in odd:
+            order.extend(b)
+        order.append(trunk_edges[i])
+        order.extend(b[0] for b in even)
+        for b in reversed(even):
+            order.extend(b[1:])
+    return order
 
 
 def equidistant_vertices(edges, n):

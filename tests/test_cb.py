@@ -67,6 +67,19 @@ def test_is_connected_edge_set_examples():
     assert is_connected_edge_set(s, {0, 3, 4})
 
 
+def test_is_connected_edge_set_asks_for_no_paths():
+    t = path(400)
+    assert is_connected_edge_set(t, set(range(398)))
+    assert not is_connected_edge_set(t, set(range(398)) - {200})
+    assert t._path_masks == {}
+
+
+@pytest.mark.parametrize("bad", [{7}, {3}, {-1}, {0, -3}, {0, 1, 3}])
+def test_is_connected_edge_set_rejects_ids_out_of_range(bad):
+    with pytest.raises(ValueError):
+        is_connected_edge_set(path(3), bad)
+
+
 def test_is_connected_matches_union_find_exhaustively():
     t = caterpillar(3, {1: 2})
     for size in range(t.m + 1):

@@ -127,6 +127,17 @@ def test_number_reports_inapplicable_methods(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_number_on_the_single_vertex(tmp_path, capsys):
+    t = write(tmp_path, "t.txt", ".\n")
+    rep = str(tmp_path / "r.json")
+    assert main(["number", t, "--report", rep]) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["tried"] == ["trunk:inapplicable", "parity-center:ok"]
+    assert main(["number", t, "--method", "trunk"]) == 3
+    assert "no applicable method" in capsys.readouterr().err
+
+
 def test_number_auto_falls_back_to_search(tmp_path, capsys):
     t = tree_file(tmp_path, "t.txt", tri_y())
     rep = str(tmp_path / "r.json")
@@ -235,6 +246,12 @@ def test_search_proves_absence(tmp_path, capsys):
     assert "no friendly bijection" in capsys.readouterr().err
     assert main(["search", cb, sp, "--max-nodes", "5"]) == 3
     capsys.readouterr()
+
+
+def test_search_rejects_a_nan_time_limit(tmp_path, capsys):
+    t = tree_file(tmp_path, "t.txt", path(3))
+    assert main(["search", t, "--time-limit", "nan"]) == 2
+    assert "time_limit" in capsys.readouterr().err
 
 
 # -- surveys -----------------------------------------------------------------------

@@ -43,6 +43,9 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0)
+    with pytest.raises(ValueError):
+        SearchBudget(time_limit=float("nan"))
+    assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
 
 
 def test_budget_exhaustion_is_reported():

@@ -1,0 +1,83 @@
+"""The public surface of the package, pinned name by name.
+
+Growing or shrinking ``tree_amity.__all__`` means editing this list.
+"""
+
+import tree_amity
+
+PUBLIC_NAMES = [
+    "AuditRecord",
+    "AuditReport",
+    "BUDGET_EXCEEDED",
+    "CBShape",
+    "CycleDetected",
+    "Disconnected",
+    "DuplicateEdge",
+    "EdgeBijection",
+    "EmptyTree",
+    "EqualEdges",
+    "FOUND",
+    "HYPOTHESIS_D4",
+    "HYPOTHESIS_ODD",
+    "HookViolation",
+    "InvalidBijection",
+    "InvalidNumbering",
+    "MalformedLine",
+    "Numbering",
+    "NumberingPairViolation",
+    "PROVED_NONE",
+    "PreconditionFailed",
+    "SearchBudget",
+    "SearchResult",
+    "SelfLoop",
+    "ShapeMismatch",
+    "SizeMismatch",
+    "SubtreePair",
+    "SweepRecord",
+    "SweepReport",
+    "TooSmall",
+    "Tree",
+    "TreeAmityError",
+    "bijection_from_pair",
+    "check_friendly_bijection",
+    "check_friendly_numbering",
+    "check_precondition",
+    "count_free_trees",
+    "count_rooted_trees",
+    "enumerate_free_trees",
+    "find_subtree_pair",
+    "find_trunk",
+    "format_bijection",
+    "format_numbering",
+    "format_tree",
+    "invert_bijection",
+    "is_connected_edge_set",
+    "level_sequences",
+    "make_cb",
+    "number_by_trunk",
+    "number_parity_center",
+    "numbering_to_path_bijection",
+    "parse_bijection",
+    "parse_numbering",
+    "parse_tree",
+    "parse_tree_labeled",
+    "path_tree",
+    "search_bijection",
+    "search_numbering",
+    "small_n_pair",
+    "sweep_cb_universal",
+    "sweep_hypothesis",
+    "sweep_question_path",
+    "symmetry_audit",
+    "tree_from_level_sequence",
+    "unlinked",
+]
+
+
+def test_all_lists_exactly_the_pinned_names():
+    assert sorted(tree_amity.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC_NAMES:
+        assert getattr(tree_amity, name) is not None, name

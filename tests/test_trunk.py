@@ -1,17 +1,27 @@
-"""Trunk decomposition and the block numbering built from it."""
+"""Trunk discovery and the block numbering along the trunk."""
+
+import random
 
 import pytest
 from hypothesis import given
 
 import oracles
-from helpers import all_trees, caterpillar, path, random_trees, spider, star, tri_y, trees_up_to
+from helpers import (
+    all_trees,
+    caterpillar,
+    path,
+    random_trees,
+    shuffled,
+    spider,
+    star,
+    tri_y,
+    trees_up_to,
+)
 from tree_amity import (
     EmptyTree,
-    InvalidTrunk,
     PreconditionFailed,
     Tree,
     check_friendly_numbering,
-    decompose,
     find_trunk,
     number_by_trunk,
 )
@@ -59,86 +69,25 @@ def test_find_trunk_is_deterministic(t):
     assert find_trunk(t) == find_trunk(t)
 
 
-# -- decomposition --------------------------------------------------------------
-
-
-def test_links_partition_the_edges():
-    for t in trees_up_to(8):
-        trunk = find_trunk(t)
-        deco = decompose(t, trunk)
-        assert deco.d == len(trunk) - 1
-        assert len(deco.links) == deco.d
-        seen = []
-        for link in deco.links:
-            seen.append(link.trunk_edge)
-            for b in link.odd_branches:
-                assert len(b) % 2 == 1
-                seen.extend(b)
-            for b in link.even_branches:
-                assert len(b) % 2 == 0
-                seen.extend(b)
-            assert link.edge_count == 1 + sum(
-                len(b) for b in link.odd_branches + link.even_branches
-            )
-        assert sorted(seen) == list(range(t.m))
-
-
-def test_branches_are_leafward_walks():
-    t = spider(2, 2, 1)
-    deco = decompose(t, find_trunk(t))
-    for link in deco.links:
-        v = link.trunk_vertex
-        for branch in link.odd_branches + link.even_branches:
-            walk = v
-            for eid in branch:
-                u, w = t.edges[eid]
-                assert walk in (u, w)
-                walk = w if walk == u else u
-            assert t.degrees[walk] == 1
-
-
-def test_decompose_rejects_bad_trunks():
-    t = caterpillar(4, {2: 1})
-    with pytest.raises(InvalidTrunk):
-        decompose(t, (0,))
-    with pytest.raises(InvalidTrunk):
-        decompose(t, (0, 2))
-    with pytest.raises(InvalidTrunk):
-        decompose(t, (0, 1, 2))
-    with pytest.raises(InvalidTrunk):
-        decompose(star(3), (1, 0, 1))
-
-
-def test_decompose_rejects_trunk_missing_a_heavy_vertex():
-    t = caterpillar(4, {1: 1, 3: 1})
-    with pytest.raises(InvalidTrunk):
-        decompose(t, (0, 1, t.edges[4][1]))
-
-
 # -- the numbering itself ---------------------------------------------------------
 
 
-def expected_block_order(tree, deco):
-    """Edge order the docstring promises, rebuilt from the links."""
-    order = []
-    for link in deco.links:
-        for branch in link.odd_branches:
-            order.extend(branch)
-        order.append(link.trunk_edge)
-        for branch in link.even_branches:
-            order.append(branch[0])
-        for branch in reversed(link.even_branches):
-            order.extend(branch[1:])
-    return order
+def assert_block_order(t):
+    nu = number_by_trunk(t)
+    got = [nu.edge_of(k) for k in range(1, t.m + 1)]
+    trunk = oracles.trunk_reference(t.edges, t.n)
+    assert got == oracles.trunk_block_order(t.edges, t.n, trunk), t.edges
 
 
 def test_numbering_follows_the_block_rule():
-    for t in trees_up_to(7):
-        deco = decompose(t, find_trunk(t))
-        order = expected_block_order(t, deco)
-        nu = number_by_trunk(t)
-        got = [nu.edge_of(k) for k in range(1, t.m + 1)]
-        assert got == order, t.edges
+    rng = random.Random(8)
+    for t in trees_up_to(10):
+        if not oracles.heavy_on_one_path(t.edges, t.n):
+            continue
+        assert_block_order(t)
+        if t.m <= 7:
+            for _ in range(5):
+                assert_block_order(shuffled(t, rng))
 
 
 def test_path_numbering_is_consecutive():
