@@ -13,9 +13,11 @@ Four questions, four sweeps:
 * ``cb``: the double-star criterion over every tree of matching size,
   with criterion failures double-checked by exhaustive search.
 
-A symmetry audit of small bijections rounds the set out.  Each report
-lands in the output directory as JSON; findings (anything that is not a
-plain "found") are printed as they appear.
+A symmetry audit of small bijections rounds the set out.  Each survey
+runs through the ``tree-amity`` command, which writes its JSON report
+into the output directory and prints its summary and findings (anything
+that is not a plain "found") on stderr.  The exit code is the worst of
+the surveys' exit codes.
 """
 
 from __future__ import annotations
@@ -25,33 +27,7 @@ import sys
 import time
 from pathlib import Path
 
-from tree_amity import (
-    sweep_cb_universal,
-    sweep_hypothesis,
-    sweep_question_path,
-    symmetry_audit,
-)
-from tree_amity.cli import report_text
-
-
-def save(out_dir: Path, name: str, command: str, report) -> Path:
-    path = out_dir / f"{name}.json"
-    path.write_text(report_text(command, report.to_json_dict()), encoding="utf-8")
-    return path
-
-
-def run_sweep(out_dir: Path, name: str, make_report, jobs: int) -> None:
-    started = time.monotonic()
-    report = make_report(jobs)
-    elapsed = time.monotonic() - started
-    path = save(out_dir, name, "sweep", report)
-    counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
-    print(f"{name}: {len(report.records)} trees ({counts}) "
-          f"in {elapsed:.1f}s -> {path}")
-    for rec in report.findings:
-        print(f"  finding [{rec.outcome}] {rec.code}: "
-              f"{rec.tree_text.strip().replace(chr(10), ' / ')}"
-              + (f" ({rec.detail})" if rec.detail else ""))
+from tree_amity import cli
 
 
 def main(argv=None) -> int:
@@ -77,30 +53,23 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = args.cb if args.cb is not None else [(4, 4), (5, 4), (5, 5)]
-
-    run_sweep(out_dir, f"question-path-{args.question_edges}",
-              lambda jobs: sweep_question_path(args.question_edges, jobs=jobs),
-              args.jobs)
-    run_sweep(out_dir, f"d4-{args.d4_edges}",
-              lambda jobs: sweep_hypothesis(args.d4_edges, "d4", jobs=jobs),
-              args.jobs)
-    run_sweep(out_dir, f"odd-{args.odd_edges}",
-              lambda jobs: sweep_hypothesis(args.odd_edges, "odd", jobs=jobs),
-              args.jobs)
-    for n1, n2 in splits:
-        run_sweep(out_dir, f"cb-{n1}-{n2}",
-                  lambda jobs, a=n1, b=n2: sweep_cb_universal(
-                      a, b, jobs=jobs, confirm=True),
-                  args.jobs)
-
-    started = time.monotonic()
-    audit = symmetry_audit(args.audit_edges, jobs=args.jobs)
-    path = save(out_dir, f"audit-{args.audit_edges}", "audit-symmetry", audit)
-    print(f"audit-{args.audit_edges}: {len(audit.records)} pairs, "
-          f"{audit.total_friendly} friendly, "
-          f"{audit.total_failures} inverse failures "
-          f"in {time.monotonic() - started:.1f}s -> {path}")
-    return 0 if audit.total_failures == 0 else 1
+    surveys = [
+        (f"question-path-{args.question_edges}",
+         f"sweep --kind question-path -m {args.question_edges}"),
+        (f"d4-{args.d4_edges}", f"sweep --kind d4 -m {args.d4_edges}"),
+        (f"odd-{args.odd_edges}", f"sweep --kind odd -m {args.odd_edges}"),
+        *((f"cb-{n1}-{n2}", f"sweep --kind cb --n1 {n1} --n2 {n2} --confirm")
+          for n1, n2 in splits),
+        (f"audit-{args.audit_edges}", f"audit-symmetry -m {args.audit_edges}"),
+    ]
+    worst = 0
+    for name, command in surveys:
+        path = out_dir / f"{name}.json"
+        started = time.monotonic()
+        code = cli.main([*command.split(), "--jobs", str(args.jobs), "--out", str(path)])
+        print(f"{name}: exit {code} in {time.monotonic() - started:.1f}s -> {path}")
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

@@ -128,7 +128,9 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
     branches after it can still make up the rest.  This yields the first
     part whose sorted edge list is smallest, because between two unions
     of branches the smallest differing edge is the first edge of the
-    first branch where they differ.  Returns None when no pair exists.
+    first branch where they differ.  Every branch size comes from one
+    rooting of the tree, so only the branches at the shared edge taken
+    are walked.  Returns None when no pair exists.
     """
 
     if n1 < 1 or n2 < 1:
@@ -138,16 +140,28 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
             f"tree has {tree.m} edges but a ({n1},{n2}) pair needs {n1 + n2 - 1}"
         )
     everything = frozenset(range(tree.m))
+    # edges below each vertex of the tree rooted at 0, whence every branch size
+    parent, _, depth = tree._rooted()
+    below = [0] * tree.n
+    for v in sorted(range(1, tree.n), key=depth.__getitem__, reverse=True):
+        below[parent[v]] += below[v] + 1
     for shared in range(tree.m):
+        # bit s of sums is set when some branches hold s edges together
+        sums = 1
+        for end in tree.edges[shared]:
+            for w, f in tree.adj[end]:
+                if f != shared:
+                    size = below[w] + 1 if parent[w] == end else tree.m - below[end]
+                    sums |= sums << size
+        left = n1 - 1
+        if not sums >> left & 1:
+            continue
         branches = sorted(_branches(tree, shared), key=min)
         # bit s of reach[i] is set when branches[i:] hold a subset of s edges
         reach = [1]
         for branch in reversed(branches):
             reach.append(reach[-1] | reach[-1] << len(branch))
         reach.reverse()
-        left = n1 - 1
-        if not reach[0] >> left & 1:
-            continue
         e1 = {shared}
         for branch, rest in zip(branches, reach[1:]):
             if len(branch) <= left and rest >> (left - len(branch)) & 1:

@@ -175,26 +175,24 @@ def cmd_check_numbering(args) -> int:
     started = time.monotonic()
     flaw = check_friendly_numbering(nu)
     elapsed = time.monotonic() - started
-    inputs = [tree_entry, num_entry]
     if flaw is None:
         print("ok: numbering is friendly")
-        _write_report(args, "check-numbering", inputs, {
-            "outcome": "ok",
-            "witness": None,
-            "elapsed": elapsed,
-        })
-        return EXIT_OK
-    print(
-        f"violation at consecutive pair k={flaw.k}: number {flaw.j} lies on "
-        f"the path between edges {flaw.k} and {flaw.k + 1} but its partner "
-        f"{flaw.partner()} does not (path numbers: {list(flaw.path_numbers)})"
-    )
-    _write_report(args, "check-numbering", inputs, {
-        "outcome": "violation",
-        "witness": _numbering_violation_dict(flaw, tree, labels),
+        outcome, witness, code = "ok", None, EXIT_OK
+    else:
+        print(
+            f"violation at consecutive pair k={flaw.k}: number {flaw.j} lies "
+            f"on the path between edges {flaw.k} and {flaw.k + 1} but its "
+            f"partner {flaw.partner()} does not (path numbers: "
+            f"{list(flaw.path_numbers)})"
+        )
+        outcome, code = "violation", EXIT_VIOLATION
+        witness = _numbering_violation_dict(flaw, tree, labels)
+    _write_report(args, "check-numbering", [tree_entry, num_entry], {
+        "outcome": outcome,
+        "witness": witness,
         "elapsed": elapsed,
     })
-    return EXIT_VIOLATION
+    return code
 
 
 def cmd_check_bijection(args) -> int:
@@ -205,30 +203,27 @@ def cmd_check_bijection(args) -> int:
     started = time.monotonic()
     flaw = check_friendly_bijection(bj)
     elapsed = time.monotonic() - started
-    inputs = [src_entry, dst_entry, bij_entry]
     if flaw is None:
         print("ok: bijection is friendly")
-        _write_report(args, "check-bijection", inputs, {
-            "outcome": "ok",
-            "witness": None,
-            "elapsed": elapsed,
-        })
-        return EXIT_OK
-    side = flaw.p_vertex if flaw.hooking == "p" else flaw.q_vertex
-    other = flaw.q_vertex if flaw.hooking == "p" else flaw.p_vertex
-    pair = [_edge_label(target, t_labels, e) for e in flaw.edge_pair]
-    print(
-        f"violation at vertex pair ({s_labels[flaw.p_vertex]}, "
-        f"{s_labels[flaw.q_vertex]}): the image of the coboundary of "
-        f"{s_labels[side]} hooks onto the image for {s_labels[other]} "
-        f"(edges {pair[0]} and {pair[1]} cross it {flaw.crossing} times)"
-    )
-    _write_report(args, "check-bijection", inputs, {
-        "outcome": "violation",
-        "witness": _hook_violation_dict(flaw, source, s_labels, target, t_labels),
+        outcome, witness, code = "ok", None, EXIT_OK
+    else:
+        side = flaw.p_vertex if flaw.hooking == "p" else flaw.q_vertex
+        other = flaw.q_vertex if flaw.hooking == "p" else flaw.p_vertex
+        pair = [_edge_label(target, t_labels, e) for e in flaw.edge_pair]
+        print(
+            f"violation at vertex pair ({s_labels[flaw.p_vertex]}, "
+            f"{s_labels[flaw.q_vertex]}): the image of the coboundary of "
+            f"{s_labels[side]} hooks onto the image for {s_labels[other]} "
+            f"(edges {pair[0]} and {pair[1]} cross it {flaw.crossing} times)"
+        )
+        outcome, code = "violation", EXIT_VIOLATION
+        witness = _hook_violation_dict(flaw, source, s_labels, target, t_labels)
+    _write_report(args, "check-bijection", [src_entry, dst_entry, bij_entry], {
+        "outcome": outcome,
+        "witness": witness,
         "elapsed": elapsed,
     })
-    return EXIT_VIOLATION
+    return code
 
 
 # -- construction commands ----------------------------------------------------
@@ -274,20 +269,13 @@ def cmd_number(args) -> int:
             used = method
             break
     elapsed = time.monotonic() - started
-    inputs = [tree_entry]
+    witness = None
     if nu is not None:
         verified(nu, f"{used} numbering")
-        sys.stdout.write(format_numbering(nu, labels))
-        _write_report(args, "number", inputs, {
-            "outcome": "ok",
-            "method": used,
-            "tried": tried,
-            "witness": format_numbering(nu, labels),
-            "nodes": nodes,
-            "elapsed": elapsed,
-        })
-        return EXIT_OK
-    if search_status == PROVED_NONE:
+        witness = format_numbering(nu, labels)
+        sys.stdout.write(witness)
+        outcome, code = "ok", EXIT_OK
+    elif search_status == PROVED_NONE:
         print(
             f"verified: no friendly numbering exists ({nodes} nodes searched)",
             file=sys.stderr,
@@ -301,11 +289,11 @@ def cmd_number(args) -> int:
     else:
         print(f"no applicable method (tried: {', '.join(tried)})", file=sys.stderr)
         outcome, code = "inapplicable", EXIT_INAPPLICABLE
-    _write_report(args, "number", inputs, {
+    _write_report(args, "number", [tree_entry], {
         "outcome": outcome,
-        "method": None,
+        "method": used,
         "tried": tried,
-        "witness": None,
+        "witness": witness,
         "nodes": nodes,
         "elapsed": elapsed,
     })
@@ -339,45 +327,36 @@ def cmd_cb_criterion(args) -> int:
         # double star, which a huge part size would make costly
         raise ShapeMismatch("double star parts must each have at least one edge")
     started = time.monotonic()
-    inputs = [tree_entry]
     needed = n1 + n2 - 1
+    pair = find_subtree_pair(tree, n1, n2) if tree.m == needed else None
+    elapsed = time.monotonic() - started
     if tree.m != needed:
         print(
             f"not friendly: tree has {tree.m} edges, the ({n1},{n2}) double "
             f"star needs {needed}"
         )
-        _write_report(args, "cb-criterion", inputs, {
-            "outcome": "size-mismatch",
-            "witness": None,
-            "elapsed": time.monotonic() - started,
-        })
-        return EXIT_VIOLATION
-    pair = find_subtree_pair(tree, n1, n2)
-    elapsed = time.monotonic() - started
-    if pair is None:
+        result = {"outcome": "size-mismatch", "witness": None}
+    elif pair is None:
         print(
             f"not friendly: no connected edge subtrees of sizes {n1} and "
             f"{n2} sharing exactly one edge"
         )
-        _write_report(args, "cb-criterion", inputs, {
-            "outcome": "no-pair",
-            "witness": None,
-            "elapsed": elapsed,
-        })
-        return EXIT_VIOLATION
-    cb = make_cb(n1, n2)
-    bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
-    print(f"friendly to the ({n1},{n2}) double star")
-    _print_pair(tree, labels, pair)
-    sys.stdout.write(format_bijection(bj, target_labels=labels))
-    _write_report(args, "cb-criterion", inputs, {
-        "outcome": "ok",
-        "pair": _pair_dict(tree, labels, pair),
-        "witness": format_bijection(bj, target_labels=labels),
-        "double_star": format_tree(cb.tree),
-        "elapsed": elapsed,
-    })
-    return EXIT_OK
+        result = {"outcome": "no-pair", "witness": None}
+    else:
+        cb = make_cb(n1, n2)
+        bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
+        witness = format_bijection(bj, target_labels=labels)
+        print(f"friendly to the ({n1},{n2}) double star")
+        _print_pair(tree, labels, pair)
+        sys.stdout.write(witness)
+        result = {
+            "outcome": "ok",
+            "pair": _pair_dict(tree, labels, pair),
+            "witness": witness,
+            "double_star": format_tree(cb.tree),
+        }
+    _write_report(args, "cb-criterion", [tree_entry], {**result, "elapsed": elapsed})
+    return EXIT_OK if result["outcome"] == "ok" else EXIT_VIOLATION
 
 
 def cmd_cb_pair(args) -> int:
@@ -469,12 +448,16 @@ def cmd_sweep(args) -> int:
             )
     _emit_report(args, "sweep", report.to_json_dict())
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
-    findings = len(report.findings)
+    findings = report.findings
     print(
         f"sweep {report.kind}: {len(report.records)} trees ({counts}); "
-        f"{findings} finding(s)",
+        f"{len(findings)} finding(s)",
         file=sys.stderr,
     )
+    for rec in findings:
+        shape = rec.tree.strip().replace("\n", " / ")
+        detail = f" ({rec.detail})" if rec.detail else ""
+        print(f"  finding [{rec.outcome}] {rec.code}: {shape}{detail}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -58,7 +58,7 @@ from .amity import (
     unlinked,
     verified,
 )
-from .cb import bijection_from_pair, find_subtree_pair, make_cb
+from .cb import CBShape, bijection_from_pair, find_subtree_pair, make_cb
 from .enumeration import enumerate_free_trees
 from .errors import ShapeMismatch, SizeMismatch
 from .parity import check_precondition, number_parity_center
@@ -108,7 +108,7 @@ class SearchBudget:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0:
+        if not self.max_nodes > 0:
             raise ValueError("max_nodes must be positive")
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
@@ -454,9 +454,6 @@ class AuditRecord:
     friendly: int
     inverse_failures: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AuditReport:
@@ -489,11 +486,11 @@ class AuditReport:
             "note": self.note,
             "total_friendly": self.total_friendly,
             "total_failures": self.total_failures,
-            "records": [r.to_json_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
         }
 
 
-def _audit_worker(pair: tuple[Tree, Tree]) -> tuple[int, int]:
+def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
     a, b = pair
     friendly = 0
     failures = 0
@@ -503,7 +500,10 @@ def _audit_worker(pair: tuple[Tree, Tree]) -> tuple[int, int]:
             friendly += 1
             if check_friendly_bijection(invert_bijection(bj)) is not None:
                 failures += 1
-    return friendly, failures
+    return AuditRecord(
+        a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
+        friendly, failures,
+    )
 
 
 def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
@@ -517,19 +517,11 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
 
     if max_edges < 1:
         raise ShapeMismatch("max_edges must be at least 1")
-    pair_meta: list[tuple[str, str, int]] = []
     pairs = []
     for m in range(1, max_edges + 1):
         trees = list(enumerate_free_trees(m))
-        for i, a in enumerate(trees):
-            for b in trees[i:]:
-                pair_meta.append((a.canonical_code(), b.canonical_code(), m))
-                pairs.append((a, b))
-    outcomes = _run_jobs(_audit_worker, pairs, jobs)
-    records = [
-        AuditRecord(code_a, code_b, m, math.factorial(m), friendly, failures)
-        for (code_a, code_b, m), (friendly, failures) in zip(pair_meta, outcomes)
-    ]
+        pairs.extend((a, b) for i, a in enumerate(trees) for b in trees[i:])
+    records = _run_jobs(_audit_worker, pairs, jobs)
     records.sort(key=lambda r: (r.edges, r.code_a, r.code_b))
     return AuditReport(max_edges, records)
 
@@ -541,14 +533,14 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
 class SweepRecord:
     """Outcome for one tree in a survey, replayable from its own fields.
 
-    ``tree_text`` is the tree in the package's text format and
+    ``tree`` is the tree in the package's text format and
     ``witness`` (when present) is a numbering or bijection in the
     matching text format, so any record can be re-parsed and re-checked
     without the original run.
     """
 
     code: str
-    tree_text: str
+    tree: str
     edges: int
     diameter: int
     has_trunk: bool
@@ -558,12 +550,6 @@ class SweepRecord:
     witness: str | None
     nodes: int
     detail: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tree" if key == "tree_text" else key: value
-            for key, value in asdict(self).items()
-        }
 
 
 @dataclass
@@ -594,41 +580,56 @@ class SweepReport:
             "params": self.params,
             "note": self.note,
             "counts": self.counts(),
-            "records": [r.to_json_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
         }
 
 
-def _flags(tree: Tree) -> tuple[int, tuple[int, ...] | None, bool]:
-    """Diameter, trunk (None when there is none) and parity readiness."""
-    diameter = tree.diameter()
-    trunk = find_trunk(tree) if tree.m > 0 else None
-    parity_ready = check_precondition(tree) is not None
-    return diameter, trunk, parity_ready
+def _record(
+    tree: Tree,
+    trunk: tuple[int, ...] | None,
+    parity: bool,
+    method: str,
+    outcome: str,
+    witness: str | None,
+    nodes: int = 0,
+    detail: str | None = None,
+) -> SweepRecord:
+    """The survey record of one tree; ``parity`` is its readiness for the
+    parity-center construction."""
+    return SweepRecord(
+        tree.canonical_code(), format_tree(tree), tree.m, tree.diameter(),
+        trunk is not None, parity, method, outcome, witness, nodes, detail,
+    )
+
+
+def _survey(
+    kind: str,
+    max_edges: int,
+    params: dict,
+    note: str,
+    worker: Callable[[Tree], SweepRecord],
+    trees: Iterable[Tree],
+    jobs: int,
+) -> SweepReport:
+    """Run the worker on every tree and report the records in code order."""
+    records = _run_jobs(worker, trees, jobs)
+    records.sort(key=lambda r: (r.edges, r.code))
+    return SweepReport(kind, max_edges, params, note, records)
 
 
 def _numbering_worker(tree: Tree, budget: SearchBudget, constructive: bool) -> SweepRecord:
-    diameter, trunk, parity_ready = _flags(tree)
-    has_trunk = trunk is not None
-    code = tree.canonical_code()
-    text = format_tree(tree)
-    if constructive and has_trunk:
-        nu = verified(_number_along(tree, trunk), "trunk numbering")
-        return SweepRecord(
-            code, text, tree.m, diameter, has_trunk, parity_ready,
-            "trunk", FOUND, format_numbering(nu), 0,
-        )
-    if constructive and parity_ready:
-        nu = verified(number_parity_center(tree), "parity-center numbering")
-        return SweepRecord(
-            code, text, tree.m, diameter, has_trunk, parity_ready,
-            "parity-center", FOUND, format_numbering(nu), 0,
-        )
-    res = search_numbering(tree, budget)
-    witness = format_numbering(res.witness) if res.witness is not None else None
-    return SweepRecord(
-        code, text, tree.m, diameter, has_trunk, parity_ready,
-        "search", res.status, witness, res.nodes,
-    )
+    trunk = find_trunk(tree)
+    parity = check_precondition(tree) is not None
+    if constructive and trunk is not None:
+        method, nu = "trunk", _number_along(tree, trunk)
+    elif constructive and parity:
+        method, nu = "parity-center", number_parity_center(tree)
+    else:
+        res = search_numbering(tree, budget)
+        witness = format_numbering(res.witness) if res.witness is not None else None
+        return _record(tree, trunk, parity, "search", res.status, witness, res.nodes)
+    verified(nu, f"{method} numbering")
+    return _record(tree, trunk, parity, method, FOUND, format_numbering(nu))
 
 
 def sweep_question_path(
@@ -653,15 +654,13 @@ def sweep_question_path(
         for tree in enumerate_free_trees(m)
     )
     worker = partial(_numbering_worker, budget=budget, constructive=True)
-    records = _run_jobs(worker, trees, jobs)
-    records.sort(key=lambda r: (r.edges, r.code))
     note = (
         "Empirical survey. Every 'found' witness re-verifies through the "
         "checker; a 'none' record is an exhaustively verified tree with no "
         "friendly numbering and would be a new research finding. An "
         "all-found report does not settle the open existence question."
     )
-    return SweepReport("question-path", max_edges, {}, note, records)
+    return _survey("question-path", max_edges, {}, note, worker, trees, jobs)
 
 
 def sweep_hypothesis(
@@ -697,8 +696,6 @@ def sweep_hypothesis(
             if keep:
                 trees.append(tree)
     worker = partial(_numbering_worker, budget=budget, constructive=False)
-    records = _run_jobs(worker, trees, jobs)
-    records.sort(key=lambda r: (r.edges, r.code))
     if which == HYPOTHESIS_D4:
         note = (
             "Exhaustive numbering search over all trees of diameter at most "
@@ -711,44 +708,36 @@ def sweep_hypothesis(
             "and a vertex equally distant from every leaf. All-found "
             "supports, but does not prove, the conjecture for this family."
         )
-    return SweepReport(which, max_edges, {"which": which}, note, records)
+    return _survey(which, max_edges, {"which": which}, note, worker, trees, jobs)
 
 
-def _cb_worker(tree: Tree, n1: int, n2: int, confirm: bool, budget: SearchBudget) -> SweepRecord:
-    diameter, trunk, parity_ready = _flags(tree)
-    has_trunk = trunk is not None
-    code = tree.canonical_code()
-    text = format_tree(tree)
-    cb = make_cb(n1, n2)
-    pair = find_subtree_pair(tree, n1, n2)
+def _cb_worker(tree: Tree, cb: CBShape, confirm: bool, budget: SearchBudget) -> SweepRecord:
+    record = partial(
+        _record, tree, find_trunk(tree), check_precondition(tree) is not None,
+        "criterion",
+    )
+    pair = find_subtree_pair(tree, cb.n1, cb.n2)
     if pair is not None:
-        bj = bijection_from_pair(tree, pair, cb)
-        verified(bj, "pair-induced bijection")
+        bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
         detail = (
             f"e1={sorted(pair.e1)} e2={sorted(pair.e2)} shared={pair.shared}"
         )
-        return SweepRecord(
-            code, text, tree.m, diameter, has_trunk, parity_ready,
-            "criterion", FOUND, format_bijection(bj), 0, detail,
+        return record(FOUND, format_bijection(bj), 0, detail)
+    if not confirm:
+        return record(
+            PROVED_NONE, None, 0,
+            "no subtree pair; confirmation search not requested",
         )
+    res = search_bijection(cb.tree, tree, budget)
     witness = None
-    nodes = 0
-    if confirm:
-        res = search_bijection(cb.tree, tree, budget)
-        nodes = res.nodes
-        if res.status == PROVED_NONE:
-            detail = "no subtree pair; exhaustive bijection search agrees"
-        elif res.status == BUDGET_EXCEEDED:
-            detail = "no subtree pair; confirmation search hit its budget"
-        else:
-            detail = "DISAGREEMENT: criterion says no, search found a bijection"
-            witness = format_bijection(res.witness)
+    if res.status == PROVED_NONE:
+        detail = "no subtree pair; exhaustive bijection search agrees"
+    elif res.status == BUDGET_EXCEEDED:
+        detail = "no subtree pair; confirmation search hit its budget"
     else:
-        detail = "no subtree pair; confirmation search not requested"
-    return SweepRecord(
-        code, text, tree.m, diameter, has_trunk, parity_ready,
-        "criterion", PROVED_NONE, witness, nodes, detail,
-    )
+        detail = "DISAGREEMENT: criterion says no, search found a bijection"
+        witness = format_bijection(res.witness)
+    return record(PROVED_NONE, witness, res.nodes, detail)
 
 
 def sweep_cb_universal(
@@ -768,16 +757,13 @@ def sweep_cb_universal(
     """
 
     budget = budget or SearchBudget(exhaustive=True)
-    m = n1 + n2 - 1
-    trees = enumerate_free_trees(m)
-    worker = partial(_cb_worker, n1=n1, n2=n2, confirm=confirm, budget=budget)
-    records = _run_jobs(worker, trees, jobs)
-    records.sort(key=lambda r: (r.edges, r.code))
+    cb = make_cb(n1, n2)
+    m = cb.tree.m
+    worker = partial(_cb_worker, cb=cb, confirm=confirm, budget=budget)
     note = (
         f"Criterion survey for the ({n1},{n2}) double star over all trees "
         f"with {m} edges. 'found' records carry a verified bijection built "
         "from the subtree pair; 'none' records admit no such pair."
     )
-    return SweepReport(
-        "cb", m, {"n1": n1, "n2": n2, "confirm": confirm}, note, records
-    )
+    params = {"n1": n1, "n2": n2, "confirm": confirm}
+    return _survey("cb", m, params, note, worker, enumerate_free_trees(m), jobs)

@@ -228,7 +228,7 @@ def test_criterion_10_every_small_tree_is_numberable():
     assert report.counts() == {FOUND: 94}
     assert report.findings == []
     for rec in report.records:
-        t, labels = parse_tree_labeled(rec.tree_text)
+        t, labels = parse_tree_labeled(rec.tree)
         assert t.canonical_code() == rec.code
         nu = parse_numbering(rec.witness, t, labels)
         assert check_friendly_numbering(nu) is None, rec.code

@@ -6,7 +6,8 @@ import random
 import pytest
 
 import oracles
-from helpers import all_trees, caterpillar, path, shuffled, spider, star
+import tree_amity.cb as cb_module
+from helpers import all_trees, caterpillar, path, shuffled, spider, star, trees_up_to
 from tree_amity import (
     EdgeBijection,
     ShapeMismatch,
@@ -179,6 +180,24 @@ def test_find_subtree_pair_on_2000_edge_trees(tree, n1):
     assert pair.e1 | pair.e2 == set(range(tree.m))
     assert oracles.edges_connected(tree.edges, pair.e1)
     assert oracles.edges_connected(tree.edges, pair.e2)
+
+
+def test_find_subtree_pair_walks_only_the_shared_edge_taken(monkeypatch):
+    calls = []
+
+    def counted(tree, shared):
+        calls.append(shared)
+        return branches(tree, shared)
+
+    branches = cb_module._branches
+    monkeypatch.setattr(cb_module, "_branches", counted)
+    assert find_subtree_pair(spider(700, 700, 600), 1000, 1001) is None
+    assert calls == []
+    for t in trees_up_to(6):
+        for n1 in range(1, t.m + 1):
+            calls.clear()
+            pair = find_subtree_pair(t, n1, t.m + 1 - n1)
+            assert calls == ([] if pair is None else [pair.shared])
 
 
 def test_criterion_bijections_are_friendly_small():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from tree_amity import (
     parse_numbering,
     parse_tree,
     parse_tree_labeled,
+    sweep_hypothesis,
 )
 from tree_amity import amity, cli
 from tree_amity.amity import NumberingPairViolation
@@ -283,6 +285,26 @@ def test_sweep_cb(tmp_path, capsys):
     assert doc["counts"] == {"found": 2}
 
 
+def test_sweep_prints_each_finding(tmp_path, capsys):
+    out = str(tmp_path / "cb.json")
+    assert main(["sweep", "--kind", "cb", "--n1", "5", "--n2", "5", "--confirm",
+                 "--jobs", "1", "--out", out]) == 0
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "finding [" in line]
+    assert line.startswith(f"  finding [none] {spider(3, 3, 3).canonical_code()}: ")
+    assert line.endswith("(no subtree pair; exhaustive bijection search agrees)")
+
+
+def test_report_records_carry_the_record_fields(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--kind", "d4", "-m", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rec = sweep_hypothesis(3, "d4").records[-1]
+    doc = json.loads(out.read_text())["records"][-1]
+    assert list(doc) == list(asdict(rec))
+    assert doc == asdict(rec)
+
+
 def test_sweep_argument_errors(tmp_path, capsys):
     assert main(["sweep", "--kind", "cb", "--n1", "2"]) == 2
     assert main(["sweep", "--kind", "d4"]) == 2
@@ -412,31 +434,37 @@ def test_python_dash_m_runs_the_cli():
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
 
 
-def test_run_sweeps_writes_cli_reports(tmp_path, capsys):
+def _load_script():
     spec = importlib.util.spec_from_file_location("run_sweeps", SCRIPT)
     run_sweeps = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_sweeps)
+    return run_sweeps
+
+
+def test_run_sweeps_writes_cli_reports(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    assert run_sweeps.main([
+    assert _load_script().main([
         "--question-edges", "4", "--d4-edges", "4", "--odd-edges", "5",
         "--cb", "2", "2", "--audit-edges", "3", "--out-dir", str(out_dir),
     ]) == 0
-    assert main(["sweep", "--kind", "d4", "-m", "3",
-                 "--out", str(tmp_path / "sweep.json")]) == 0
-    assert main(["audit-symmetry", "-m", "2",
-                 "--out", str(tmp_path / "audit.json")]) == 0
-    capsys.readouterr()
-    keys = {
-        doc["command"]: list(doc)
-        for doc in (json.loads((tmp_path / name).read_text())
-                    for name in ("sweep.json", "audit.json"))
+    commands = {
+        "audit-3": ["audit-symmetry", "-m", "3"],
+        "cb-2-2": ["sweep", "--kind", "cb", "--n1", "2", "--n2", "2", "--confirm"],
+        "d4-4": ["sweep", "--kind", "d4", "-m", "4"],
+        "odd-5": ["sweep", "--kind", "odd", "-m", "5"],
+        "question-path-4": ["sweep", "--kind", "question-path", "-m", "4"],
     }
-    files = sorted(out_dir.glob("*.json"))
-    assert [f.name for f in files] == [
-        "audit-3.json", "cb-2-2.json", "d4-4.json", "odd-5.json",
-        "question-path-4.json",
-    ]
-    for f in files:
-        doc = json.loads(f.read_text())
-        assert doc["schema"] == "tree-amity/1", f.name
-        assert list(doc) == keys[doc["command"]], f.name
+    assert sorted(f.stem for f in out_dir.glob("*.json")) == list(commands)
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+        assert (out_dir / f"{name}.json").read_bytes() == out.read_bytes(), name
+    capsys.readouterr()
+
+
+def test_run_sweeps_returns_the_worst_exit_code(tmp_path, monkeypatch, capsys):
+    run_sweeps = _load_script()
+    monkeypatch.setattr(run_sweeps.cli, "main",
+                        lambda argv: 1 if argv[0] == "audit-symmetry" else 0)
+    assert run_sweeps.main(["--out-dir", str(tmp_path)]) == 1
+    capsys.readouterr()

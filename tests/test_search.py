@@ -42,6 +42,8 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
+        SearchBudget(max_nodes=float("nan"))
+    with pytest.raises(ValueError):
         SearchBudget(time_limit=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=float("nan"))
@@ -260,7 +262,7 @@ def test_question_sweep_records_replay():
 
     report = sweep_question_path(4)
     for rec in report.records:
-        t, labels = parse_tree_labeled(rec.tree_text)
+        t, labels = parse_tree_labeled(rec.tree)
         assert t.canonical_code() == rec.code
         nu = parse_numbering(rec.witness, t, labels)
         assert check_friendly_numbering(nu) is None
@@ -307,6 +309,19 @@ def test_cb_sweep_matches_direct_criterion():
     for rec in report.records:
         pair = find_subtree_pair(trees[rec.code], 3, 3)
         assert (rec.outcome == FOUND) == (pair is not None)
+
+
+def test_cb_sweep_builds_one_double_star(monkeypatch):
+    calls = []
+
+    def counted(n1, n2):
+        calls.append((n1, n2))
+        return make_cb(n1, n2)
+
+    monkeypatch.setattr(search_module, "make_cb", counted)
+    report = sweep_cb_universal(4, 4)
+    assert len(report.records) == 23
+    assert calls == [(4, 4)]
 
 
 def test_sweep_parallel_run_matches_serial():
