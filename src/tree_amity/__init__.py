@@ -33,7 +33,6 @@ from .cb import (
     SubtreePair,
     bijection_from_pair,
     find_subtree_pair,
-    is_connected_edge_set,
     make_cb,
     small_n_pair,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "CBShape",
     "SubtreePair",
     "make_cb",
-    "is_connected_edge_set",
     "find_subtree_pair",
     "bijection_from_pair",
     "small_n_pair",

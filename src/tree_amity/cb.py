@@ -13,10 +13,9 @@ other part would reach the shared edge only through f, sharing f too.
 So the first part is the shared edge plus whole branches whose sizes add
 up to n1 - 1, and any such choice is valid.
 
-For the smallest interesting sizes (one part of size 2, 3, or 4) the
-split always exists and ``small_n_pair`` constructs it directly, without
-search, by a case analysis on the neighborhood of an endpoint of a
-longest path.
+When one part has 2, 3 or 4 edges such a split exists in every tree
+large enough to hold it, and ``small_n_pair`` returns the criterion's
+first split of that shape.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .amity import EdgeBijection
-from .errors import ShapeMismatch, SizeMismatch, TooSmall
+from .errors import ShapeMismatch, SizeMismatch, TooSmall, VerificationFailed
 from .trees import Tree
 
 __all__ = [
     "CBShape",
     "SubtreePair",
     "make_cb",
-    "is_connected_edge_set",
     "find_subtree_pair",
     "bijection_from_pair",
     "small_n_pair",
@@ -50,14 +48,6 @@ class CBShape:
     n1: int
     n2: int
     tree: Tree
-
-    @property
-    def c1(self) -> int:
-        return 0
-
-    @property
-    def c2(self) -> int:
-        return 1
 
 
 def make_cb(n1: int, n2: int) -> CBShape:
@@ -80,23 +70,6 @@ def make_cb(n1: int, n2: int) -> CBShape:
     return CBShape(n1, n2, Tree(edges, nxt))
 
 
-def is_connected_edge_set(tree: Tree, edges: frozenset[int] | set[int]) -> bool:
-    """True when the edges form a subtree: every path between two of
-    them stays in the set.
-
-    Edges of a tree never close a cycle, so k >= 1 of them are connected
-    exactly when they touch k + 1 distinct vertices; the empty set is
-    connected.  Raises ValueError on an edge id outside 0..m-1.
-    """
-
-    ends = set()
-    for e in edges:
-        if not 0 <= e < tree.m:
-            raise ValueError(f"edge id {e} is not in 0..{tree.m - 1}")
-        ends.update(tree.edges[e])
-    return not edges or len(ends) == len(edges) + 1
-
-
 @dataclass(frozen=True)
 class SubtreePair:
     """Two connected edge sets covering the tree and sharing one edge."""
@@ -104,19 +77,6 @@ class SubtreePair:
     e1: frozenset[int]
     e2: frozenset[int]
     shared: int
-
-    @classmethod
-    def build(cls, tree: Tree, e1: frozenset[int], e2: frozenset[int]) -> "SubtreePair":
-        """Validate the cover conditions and package the pair."""
-
-        inter = e1 & e2
-        if len(inter) != 1:
-            raise ShapeMismatch("edge sets must intersect in exactly one edge")
-        if e1 | e2 != frozenset(range(tree.m)):
-            raise ShapeMismatch("edge sets must cover the whole tree")
-        if not is_connected_edge_set(tree, e1) or not is_connected_edge_set(tree, e2):
-            raise ShapeMismatch("both edge sets must be connected")
-        return cls(e1, e2, next(iter(inter)))
 
 
 def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
@@ -211,92 +171,22 @@ def bijection_from_pair(tree: Tree, pair: SubtreePair, cb: CBShape) -> EdgeBijec
     return EdgeBijection(cb.tree, tree, mapping)
 
 
-def _only_neighbor(tree: Tree, leaf: int) -> int:
-    return tree.adj[leaf][0][0]
-
-
 def small_n_pair(tree: Tree, n: int) -> SubtreePair:
-    """Construct a subtree pair with parts of sizes m - n + 1 and n.
+    """The criterion's split with parts of sizes m - n + 1 and n.
 
-    Works for n in {2, 3, 4} on any tree with at least n edges, by a
-    direct case analysis around a far end of the tree; no search is
-    involved.  All choices break ties toward smaller vertex and edge
-    ids, so the output is deterministic.
+    Works for n in {2, 3, 4} on any tree with at least n edges, where
+    such a split always exists, and returns what ``find_subtree_pair``
+    finds first.  Raises VerificationFailed, a fault of the package and
+    not of its input, if the criterion finds none.
     """
 
     if n not in (2, 3, 4):
         raise ShapeMismatch(f"small part size must be 2, 3 or 4, got {n}")
     if tree.m < n:
         raise TooSmall(f"need at least {n} edges, tree has {tree.m}")
-
-    everything = frozenset(range(tree.m))
-    p = min(tree.leaf_vertices())
-
-    if n == 2:
-        e = tree.adj[p][0][1]
-        hub = _only_neighbor(tree, p)
-        w = min(eid for _, eid in tree.adj[hub] if eid != e)
-        return SubtreePair.build(tree, everything - {e}, frozenset((e, w)))
-
-    dist = tree.distances_from(p)
-    q = dist.index(max(dist))
-    q1 = _only_neighbor(tree, q)
-    q2 = tree.vertex_path(q1, p)[1]
-    e_qq1 = tree.edge_between(q, q1)
-    e_q1q2 = tree.edge_between(q1, q2)
-    assert e_qq1 is not None and e_q1q2 is not None
-    deg_q1 = tree.degrees[q1]
-
-    if n == 3:
-        if deg_q1 == 2:
-            q3 = tree.vertex_path(q2, p)[1]
-            e_q2q3 = tree.edge_between(q2, q3)
-            assert e_q2q3 is not None
-            part = frozenset((e_qq1, e_q1q2, e_q2q3))
-            removed = {e_qq1, e_q1q2}
-        else:
-            a = min(w for w in tree.neighbors(q1) if w not in (q, q2))
-            e_aq1 = tree.edge_between(a, q1)
-            assert e_aq1 is not None
-            part = frozenset((e_qq1, e_aq1, e_q1q2))
-            removed = {e_qq1, e_aq1}
-        return SubtreePair.build(tree, everything - removed, part)
-
-    if deg_q1 > 3:
-        others = sorted(w for w in tree.neighbors(q1) if w not in (q, q2))
-        a1, a2 = others[0], others[1]
-        e_a1 = tree.edge_between(a1, q1)
-        e_a2 = tree.edge_between(a2, q1)
-        assert e_a1 is not None and e_a2 is not None
-        part = frozenset((e_qq1, e_a1, e_a2, e_q1q2))
-        removed = {e_qq1, e_a1, e_a2}
-    elif deg_q1 == 3:
-        a = min(w for w in tree.neighbors(q1) if w not in (q, q2))
-        e_aq1 = tree.edge_between(a, q1)
-        q3 = tree.vertex_path(q2, p)[1]
-        e_q2q3 = tree.edge_between(q2, q3)
-        assert e_aq1 is not None and e_q2q3 is not None
-        part = frozenset((e_qq1, e_aq1, e_q1q2, e_q2q3))
-        removed = {e_qq1, e_aq1, e_q1q2}
-    else:
-        q3 = tree.vertex_path(q2, p)[1]
-        e_q2q3 = tree.edge_between(q2, q3)
-        assert e_q2q3 is not None
-        if tree.degrees[q2] == 2:
-            extra = min(eid for _, eid in tree.adj[q3] if eid != e_q2q3)
-            part = frozenset((e_qq1, e_q1q2, e_q2q3, extra))
-            removed = {e_qq1, e_q1q2, e_q2q3}
-        else:
-            a = min(w for w in tree.neighbors(q2) if w not in (q1, q3))
-            e_aq2 = tree.edge_between(a, q2)
-            assert e_aq2 is not None
-            if tree.degrees[a] == 1:
-                part = frozenset((e_qq1, e_q1q2, e_aq2, e_q2q3))
-                removed = {e_qq1, e_q1q2, e_aq2}
-            else:
-                b = min(w for w in tree.neighbors(a) if w != q2)
-                e_ba = tree.edge_between(b, a)
-                assert e_ba is not None
-                part = frozenset((e_qq1, e_q1q2, e_ba, e_aq2))
-                removed = {e_qq1, e_q1q2, e_ba}
-    return SubtreePair.build(tree, everything - removed, part)
+    pair = find_subtree_pair(tree, tree.m - n + 1, n)
+    if pair is None:
+        raise VerificationFailed(
+            f"no ({tree.m - n + 1},{n}) split found on a tree with {tree.m} edges"
+        )
+    return pair

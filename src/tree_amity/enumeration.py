@@ -184,7 +184,8 @@ def count_rooted_trees(n: int) -> int:
     for k in range(1, n):
         s = sum(d * count_rooted_trees(d) for d in _divisors(k))
         total += s * count_rooted_trees(n - k)
-    assert total % (n - 1) == 0
+    if total % (n - 1):
+        raise RuntimeError(f"rooted-tree recurrence for {n} vertices is not divisible")
     return total // (n - 1)
 
 

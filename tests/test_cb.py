@@ -12,13 +12,11 @@ from tree_amity import (
     EdgeBijection,
     ShapeMismatch,
     SizeMismatch,
-    SubtreePair,
     TooSmall,
     Tree,
     bijection_from_pair,
     check_friendly_bijection,
     find_subtree_pair,
-    is_connected_edge_set,
     make_cb,
     small_n_pair,
 )
@@ -31,8 +29,8 @@ def test_make_cb_shapes():
     cb = make_cb(5, 3)
     t = cb.tree
     assert t.m == 7
-    assert t.degrees[cb.c1] == 5
-    assert t.degrees[cb.c2] == 3
+    assert t.degrees[0] == 5
+    assert t.degrees[1] == 3
     assert t.edges[0] == (0, 1)
     assert make_cb(1, 1).tree.m == 1
     assert make_cb(2, 1).tree.canonical_code() == path(2).canonical_code()
@@ -51,58 +49,11 @@ def test_double_star_leaf_blocks():
     assert t.m == 5
     # edges 1..n1-1 hang off the first center, the rest off the second
     for e in range(1, 4):
-        assert cb.c1 in t.edges[e]
-    assert cb.c2 in t.edges[4]
-
-
-# -- connected edge sets -----------------------------------------------------------
-
-
-def test_is_connected_edge_set_examples():
-    t = path(5)
-    assert is_connected_edge_set(t, {0, 1, 2})
-    assert not is_connected_edge_set(t, {0, 2})
-    assert is_connected_edge_set(t, {3})
-    assert is_connected_edge_set(t, set())
-    s = star(5)
-    assert is_connected_edge_set(s, {0, 3, 4})
-
-
-def test_is_connected_edge_set_asks_for_no_paths():
-    t = path(400)
-    assert is_connected_edge_set(t, set(range(398)))
-    assert not is_connected_edge_set(t, set(range(398)) - {200})
-    assert t._path_masks == {}
-
-
-@pytest.mark.parametrize("bad", [{7}, {3}, {-1}, {0, -3}, {0, 1, 3}])
-def test_is_connected_edge_set_rejects_ids_out_of_range(bad):
-    with pytest.raises(ValueError):
-        is_connected_edge_set(path(3), bad)
-
-
-def test_is_connected_matches_union_find_exhaustively():
-    t = caterpillar(3, {1: 2})
-    for size in range(t.m + 1):
-        for combo in itertools.combinations(range(t.m), size):
-            assert is_connected_edge_set(t, set(combo)) == oracles.edges_connected(
-                t.edges, combo
-            )
+        assert 0 in t.edges[e]
+    assert 1 in t.edges[4]
 
 
 # -- subtree pairs -----------------------------------------------------------------
-
-
-def test_build_validates_the_pair():
-    t = path(4)
-    pair = SubtreePair.build(t, frozenset({0, 1}), frozenset({1, 2, 3}))
-    assert pair.shared == 1
-    with pytest.raises(ShapeMismatch):
-        SubtreePair.build(t, frozenset({0, 1}), frozenset({2, 3}))
-    with pytest.raises(ShapeMismatch):
-        SubtreePair.build(t, frozenset({0, 1, 2}), frozenset({1, 2, 3}))
-    with pytest.raises(ShapeMismatch):
-        SubtreePair.build(t, frozenset({0, 1}), frozenset({1, 3}))
 
 
 def test_find_subtree_pair_examples():
@@ -131,8 +82,8 @@ def test_found_pairs_are_valid_and_deterministic():
                 assert len(pair.e1) == n1 and len(pair.e2) == n2
                 assert pair.e1 & pair.e2 == {pair.shared}
                 assert pair.e1 | pair.e2 == set(range(m))
-                assert is_connected_edge_set(t, pair.e1)
-                assert is_connected_edge_set(t, pair.e2)
+                assert oracles.edges_connected(t.edges, pair.e1)
+                assert oracles.edges_connected(t.edges, pair.e2)
 
 
 def _pair_tuple(pair):
@@ -162,24 +113,32 @@ def test_find_subtree_pair_matches_the_first_pair_oracle():
     assert splits == 1608 + 2780
 
 
+def _assert_split(tree, pair, n1, n2):
+    assert len(pair.e1) == n1 and len(pair.e2) == n2
+    assert pair.e1 & pair.e2 == {pair.shared}
+    assert pair.e1 | pair.e2 == set(range(tree.m))
+    assert oracles.edges_connected(tree.edges, pair.e1)
+    assert oracles.edges_connected(tree.edges, pair.e2)
+
+
 @pytest.mark.parametrize(
     "tree, n1",
     [
         (make_cb(1000, 1001).tree, 1000),
         (spider(700, 700, 600), 301),
         (caterpillar(1000, {v: 1 for v in range(1000)}), 1000),
+        (star(2000), 1000),
+        (shuffled(path(2000), random.Random(2000)), 1000),
     ],
-    ids=["double-star", "spider", "caterpillar"],
+    ids=["double-star", "spider", "caterpillar", "star", "shuffled-path"],
 )
 def test_find_subtree_pair_on_2000_edge_trees(tree, n1):
     n2 = tree.m + 1 - n1
     pair = find_subtree_pair(tree, n1, n2)
     assert pair is not None
-    assert len(pair.e1) == n1 and len(pair.e2) == n2
-    assert pair.e1 & pair.e2 == {pair.shared}
-    assert pair.e1 | pair.e2 == set(range(tree.m))
-    assert oracles.edges_connected(tree.edges, pair.e1)
-    assert oracles.edges_connected(tree.edges, pair.e2)
+    _assert_split(tree, pair, n1, n2)
+    for n in (2, 3, 4):
+        _assert_split(tree, small_n_pair(tree, n), tree.m - n + 1, n)
 
 
 def test_find_subtree_pair_walks_only_the_shared_edge_taken(monkeypatch):
@@ -236,11 +195,11 @@ def test_friendly_bijections_from_double_stars_have_connected_parts():
                     b = EdgeBijection(cb.tree, t, perm)
                     if check_friendly_bijection(b) is not None:
                         continue
-                    e1 = b.image_set(cb.tree.coboundary(cb.c1))
-                    e2 = b.image_set(cb.tree.coboundary(cb.c2))
+                    e1 = b.image_set(cb.tree.coboundary(0))
+                    e2 = b.image_set(cb.tree.coboundary(1))
                     assert len(e1 & e2) == 1
-                    assert is_connected_edge_set(t, e1)
-                    assert is_connected_edge_set(t, e2)
+                    assert oracles.edges_connected(t.edges, e1)
+                    assert oracles.edges_connected(t.edges, e2)
 
 
 # -- the small part lemma ------------------------------------------------------------
@@ -262,20 +221,24 @@ def test_small_n_pair_on_paths():
 
 
 def test_small_n_pair_structure_everywhere_small():
-    for m in range(2, 9):
+    """The small-part split is the first split the brute-force oracle
+    finds, and its double-star bijection is friendly, on every tree with
+    n to nine edges."""
+
+    cases = 0
+    for m in range(2, 10):
         for t in all_trees(m):
             for n in (2, 3, 4):
                 if m < n:
                     continue
                 pair = small_n_pair(t, n)
-                assert len(pair.e2) == n
-                assert pair.e1 & pair.e2 == {pair.shared}
-                assert pair.e1 | pair.e2 == set(range(t.m))
-                assert is_connected_edge_set(t, pair.e1)
-                assert is_connected_edge_set(t, pair.e2)
+                want = oracles.first_subtree_pair(t.edges, t.n, t.m - n + 1, n)
+                assert _pair_tuple(pair) == want, (t.edges, n)
                 cb = make_cb(t.m - n + 1, n)
                 b = bijection_from_pair(t, pair, cb)
                 assert check_friendly_bijection(b) is None, (t.edges, n)
+                cases += 1
+    assert cases == 593
 
 
 def test_small_n_pair_trace_on_a_path():

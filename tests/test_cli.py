@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tree_amity
+import tree_amity.cb as cb_module
 from helpers import path, relabeled, spider, star, tri_y
 from tree_amity import (
     check_friendly_bijection,
@@ -197,23 +198,29 @@ def test_cb_criterion_rejects_empty_parts(tmp_path, capsys, n1):
     assert "at least one edge" in captured.err
 
 
-def test_cb_criterion_witness_replays(tmp_path, capsys):
-    target = star(3)
-    t = tree_file(tmp_path, "t.txt", target)
-    rep = str(tmp_path / "r.json")
-    assert main(["cb-criterion", t, "--n1", "2", "--n2", "2", "--report", rep]) == 0
-    capsys.readouterr()
-    doc = json.loads((tmp_path / "r.json").read_text())
+def _assert_cb_witness_replays(report):
+    doc = json.loads(report.read_text())
     cb_tree, cb_labels = parse_tree_labeled(doc["double_star"])
     tgt, labels = parse_tree_labeled(doc["inputs"][0]["text"])
     b = parse_bijection(doc["witness"], cb_tree, tgt, cb_labels, labels)
     assert check_friendly_bijection(b) is None
 
 
+def test_cb_criterion_witness_replays(tmp_path, capsys):
+    target = star(3)
+    t = tree_file(tmp_path, "t.txt", target)
+    rep = str(tmp_path / "r.json")
+    assert main(["cb-criterion", t, "--n1", "2", "--n2", "2", "--report", rep]) == 0
+    capsys.readouterr()
+    _assert_cb_witness_replays(tmp_path / "r.json")
+
+
 def test_cb_pair_commands(tmp_path, capsys):
     t = tree_file(tmp_path, "t.txt", path(5))
-    assert main(["cb-pair", t, "--n", "2"]) == 0
+    rep = str(tmp_path / "r.json")
+    assert main(["cb-pair", t, "--n", "2", "--report", rep]) == 0
     assert "part 2 (2 edges)" in capsys.readouterr().out
+    _assert_cb_witness_replays(tmp_path / "r.json")
     short = tree_file(tmp_path, "short.txt", path(2))
     assert main(["cb-pair", short, "--n", "3"]) == 2
     capsys.readouterr()
@@ -398,6 +405,16 @@ def test_failed_reverification_exits_internal_under_optimize(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error: VerificationFailed")
+
+
+def test_cb_pair_without_a_split_exits_internal(tmp_path, capsys, monkeypatch):
+    t = tree_file(tmp_path, "t.txt", path(5))
+    monkeypatch.setattr(cb_module, "find_subtree_pair", lambda tree, n1, n2: None)
+    assert main(["cb-pair", t, "--n", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: VerificationFailed")
+    assert captured.err.count("\n") == 1
 
 
 def test_unexpected_crash_exits_internal(tmp_path, capsys, monkeypatch):

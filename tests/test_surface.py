@@ -3,6 +3,9 @@
 Growing or shrinking ``tree_amity.__all__`` means editing this list.
 """
 
+import ast
+from pathlib import Path
+
 import tree_amity
 
 PUBLIC_NAMES = [
@@ -51,7 +54,6 @@ PUBLIC_NAMES = [
     "format_numbering",
     "format_tree",
     "invert_bijection",
-    "is_connected_edge_set",
     "level_sequences",
     "make_cb",
     "number_by_trunk",
@@ -81,3 +83,14 @@ def test_all_lists_exactly_the_pinned_names():
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert getattr(tree_amity, name) is not None, name
+
+
+def test_no_assert_in_the_package():
+    """``python -O`` strips asserts, so no check in the package may be one."""
+
+    found = []
+    for path in sorted(Path(tree_amity.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
