@@ -6,8 +6,8 @@ edges pair up consistently; such numberings are called friendly, and
 they are one face of a more general notion of friendly edge bijections
 between trees.  This package provides the checkers for both notions,
 two constructive numbering algorithms (trunk-based and
-parity-center-based), a structural criterion for friendliness to
-double stars with an explicit small-part construction, exhaustive
+parity-center-based), a branch-size criterion for friendliness to
+double stars together with the bijection a split induces, exhaustive
 backtracking searches, free-tree enumeration, and desk-scale surveys
 over the open questions, all behind a ``tree-amity`` command line.
 """

@@ -34,7 +34,7 @@ of the smaller vertex first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, TypeVar
 
 from .errors import (
     InvalidBijection,
@@ -63,10 +63,6 @@ class Numbering:
         for eid, k in enumerate(nums):
             edge_of[k] = eid
         self._edge_of = tuple(edge_of)
-
-    @classmethod
-    def from_mapping(cls, tree: Tree, mapping: Mapping[int, int]) -> "Numbering":
-        return cls(tree, [mapping[eid] for eid in range(tree.m)])
 
     def number_of(self, eid: int) -> int:
         return self.numbers[eid]
@@ -106,9 +102,6 @@ class EdgeBijection:
         self.source = source
         self.target = target
         self.mapping = mp
-
-    def image(self, eid: int) -> int:
-        return self.mapping[eid]
 
     def image_set(self, eids: Iterable[int]) -> frozenset[int]:
         return frozenset(self.mapping[e] for e in eids)

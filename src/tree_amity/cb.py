@@ -88,9 +88,12 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
     branches after it can still make up the rest.  This yields the first
     part whose sorted edge list is smallest, because between two unions
     of branches the smallest differing edge is the first edge of the
-    first branch where they differ.  Every branch size comes from one
-    rooting of the tree, so only the branches at the shared edge taken
-    are walked.  Returns None when no pair exists.
+    first branch where they differ.  Whether the rest can still be made
+    up is asked of the smaller part, so the subset sums are bit sets of
+    min(n1, n2) bits and a star with a small part costs linear time.
+    Every branch size comes from one rooting of the tree, so only the
+    branches at the shared edge taken are walked.  Returns None when no
+    pair exists.
     """
 
     if n1 < 1 or n2 < 1:
@@ -105,6 +108,11 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
     below = [0] * tree.n
     for v in sorted(range(1, tree.n), key=depth.__getitem__, reverse=True):
         below[parent[v]] += below[v] + 1
+    # subset sums are kept up to what the smaller part needs besides the
+    # shared edge; the larger part takes the complement
+    first_smaller = n1 <= n2
+    need = min(n1, n2) - 1
+    cap = (1 << need + 1) - 1
     for shared in range(tree.m):
         # bit s of sums is set when some branches hold s edges together
         sums = 1
@@ -112,21 +120,25 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
             for w, f in tree.adj[end]:
                 if f != shared:
                     size = below[w] + 1 if parent[w] == end else tree.m - below[end]
-                    sums |= sums << size
-        left = n1 - 1
-        if not sums >> left & 1:
+                    sums = (sums | sums << size) & cap
+        if not sums >> need & 1:
             continue
         branches = sorted(_branches(tree, shared), key=min)
         # bit s of reach[i] is set when branches[i:] hold a subset of s edges
         reach = [1]
         for branch in reversed(branches):
-            reach.append(reach[-1] | reach[-1] << len(branch))
+            reach.append((reach[-1] | reach[-1] << len(branch)) & cap)
         reach.reverse()
         e1 = {shared}
+        left, right = n1 - 1, n2 - 1
         for branch, rest in zip(branches, reach[1:]):
-            if len(branch) <= left and rest >> (left - len(branch)) & 1:
+            # taking the branch, the rest must make up what the smaller part lacks
+            size = len(branch)
+            if size <= left and rest >> (left - size if first_smaller else right) & 1:
                 e1.update(branch)
-                left -= len(branch)
+                left -= size
+            else:
+                right -= size
         e1 = frozenset(e1)
         return SubtreePair(e1, (everything - e1) | {shared}, shared)
     return None

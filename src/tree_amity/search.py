@@ -28,7 +28,9 @@ assignment already meets the rule.
 
 On top of the searches sit the surveys: ``sweep_question_path``
 classifies every unlabeled tree up to a size bound by whether it admits
-a friendly numbering, ``sweep_hypothesis`` restricts that to two
+a friendly numbering, constructing one where a construction applies and
+otherwise lifting a witness from the size below before it searches;
+``sweep_hypothesis`` restricts that to two
 conjectured families, ``sweep_cb_universal`` tests the double-star
 criterion over all trees of the matching size, and ``symmetry_audit``
 brute-forces all bijections between small tree pairs to test that
@@ -62,7 +64,7 @@ from .cb import CBShape, bijection_from_pair, find_subtree_pair, make_cb
 from .enumeration import enumerate_free_trees
 from .errors import ShapeMismatch, SizeMismatch
 from .parity import check_precondition, number_parity_center
-from .trees import Tree, _iter_bits, format_tree
+from .trees import Tree, _iter_bits, canonical_order, format_tree
 from .trunk import _number_along, find_trunk
 
 __all__ = [
@@ -603,28 +605,82 @@ def _record(
 
 
 def _survey(
-    kind: str,
-    max_edges: int,
-    params: dict,
-    note: str,
-    worker: Callable[[Tree], SweepRecord],
-    trees: Iterable[Tree],
-    jobs: int,
+    kind: str, max_edges: int, params: dict, note: str, records: list[SweepRecord]
 ) -> SweepReport:
-    """Run the worker on every tree and report the records in code order."""
-    records = _run_jobs(worker, trees, jobs)
+    """Report the records in code order."""
     records.sort(key=lambda r: (r.edges, r.code))
     return SweepReport(kind, max_edges, params, note, records)
 
 
-def _numbering_worker(tree: Tree, budget: SearchBudget, constructive: bool) -> SweepRecord:
+def _lift(tree: Tree, below: dict[str, str]) -> tuple[Numbering, str] | None:
+    """A friendly numbering of ``tree`` lifted from a witness one edge
+    smaller, with the detail that replays it, or None.
+
+    ``below`` maps canonical codes of trees with m - 1 edges to their
+    witnesses in the record format, on the representative's labels.
+    For each leaf edge in id order, the tree minus its leaf vertex is
+    matched with its representative through the two canonical orders,
+    which carries the witness over; then the leaf edge takes each value
+    p = 1..m in turn, the values p and above moving up by one.  The
+    first numbering the checker accepts is returned, and that check is
+    its verification.
+    """
+    m = tree.m
+    for leaf, (u, v) in enumerate(tree.edges):
+        x = v if tree.degrees[v] == 1 else u
+        if tree.degrees[x] != 1:
+            continue
+        # the tree minus x, with the vertices above x moved down by one
+        code, order = canonical_order([
+            [w - (w > x) for w in tree.neighbors(y) if w != x]
+            for y in range(tree.n) if y != x
+        ])
+        witness = below.get(code)
+        if witness is None:
+            continue
+        rep_adj: list[list[int]] = [[] for _ in range(m)]
+        number = {}
+        for line in witness.splitlines():
+            a, b, k = map(int, line.split())
+            rep_adj[a].append(b)
+            rep_adj[b].append(a)
+            number[a, b] = number[b, a] = k
+        rep = [0] * m
+        for y, r in zip(order, canonical_order(rep_adj)[1]):
+            rep[y] = r
+        base = [
+            number[rep[a - (a > x)], rep[b - (b > x)]] if e != leaf else 0
+            for e, (a, b) in enumerate(tree.edges)
+        ]
+        for p in range(1, m + 1):
+            numbers = [k + (k >= p) for k in base]
+            numbers[leaf] = p
+            nu = Numbering(tree, numbers)
+            if check_friendly_numbering(nu) is None:
+                return nu, f"parent={code} leaf={u}-{v} p={p}"
+    return None
+
+
+def _numbering_worker(
+    tree: Tree, budget: SearchBudget, below: dict[str, str] | None
+) -> SweepRecord:
+    """The record of a numbering survey.  With ``below``, the witnesses one
+    edge smaller by canonical code, the tree is numbered along its trunk,
+    by the parity construction, by a lift from ``below`` or by search,
+    the first that applies; without it, by search alone."""
     trunk = find_trunk(tree)
     parity = check_precondition(tree) is not None
-    if constructive and trunk is not None:
+    if below is not None and trunk is not None:
         method, nu = "trunk", _number_along(tree, trunk)
-    elif constructive and parity:
+    elif below is not None and parity:
         method, nu = "parity-center", number_parity_center(tree)
     else:
+        lifted = _lift(tree, below) if below else None
+        if lifted is not None:
+            nu, detail = lifted
+            return _record(
+                tree, trunk, parity, "lift", FOUND, format_numbering(nu), 0, detail
+            )
         res = search_numbering(tree, budget)
         witness = format_numbering(res.witness) if res.witness is not None else None
         return _record(tree, trunk, parity, "search", res.status, witness, res.nodes)
@@ -639,28 +695,34 @@ def sweep_question_path(
 ) -> SweepReport:
     """Classify every tree with 1..max_edges edges by numberability.
 
-    Trees covered by a constructive method use it (and the result is
-    verified); the rest go to exhaustive search.  A "none" outcome
-    would exhibit a tree with no friendly numbering, which no one has
-    found yet; such records are surfaced via ``SweepReport.findings``.
+    Sizes run in increasing order.  A tree with a trunk, or ready for
+    the parity-center construction, is numbered by that construction
+    and the result is verified.  Any other tree is first lifted: a
+    witness of a tree one edge smaller, which is the tree minus a leaf,
+    gets the leaf edge inserted at some value, and the first such
+    numbering the checker accepts is the witness.  Only a tree that no
+    lift numbers goes to exhaustive search.  A "none" outcome would
+    exhibit a tree with no friendly numbering, which no one has found
+    yet; such records are surfaced via ``SweepReport.findings``.
     """
 
     if max_edges < 1:
         raise ShapeMismatch("max_edges must be at least 1")
     budget = budget or SearchBudget(exhaustive=True)
-    trees = (
-        tree
-        for m in range(1, max_edges + 1)
-        for tree in enumerate_free_trees(m)
-    )
-    worker = partial(_numbering_worker, budget=budget, constructive=True)
+    records: list[SweepRecord] = []
+    below: dict[str, str] = {}
+    for m in range(1, max_edges + 1):
+        worker = partial(_numbering_worker, budget=budget, below=below)
+        size = _run_jobs(worker, enumerate_free_trees(m), jobs)
+        below = {r.code: r.witness for r in size if r.outcome == FOUND}
+        records += size
     note = (
         "Empirical survey. Every 'found' witness re-verifies through the "
         "checker; a 'none' record is an exhaustively verified tree with no "
         "friendly numbering and would be a new research finding. An "
         "all-found report does not settle the open existence question."
     )
-    return _survey("question-path", max_edges, {}, note, worker, trees, jobs)
+    return _survey("question-path", max_edges, {}, note, records)
 
 
 def sweep_hypothesis(
@@ -695,7 +757,7 @@ def sweep_hypothesis(
                 )
             if keep:
                 trees.append(tree)
-    worker = partial(_numbering_worker, budget=budget, constructive=False)
+    worker = partial(_numbering_worker, budget=budget, below=None)
     if which == HYPOTHESIS_D4:
         note = (
             "Exhaustive numbering search over all trees of diameter at most "
@@ -708,7 +770,8 @@ def sweep_hypothesis(
             "and a vertex equally distant from every leaf. All-found "
             "supports, but does not prove, the conjecture for this family."
         )
-    return _survey(which, max_edges, {"which": which}, note, worker, trees, jobs)
+    records = _run_jobs(worker, trees, jobs)
+    return _survey(which, max_edges, {"which": which}, note, records)
 
 
 def _cb_worker(tree: Tree, cb: CBShape, confirm: bool, budget: SearchBudget) -> SweepRecord:
@@ -766,4 +829,5 @@ def sweep_cb_universal(
         "from the subtree pair; 'none' records admit no such pair."
     )
     params = {"n1": n1, "n2": n2, "confirm": confirm}
-    return _survey("cb", m, params, note, worker, enumerate_free_trees(m), jobs)
+    records = _run_jobs(worker, enumerate_free_trees(m), jobs)
+    return _survey("cb", m, params, note, records)

@@ -116,9 +116,6 @@ class Tree:
 
     # -- basic queries ---------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._plain_adj[v]
 
@@ -196,20 +193,9 @@ class Tree:
             self._side = tuple(d & 1 for d in self._rooted()[2])
         return self._side
 
-    def edge_between(self, u: int, v: int) -> int | None:
-        """Edge id joining u and v, or None when they are not adjacent."""
-        for w, eid in self.adj[u]:
-            if w == v:
-                return eid
-        return None
-
     def coboundary(self, v: int) -> frozenset[int]:
         """Edges incident to v."""
         return frozenset(eid for _, eid in self.adj[v])
-
-    def leaf_vertices(self) -> frozenset[int]:
-        """Vertices of degree one.  A single-vertex tree has none."""
-        return frozenset(v for v in range(self.n) if self.degrees[v] == 1)
 
     def leaf_edges(self) -> frozenset[int]:
         """Edges with at least one endpoint of degree one."""
@@ -297,10 +283,6 @@ class Tree:
         return f"Tree(n={self.n}, edges={list(self.edges)})"
 
 
-def is_isomorphic(t1: Tree, t2: Tree) -> bool:
-    return t1.canonical_code() == t2.canonical_code()
-
-
 # -- canonical coding on raw adjacency -----------------------------------
 
 
@@ -325,8 +307,10 @@ def tree_centers(adj) -> list[int]:
     return sorted(layer)
 
 
-def rooted_code_of_adjacency(adj, root: int) -> str:
-    """Nested-parentheses code of the tree rooted at root, children sorted."""
+def _rooted_codes(adj, root: int) -> tuple[list[str], list[int]]:
+    """Nested-parentheses code of every vertex's subtree, children sorted,
+    and every vertex's parent, with the tree rooted at root; the root is
+    its own parent."""
     n = len(adj)
     parent = [-1] * n
     order = [root]
@@ -340,7 +324,7 @@ def rooted_code_of_adjacency(adj, root: int) -> str:
     for v in reversed(order):
         children = sorted(codes[w] for w in adj[v] if w != parent[v])
         codes[v] = "(" + "".join(children) + ")"
-    return codes[root]
+    return codes, parent
 
 
 def canonical_code_of_adjacency(adj) -> str:
@@ -349,7 +333,33 @@ def canonical_code_of_adjacency(adj) -> str:
     Isomorphic trees agree because an isomorphism maps centers onto
     centers, and a rooted code determines the rooted tree.
     """
-    return min(rooted_code_of_adjacency(adj, c) for c in tree_centers(adj))
+    return min(_rooted_codes(adj, c)[0][c] for c in tree_centers(adj))
+
+
+def canonical_order(adj) -> tuple[str, list[int]]:
+    """The canonical code and every vertex in canonical order.
+
+    The tree is rooted at a center of minimum rooted code and read in
+    preorder, children by increasing code, so the k-th vertex is the
+    one whose "(" comes k-th in the code.  Two trees with the same code
+    therefore list matching vertices at matching positions: pairing the
+    two orders position by position is an isomorphism, since the code
+    fixes the parent of every position.  Children with equal codes head
+    isomorphic subtrees, so the order among them does not matter.
+    """
+    root, codes, parent = min(
+        ((c, *_rooted_codes(adj, c)) for c in tree_centers(adj)),
+        key=lambda rooted: rooted[1][rooted[0]],
+    )
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(sorted(
+            (w for w in adj[v] if w != parent[v]), key=codes.__getitem__, reverse=True,
+        ))
+    return codes[root], order
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

@@ -92,25 +92,27 @@ def _pair_tuple(pair):
 
 def test_find_subtree_pair_matches_the_first_pair_oracle():
     """The branch-size decision returns the very pair that trying every
-    edge set in order finds first, on every split up to nine edges and
-    on shuffled copies of every tree up to seven."""
+    edge set in order finds first, on every split up to nine edges, on
+    shuffled copies of every tree up to seven, and on a star and two
+    brooms of 20 edges and shuffled copies, with a part of 1 to 4 edges
+    on either side."""
 
     rng = random.Random(7)
-    splits = 0
+    cases = []
     for m in range(1, 10):
         for t in all_trees(m):
             copies = [t]
             if m <= 7:
                 copies += [shuffled(t, rng) for _ in range(10)]
-            for c in copies:
-                for n1 in range(1, m + 1):
-                    n2 = m + 1 - n1
-                    want = oracles.first_subtree_pair(c.edges, c.n, n1, n2)
-                    assert _pair_tuple(find_subtree_pair(c, n1, n2)) == want, (
-                        c.edges, n1, n2,
-                    )
-                    splits += 1
-    assert splits == 1608 + 2780
+            cases += [(c, n1, m + 1 - n1) for c in copies for n1 in range(1, m + 1)]
+    for t in (star(20), caterpillar(5, {5: 15}), caterpillar(3, {0: 8, 3: 9})):
+        for c in [t] + [shuffled(t, rng) for _ in range(3)]:
+            for n in range(1, 5):
+                cases += [(c, n, 21 - n), (c, 21 - n, n)]
+    for c, n1, n2 in cases:
+        want = oracles.first_subtree_pair(c.edges, c.n, n1, n2)
+        assert _pair_tuple(find_subtree_pair(c, n1, n2)) == want, (c.edges, n1, n2)
+    assert len(cases) == 1608 + 2780 + 96
 
 
 def _assert_split(tree, pair, n1, n2):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -23,6 +24,8 @@ from tree_amity import (
     enumerate_free_trees,
     find_subtree_pair,
     make_cb,
+    parse_numbering,
+    parse_tree_labeled,
     search_bijection,
     search_numbering,
     sweep_cb_universal,
@@ -30,7 +33,8 @@ from tree_amity import (
     sweep_question_path,
     symmetry_audit,
 )
-from tree_amity.search import _twin_before
+from tree_amity.search import _lift, _twin_before
+from tree_amity.trees import canonical_order
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
 
@@ -325,23 +329,20 @@ def test_cb_sweep_builds_one_double_star(monkeypatch):
 
 
 def test_sweep_parallel_run_matches_serial():
-    serial = sweep_question_path(4, jobs=1)
-    parallel = sweep_question_path(4, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+    # every tree up to 4 edges has a trunk; at 9 and 10 edges some lift
+    for max_edges in (4, 10):
+        serial = sweep_question_path(max_edges, jobs=1)
+        parallel = sweep_question_path(max_edges, jobs=2)
+        assert serial.to_json_dict() == parallel.to_json_dict()
 
 
-@pytest.mark.parametrize(
-    "jobs, cores, workers",
-    [(500, 8, 4), (500, 2, 2), (3, 8, 3), (1, 8, None), (500, 1, None)],
-)
-def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, workers):
-    """Four trees with up to 3 edges: the pool never gets more workers
-    than trees or cores, and none at all when that leaves one."""
+def _fake_pools(monkeypatch, cores):
+    """Pretend to have ``cores`` cores and swap the process pool for one
+    that runs the work here, starting no process; returns the pool sizes
+    asked for."""
     sizes = []
 
     class FakePool:
-        """Records its size and runs the work here; starts no process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -354,18 +355,44 @@ def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, wor
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    serial = sweep_question_path(3).to_json_dict()
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: cores)
-    assert sweep_question_path(3, jobs=jobs).to_json_dict() == serial
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [(500, 8, 4), (500, 2, 2), (3, 8, 3), (1, 8, None), (500, 1, None)],
+)
+def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, workers):
+    """The four trees with up to 3 edges, all of diameter at most 4, in one
+    pool: it never gets more workers than trees or cores, and none at all
+    when that leaves one."""
+    serial = sweep_hypothesis(3, "d4").to_json_dict()
+    sizes = _fake_pools(monkeypatch, cores)
+    assert sweep_hypothesis(3, "d4", jobs=jobs).to_json_dict() == serial
     assert sizes == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, workers",
+    [(500, 8, [2, 3]), (500, 2, [2, 2]), (1, 8, [])],
+    ids=["500-8", "500-2", "1-8"],
+)
+def test_question_sweep_runs_one_pool_per_size(monkeypatch, jobs, cores, workers):
+    """Trees with up to 4 edges are 1, 1, 2 and 3 per size; each size with
+    more than one tree gets a pool bounded by its trees and the cores."""
+    serial = sweep_question_path(4).to_json_dict()
+    sizes = _fake_pools(monkeypatch, cores)
+    assert sweep_question_path(4, jobs=jobs).to_json_dict() == serial
+    assert sizes == workers
 
 
 @pytest.fixture(scope="module")
 def survey_calls():
     """Tree builds and trunk searches made by the question-path survey to
     12 edges and the diameter-4 survey to 10 edges, with their record
-    count."""
+    count and the question-path report."""
     counts = {"builds": 0, "trunks": 0}
     build = Tree.__init__
     find = trunk_module.find_trunk
@@ -382,18 +409,110 @@ def survey_calls():
         mp.setattr(Tree, "__init__", counted_build)
         mp.setattr(trunk_module, "find_trunk", counted_find)
         mp.setattr(search_module, "find_trunk", counted_find)
-        records = len(sweep_question_path(12).records)
+        question_path = sweep_question_path(12)
+        records = len(question_path.records)
         records += len(sweep_hypothesis(10, "d4").records)
-    return counts, records
+    return counts, records, question_path
 
 
 def test_surveys_build_each_enumerated_tree_once(survey_calls):
-    counts, _ = survey_calls
+    counts, _, _ = survey_calls
     # 2,287 free trees with 1..12 edges and 435 with 1..10
     assert counts["builds"] == 2287 + 435
 
 
 def test_surveys_find_each_trunk_once(survey_calls):
-    counts, records = survey_calls
+    counts, records, _ = survey_calls
     assert records == 2287 + 113
     assert counts["trunks"] == records
+
+
+# -- lifting witnesses -------------------------------------------------------------
+
+
+def _without(tree, x):
+    """The tree minus leaf vertex x, the vertices above x moved down by one,
+    with the edge ids of the tree kept for every other edge."""
+    kept = [e for e, (u, v) in enumerate(tree.edges) if x not in (u, v)]
+    edges = [tuple(w - (w > x) for w in tree.edges[e]) for e in kept]
+    return Tree(edges, tree.n - 1), kept
+
+
+def _carried(source_nu, target):
+    """The numbering of ``target`` that ``source_nu`` gives it through the
+    two canonical orders."""
+    src = source_nu.tree
+    number = {frozenset(e): k for e, k in zip(src.edges, source_nu.numbers)}
+    _, src_order = canonical_order([list(src.neighbors(v)) for v in range(src.n)])
+    _, order = canonical_order([list(target.neighbors(v)) for v in range(target.n)])
+    match = [0] * target.n
+    for v, w in zip(order, src_order):
+        match[v] = w
+    return [number[frozenset((match[u], match[v]))] for u, v in target.edges]
+
+
+def test_question_sweep_lifts_the_trunkless_trees(survey_calls):
+    """Up to 12 edges, 94 of the 101 trees with neither a trunk nor the
+    parity construction are lifted; the other 7 are searched."""
+    report = survey_calls[2]
+    methods = {}
+    for r in report.records:
+        methods[r.method] = methods.get(r.method, 0) + 1
+    assert methods == {"trunk": 2186, "lift": 94, "search": 7}
+    for r in report.records:
+        assert (r.detail is not None) == (r.method == "lift")
+        if r.method in ("lift", "search"):
+            assert not r.has_trunk and not r.parity_ready
+
+
+def test_lifted_records_replay_from_their_text(survey_calls):
+    """A lifted record names its parent's code, its leaf edge and the
+    value p.  Its witness numbers that edge p; without it, and with the
+    values above p moved down, it is the parent's witness carried over
+    by the canonical orders."""
+    report = survey_calls[2]
+    by_code = {r.code: r for r in report.records}
+    lifted = [r for r in report.records if r.method == "lift"]
+    assert lifted
+    for rec in lifted:
+        assert rec.outcome == FOUND and rec.nodes == 0
+        parent_code, u, v, p = re.fullmatch(
+            r"parent=(\S+) leaf=(\d+)-(\d+) p=(\d+)", rec.detail
+        ).groups()
+        tree, labels = parse_tree_labeled(rec.tree)
+        nu = parse_numbering(rec.witness, tree, labels)
+        assert check_friendly_numbering(nu) is None
+        index = {label: i for i, label in enumerate(labels)}
+        leaf = tree.edges.index((index[int(u)], index[int(v)]))
+        (x,) = [w for w in tree.edges[leaf] if tree.degrees[w] == 1]
+        assert nu.numbers[leaf] == int(p)
+        rest, kept = _without(tree, x)
+        assert rest.canonical_code() == parent_code
+        parent = by_code[parent_code]
+        assert parent.edges == rec.edges - 1
+        parent_tree, parent_labels = parse_tree_labeled(parent.tree)
+        parent_nu = parse_numbering(parent.witness, parent_tree, parent_labels)
+        below = [k - (k > int(p)) for k in (nu.numbers[e] for e in kept)]
+        assert below == _carried(parent_nu, rest)
+
+
+def test_lift_or_search_agrees_with_search_up_to_11_edges(survey_calls):
+    """Every tree up to 11 edges, with a trunk or without: lifting from the
+    survey's witnesses one edge smaller, with search as the fallback,
+    gives the status plain search gives, and a lifted numbering is
+    friendly by the naive oracle too."""
+    report = survey_calls[2]
+    lifted = 0
+    for m in range(2, 12):
+        below = {r.code: r.witness for r in report.records if r.edges == m - 1}
+        for t in all_trees(m):
+            want = search_numbering(t, EXHAUSTIVE).status
+            got = _lift(t, below)
+            if got is None:
+                continue  # the fallback is the very search above
+            nu, _ = got
+            assert want == FOUND, t.edges
+            assert oracles.check_numbering_naive(t.edges, t.n, nu.numbers), t.edges
+            lifted += 1
+    # of the 985 trees with 2 to 11 edges
+    assert lifted == 964
