@@ -25,7 +25,6 @@ from .amity import (
     numbering_to_path_bijection,
     parse_bijection,
     parse_numbering,
-    path_tree,
     unlinked,
 )
 from .cb import (
@@ -38,10 +37,7 @@ from .cb import (
 )
 from .enumeration import (
     count_free_trees,
-    count_rooted_trees,
     enumerate_free_trees,
-    level_sequences,
-    tree_from_level_sequence,
 )
 from .errors import (
     CycleDetected,
@@ -66,8 +62,6 @@ from .parity import (
 from .search import (
     BUDGET_EXCEEDED,
     FOUND,
-    HYPOTHESIS_D4,
-    HYPOTHESIS_ODD,
     PROVED_NONE,
     AuditRecord,
     AuditReport,
@@ -108,7 +102,6 @@ __all__ = [
     "check_friendly_bijection",
     "unlinked",
     "invert_bijection",
-    "path_tree",
     "numbering_to_path_bijection",
     "parse_numbering",
     "format_numbering",
@@ -124,16 +117,11 @@ __all__ = [
     "find_subtree_pair",
     "bijection_from_pair",
     "small_n_pair",
-    "level_sequences",
-    "tree_from_level_sequence",
     "enumerate_free_trees",
-    "count_rooted_trees",
     "count_free_trees",
     "FOUND",
     "PROVED_NONE",
     "BUDGET_EXCEEDED",
-    "HYPOTHESIS_D4",
-    "HYPOTHESIS_ODD",
     "SearchBudget",
     "SearchResult",
     "search_numbering",

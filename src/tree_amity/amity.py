@@ -29,6 +29,18 @@ Checkers return None for success or a frozen violation record whose
 deterministic: numberings by k then by number on the path, bijections
 by vertex id pairs, then the hooking direction of the coboundary image
 of the smaller vertex first.
+
+The hook test costs O(1) per vertex pair, not one edge path per pair
+of edges.  Root the tree at vertex 0; the *odd side* of an edge set q
+is the set of edges whose path from the root to their far endpoint
+crosses q an odd number of times, the XOR over q of each edge's mask of
+the edges under it.  The path between two edges off q crosses q an
+odd number of times exactly when one of them is on q's odd side and
+the other is not, so a disjoint p hooks onto q exactly when p meets
+q's odd side without lying inside it.  A scan of p's edge pairs in id
+order would stop at the lowest edge of p and the lowest edge of p on
+the other side from it, so that is the pair a violation names, and
+one edge path gives its crossing count.
 """
 
 from __future__ import annotations
@@ -96,7 +108,7 @@ class EdgeBijection:
             raise SizeMismatch(
                 f"edge counts differ: {source.m} versus {target.m}"
             )
-        mp = tuple(int(x) for x in mapping)
+        mp = tuple(map(int, mapping))
         if sorted(mp) != list(range(target.m)):
             raise InvalidBijection(f"mapping is not a bijection: {mp}")
         self.source = source
@@ -192,16 +204,36 @@ Violation = NumberingPairViolation | HookViolation
 # -- hooking predicates ------------------------------------------------------
 
 
+def _masks(tree: Tree, eids: Iterable[int]) -> tuple[int, int]:
+    """The mask of the given edges and their odd side: the mask of the
+    edges whose path from vertex 0 to their far endpoint crosses the
+    given edges an odd number of times."""
+    under = tree._under_masks()
+    mask = odd = 0
+    for e in eids:
+        mask |= 1 << e
+        odd ^= under[e]
+    return mask, odd
+
+
 def _hook_pair(
-    tree: Tree, p_sorted: list[int], q_mask: int
+    tree: Tree, p_mask: int, q_mask: int, q_odd: int
 ) -> tuple[int, int, int] | None:
-    """First pair of p edges whose path crosses q oddly, or None."""
-    for i, a in enumerate(p_sorted):
-        for b in p_sorted[i + 1 :]:
-            crossing = (tree.edge_path_mask(a, b) & q_mask).bit_count()
-            if crossing % 2:
-                return (a, b, crossing)
-    return None
+    """The first pair of p edges, in id order, whose path crosses the
+    disjoint q oddly, with that crossing count; or None.
+
+    ``q_odd`` is q's odd side.  Such a pair has one edge on the odd side
+    and one off it, so the first pair is the lowest p edge and the
+    lowest p edge on the other side from it.
+    """
+    x = p_mask & q_odd
+    if not x or x == p_mask:
+        return None
+    low = p_mask & -p_mask
+    other = p_mask ^ x if low & x else x
+    a = low.bit_length() - 1
+    b = (other & -other).bit_length() - 1
+    return (a, b, (tree.edge_path_mask(a, b) & q_mask).bit_count())
 
 
 def does_not_hook(tree: Tree, p: Iterable[int], q: Iterable[int]) -> bool:
@@ -214,10 +246,7 @@ def does_not_hook(tree: Tree, p: Iterable[int], q: Iterable[int]) -> bool:
     qs = frozenset(q)
     if ps & qs:
         return False
-    q_mask = 0
-    for e in qs:
-        q_mask |= 1 << e
-    return _hook_pair(tree, sorted(ps), q_mask) is None
+    return _hook_pair(tree, _masks(tree, ps)[0], *_masks(tree, qs)) is None
 
 
 def unlinked(tree: Tree, p: Iterable[int], q: Iterable[int]) -> bool:
@@ -277,31 +306,32 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
 
     Vertices are scanned by id; for each even-distance pair the image
     of the smaller vertex's coboundary is tested as hooking side "p"
-    first, then the other direction.
+    first, then the other direction.  Each vertex's image and its odd
+    side are computed once, before the scan.
     """
     g1, g2, mapping = b.source, b.target, b.mapping
     side = g1.bipartition()
-    images: list[tuple[int, list[int]] | None] = [None] * g1.n
-
-    def image(v: int) -> tuple[int, list[int]]:
-        got = images[v]
-        if got is None:
-            mask = 0
-            for _, e in g1.adj[v]:
-                mask |= 1 << mapping[e]
-            got = images[v] = (mask, list(_iter_bits(mask)))
-        return got
-
+    # one pass over the source edges, not ``_masks`` per vertex: on the
+    # audit's small trees the calls would cost a third more time
+    under = g2._under_masks()
+    masks = [0] * g1.n
+    odds = [0] * g1.n
+    for e, (u, v) in enumerate(g1.edges):
+        f = mapping[e]
+        masks[u] |= 1 << f
+        masks[v] |= 1 << f
+        odds[u] ^= under[f]
+        odds[v] ^= under[f]
     for p_v in range(g1.n):
+        p_mask, p_odd = masks[p_v], odds[p_v]
         for q_v in range(p_v + 1, g1.n):
             if side[q_v] != side[p_v]:
                 continue
-            p_mask, p_edges = image(p_v)
-            q_mask, q_edges = image(q_v)
-            hit = _hook_pair(g2, p_edges, q_mask)
+            q_mask = masks[q_v]
+            hit = _hook_pair(g2, p_mask, q_mask, odds[q_v])
             if hit is not None:
                 return HookViolation(p_v, q_v, "p", (hit[0], hit[1]), hit[2])
-            hit = _hook_pair(g2, q_edges, p_mask)
+            hit = _hook_pair(g2, q_mask, p_mask, p_odd)
             if hit is not None:
                 return HookViolation(p_v, q_v, "q", (hit[0], hit[1]), hit[2])
     return None

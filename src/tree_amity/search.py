@@ -52,12 +52,13 @@ from typing import Callable, Iterable, Iterator
 from .amity import (
     EdgeBijection,
     Numbering,
+    _hook_pair,
+    _masks,
     check_friendly_bijection,
     check_friendly_numbering,
     format_bijection,
     format_numbering,
     invert_bijection,
-    unlinked,
     verified,
 )
 from .cb import CBShape, bijection_from_pair, find_subtree_pair, make_cb
@@ -384,7 +385,12 @@ def search_bijection(
 
     def pair_ok(idx: int) -> bool:
         dp, dq = pairs[idx]
-        return unlinked(target, [mapping[e] for e in dp], [mapping[e] for e in dq])
+        p_mask, p_odd = _masks(target, [mapping[e] for e in dp])
+        q_mask, q_odd = _masks(target, [mapping[e] for e in dq])
+        return (
+            _hook_pair(target, p_mask, q_mask, q_odd) is None
+            and _hook_pair(target, q_mask, p_mask, p_odd) is None
+        )
 
     def place(i: int, f: int) -> bool:
         e = order[i]
@@ -612,7 +618,11 @@ def _survey(
     return SweepReport(kind, max_edges, params, note, records)
 
 
-def _lift(tree: Tree, below: dict[str, str]) -> tuple[Numbering, str] | None:
+def _lift(
+    tree: Tree,
+    below: dict[str, str],
+    parents: dict[str, tuple] | None = None,
+) -> tuple[Numbering, str] | None:
     """A friendly numbering of ``tree`` lifted from a witness one edge
     smaller, with the detail that replays it, or None.
 
@@ -623,9 +633,14 @@ def _lift(tree: Tree, below: dict[str, str]) -> tuple[Numbering, str] | None:
     which carries the witness over; then the leaf edge takes each value
     p = 1..m in turn, the values p and above moving up by one.  The
     first numbering the checker accepts is returned, and that check is
-    its verification.
+    its verification.  ``parents`` keeps each witness as read (the
+    representative's canonical order and its numbers by vertex pair) by
+    code, so that callers lifting many trees from one ``below`` read
+    each witness once.
     """
     m = tree.m
+    if parents is None:
+        parents = {}
     for leaf, (u, v) in enumerate(tree.edges):
         x = v if tree.degrees[v] == 1 else u
         if tree.degrees[x] != 1:
@@ -635,18 +650,22 @@ def _lift(tree: Tree, below: dict[str, str]) -> tuple[Numbering, str] | None:
             [w - (w > x) for w in tree.neighbors(y) if w != x]
             for y in range(tree.n) if y != x
         ])
-        witness = below.get(code)
-        if witness is None:
-            continue
-        rep_adj: list[list[int]] = [[] for _ in range(m)]
-        number = {}
-        for line in witness.splitlines():
-            a, b, k = map(int, line.split())
-            rep_adj[a].append(b)
-            rep_adj[b].append(a)
-            number[a, b] = number[b, a] = k
+        parent = parents.get(code)
+        if parent is None:
+            witness = below.get(code)
+            if witness is None:
+                continue
+            rep_adj: list[list[int]] = [[] for _ in range(m)]
+            number = {}
+            for line in witness.splitlines():
+                a, b, k = map(int, line.split())
+                rep_adj[a].append(b)
+                rep_adj[b].append(a)
+                number[a, b] = number[b, a] = k
+            parent = parents[code] = (canonical_order(rep_adj)[1], number)
+        rep_order, number = parent
         rep = [0] * m
-        for y, r in zip(order, canonical_order(rep_adj)[1]):
+        for y, r in zip(order, rep_order):
             rep[y] = r
         base = [
             number[rep[a - (a > x)], rep[b - (b > x)]] if e != leaf else 0
@@ -662,12 +681,16 @@ def _lift(tree: Tree, below: dict[str, str]) -> tuple[Numbering, str] | None:
 
 
 def _numbering_worker(
-    tree: Tree, budget: SearchBudget, below: dict[str, str] | None
+    tree: Tree,
+    budget: SearchBudget,
+    below: dict[str, str] | None,
+    parents: dict[str, tuple] | None = None,
 ) -> SweepRecord:
     """The record of a numbering survey.  With ``below``, the witnesses one
     edge smaller by canonical code, the tree is numbered along its trunk,
     by the parity construction, by a lift from ``below`` or by search,
-    the first that applies; without it, by search alone."""
+    the first that applies; without it, by search alone.  ``parents``
+    keeps the witnesses ``_lift`` has read."""
     trunk = find_trunk(tree)
     parity = check_precondition(tree) is not None
     if below is not None and trunk is not None:
@@ -675,7 +698,7 @@ def _numbering_worker(
     elif below is not None and parity:
         method, nu = "parity-center", number_parity_center(tree)
     else:
-        lifted = _lift(tree, below) if below else None
+        lifted = _lift(tree, below, parents) if below else None
         if lifted is not None:
             nu, detail = lifted
             return _record(
@@ -712,7 +735,7 @@ def sweep_question_path(
     records: list[SweepRecord] = []
     below: dict[str, str] = {}
     for m in range(1, max_edges + 1):
-        worker = partial(_numbering_worker, budget=budget, below=below)
+        worker = partial(_numbering_worker, budget=budget, below=below, parents={})
         size = _run_jobs(worker, enumerate_free_trees(m), jobs)
         below = {r.code: r.witness for r in size if r.outcome == FOUND}
         records += size

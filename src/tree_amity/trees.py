@@ -23,10 +23,11 @@ length n built on the first such query and never in the constructor, so
 trees that are built and never queried pay nothing for it.  A query
 climbs both endpoints to their meeting point, which costs the length of
 the path.  Whole-tree questions (diameter, equidistant center) use
-single-source distance lists that are not kept.  The edge path masks
-that the searches ask for again and again, the depth-parity coloring
-that the bijection checker asks for on every call, and the canonical
-code are memoized; no cache is ever invalidated.
+single-source distance lists that are not kept.  Memoized, and never
+invalidated: the edge path masks that the searches ask for again and
+again; the depth-parity coloring and the per-edge masks of the edges
+below each edge, which the bijection checker asks for on every call;
+and the canonical code.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class Tree:
         "_plain_adj",
         "_rooting",
         "_side",
+        "_under",
         "_path_masks",
         "_code",
     )
@@ -111,6 +113,7 @@ class Tree:
         )
         self._rooting: tuple[list[int], list[int], list[int]] | None = None
         self._side: tuple[int, ...] | None = None
+        self._under: tuple[int, ...] | None = None
         self._path_masks: dict[tuple[int, int], int] = {}
         self._code: str | None = None
 
@@ -213,6 +216,25 @@ class Tree:
         return max(self.distances_from(far))
 
     # -- edge paths ------------------------------------------------------
+
+    def _under_masks(self) -> tuple[int, ...]:
+        """Per edge e, the mask of the edges whose far endpoint is reached
+        from vertex 0 through e, e itself included.
+
+        Built on the first call from the rooting, deepest vertices first,
+        and kept.
+        """
+        if self._under is None:
+            parent, up_edge, depth = self._rooted()
+            under = [0] * self.m
+            for v in sorted(range(1, self.n), key=depth.__getitem__, reverse=True):
+                e = up_edge[v]
+                under[e] |= 1 << e
+                above = up_edge[parent[v]]
+                if above >= 0:
+                    under[above] |= under[e]
+            self._under = tuple(under)
+        return self._under
 
     def path_between_edges(self, e1: int, e2: int) -> frozenset[int]:
         """Edges strictly between e1 and e2; empty when they share a vertex."""

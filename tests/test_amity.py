@@ -1,13 +1,24 @@
 """Numbering and bijection objects, checkers, and the two-view bridge."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import all_trees, numbered_trees, path, random_trees, spider, star
+from helpers import (
+    all_trees,
+    numbered_trees,
+    path,
+    random_prufer_tree,
+    random_trees,
+    random_trunk_tree,
+    spider,
+    star,
+    trees_up_to,
+)
 from tree_amity import (
     EdgeBijection,
     HookViolation,
@@ -26,10 +37,10 @@ from tree_amity import (
     parse_bijection,
     parse_numbering,
     parse_tree_labeled,
-    path_tree,
+    number_by_trunk,
     unlinked,
 )
-from tree_amity.amity import does_not_hook, is_self_standing
+from tree_amity.amity import does_not_hook, is_self_standing, path_tree
 
 
 # -- containers -----------------------------------------------------------------
@@ -159,6 +170,26 @@ def test_unlinked_checks_both_directions():
     assert unlinked(t, frozenset({0}), frozenset({2, 3}))
 
 
+# every tree up to this many edges, every ordered pair of edge sets
+HOOK_EDGES = 7
+
+
+def test_hooking_matches_the_oracle_on_every_pair_of_edge_sets():
+    """Disjoint sets hook as the naive oracle says; overlapping sets hook."""
+    for t in trees_up_to(HOOK_EDGES):
+        hooks = {}
+        for where in itertools.product(range(3), repeat=t.m):
+            p = frozenset(e for e, w in enumerate(where) if w == 1)
+            q = frozenset(e for e, w in enumerate(where) if w == 2)
+            hooks[p, q] = oracles.hooks_naive(t.edges, t.n, p, q)
+        for (p, q), hooked in hooks.items():
+            assert does_not_hook(t, p, q) == (not hooked), (t.edges, p, q)
+            assert unlinked(t, p, q) == (not hooked and not hooks[q, p]), (t.edges, p, q)
+            for e in p:
+                assert not does_not_hook(t, p, q | {e})
+                assert not unlinked(t, q | {e}, p)
+
+
 def test_singletons_never_hook():
     t = spider(2, 2, 2)
     for a in range(t.m):
@@ -184,14 +215,90 @@ def test_bijection_checker_matches_oracle_exhaustively_small():
                     assert verdict == want, (s.edges, t.edges, perm)
 
 
+@st.composite
+def bijections(draw, max_edges: int) -> EdgeBijection:
+    """A random bijection between two random trees, or the path view of a
+    trunk numbering, either way round, with up to two images swapped.
+    A random bijection between large trees fails at its first vertex
+    pairs; the path views are friendly or fail deep in the scan."""
+    m = draw(st.integers(2, max_edges))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        return EdgeBijection(random_prufer_tree(m, rng), random_prufer_tree(m, rng), perm)
+    b = numbering_to_path_bijection(number_by_trunk(random_trunk_tree(m, rng)))
+    if draw(st.booleans()):
+        b = invert_bijection(b)
+    mapping = list(b.mapping)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.randrange(m), rng.randrange(m)
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    return EdgeBijection(b.source, b.target, mapping)
+
+
 @settings(max_examples=80)
 @given(random_trees(min_vertices=3, max_vertices=7), st.data())
 def test_bijection_checker_matches_oracle_random(s, data):
+    """Random bijections between small trees, then bijections up to 40
+    edges from ``bijections``."""
     t = data.draw(random_trees(min_vertices=s.n, max_vertices=s.n))
     perm = data.draw(st.permutations(tuple(range(s.m))))
-    b = EdgeBijection(s, t, perm)
-    verdict = check_friendly_bijection(b) is None
-    assert verdict == oracles.check_bijection_naive(s.edges, s.n, t.edges, t.n, perm)
+    for b in (EdgeBijection(s, t, perm), data.draw(bijections(40))):
+        src, dst = b.source, b.target
+        verdict = check_friendly_bijection(b) is None
+        assert verdict == oracles.check_bijection_naive(
+            src.edges, src.n, dst.edges, dst.n, b.mapping
+        )
+
+
+# -- the hook test against the quadratic scan it replaced ---------------------------
+
+
+def _scan_hook_pair(tree, p_edges, q_mask):
+    """The first pair of p edges, in id order, whose path crosses q an
+    odd number of times, found by trying every pair."""
+    for i, a in enumerate(p_edges):
+        for b in p_edges[i + 1 :]:
+            crossing = (tree.edge_path_mask(a, b) & q_mask).bit_count()
+            if crossing % 2:
+                return (a, b, crossing)
+    return None
+
+
+def _scan_check(b):
+    """The bijection checker's first violation, by the quadratic scan."""
+    g1, g2 = b.source, b.target
+    side = g1.bipartition()
+    images = [sorted(b.mapping[e] for e in g1.coboundary(v)) for v in range(g1.n)]
+    masks = [sum(1 << f for f in image) for image in images]
+    for p_v in range(g1.n):
+        for q_v in range(p_v + 1, g1.n):
+            if side[q_v] != side[p_v]:
+                continue
+            for hooking, a, c in (("p", p_v, q_v), ("q", q_v, p_v)):
+                hit = _scan_hook_pair(g2, images[a], masks[c])
+                if hit is not None:
+                    return HookViolation(p_v, q_v, hooking, hit[:2], hit[2])
+    return None
+
+
+def test_bijection_checker_matches_the_scan_exhaustively_small():
+    for m in range(1, 6):
+        for s in all_trees(m):
+            for t in all_trees(m):
+                for perm in itertools.permutations(range(m)):
+                    b = EdgeBijection(s, t, perm)
+                    flaw = check_friendly_bijection(b)
+                    assert flaw == _scan_check(b), (s.edges, t.edges, perm)
+                    assert flaw is None or flaw.replay(b)
+
+
+@given(bijections(300))
+def test_bijection_checker_matches_the_scan_random(b):
+    flaw = check_friendly_bijection(b)
+    assert flaw == _scan_check(b)
+    assert flaw is None or flaw.replay(b)
 
 
 def test_hook_violation_replays():

@@ -6,12 +6,9 @@ import pytest
 
 import oracles
 from helpers import all_trees
-from tree_amity import (
-    ShapeMismatch,
-    Tree,
-    count_free_trees,
+from tree_amity import ShapeMismatch, Tree, count_free_trees, enumerate_free_trees
+from tree_amity.enumeration import (
     count_rooted_trees,
-    enumerate_free_trees,
     level_sequences,
     tree_from_level_sequence,
 )

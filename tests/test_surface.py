@@ -20,8 +20,6 @@ PUBLIC_NAMES = [
     "EmptyTree",
     "EqualEdges",
     "FOUND",
-    "HYPOTHESIS_D4",
-    "HYPOTHESIS_ODD",
     "HookViolation",
     "InvalidBijection",
     "InvalidNumbering",
@@ -46,7 +44,6 @@ PUBLIC_NAMES = [
     "check_friendly_numbering",
     "check_precondition",
     "count_free_trees",
-    "count_rooted_trees",
     "enumerate_free_trees",
     "find_subtree_pair",
     "find_trunk",
@@ -54,7 +51,6 @@ PUBLIC_NAMES = [
     "format_numbering",
     "format_tree",
     "invert_bijection",
-    "level_sequences",
     "make_cb",
     "number_by_trunk",
     "number_parity_center",
@@ -63,7 +59,6 @@ PUBLIC_NAMES = [
     "parse_numbering",
     "parse_tree",
     "parse_tree_labeled",
-    "path_tree",
     "search_bijection",
     "search_numbering",
     "small_n_pair",
@@ -71,7 +66,6 @@ PUBLIC_NAMES = [
     "sweep_hypothesis",
     "sweep_question_path",
     "symmetry_audit",
-    "tree_from_level_sequence",
     "unlinked",
 ]
 

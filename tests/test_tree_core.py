@@ -176,6 +176,7 @@ def test_rooting_is_lazy_and_happens_once():
     tree.vertex_path(3, 7)
     tree.edge_path_mask(0, 1)
     tree.bipartition()
+    tree._under_masks()
     number_by_trunk(tree)
     assert tree._rooting is rooting
 
@@ -183,6 +184,11 @@ def test_rooting_is_lazy_and_happens_once():
 def test_bipartition_is_kept():
     tree = random_caterpillar(300, random.Random(5))
     assert tree.bipartition() is tree.bipartition()
+
+
+def test_under_masks_are_kept():
+    tree = random_caterpillar(300, random.Random(5))
+    assert tree._under_masks() is tree._under_masks()
 
 
 def test_numbering_ten_thousand_edges_in_linear_memory():

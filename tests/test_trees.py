@@ -130,6 +130,39 @@ def test_edge_path_mask_matches_oracle(t, data):
     assert got == oracles.edges_between(t.edges, t.n, e1, e2)
 
 
+def _root_path_edges(t, v):
+    """Edge ids on the path from vertex 0 to v, by the oracle."""
+    walk = oracles.vertex_path(oracles.adjacency(t.edges, t.n), 0, v)
+    steps = {frozenset(step) for step in zip(walk, walk[1:])}
+    return {e for e, ends in enumerate(t.edges) if frozenset(ends) in steps}
+
+
+@given(random_trees(min_vertices=2, max_vertices=14))
+def test_under_masks_match_root_paths(t):
+    """Edge f is under e when e lies on the path from vertex 0 to the far
+    endpoint of f."""
+    dist = oracles.bfs_distances(oracles.adjacency(t.edges, t.n), 0)
+    through = [_root_path_edges(t, max(ends, key=dist.__getitem__)) for ends in t.edges]
+    under = t._under_masks()
+    assert len(under) == t.m
+    for e in range(t.m):
+        assert under[e] == sum(1 << f for f in range(t.m) if e in through[f])
+
+
+@given(random_trees(min_vertices=3, max_vertices=14), st.data())
+def test_odd_side_parity_matches_edge_paths(t, data):
+    """Off q, the path between two edges crosses q an odd number of times
+    exactly when one of them lies on q's odd side, the XOR of the under
+    masks of q, and the other does not."""
+    a, b = data.draw(st.lists(st.integers(0, t.m - 1), min_size=2, max_size=2, unique=True))
+    q = data.draw(st.sets(st.integers(0, t.m - 1))) - {a, b}
+    odd = 0
+    for e in q:
+        odd ^= t._under_masks()[e]
+    crossing = len(oracles.edges_between(t.edges, t.n, a, b) & q)
+    assert crossing % 2 == (odd >> a & 1) ^ (odd >> b & 1)
+
+
 def test_edge_path_between_adjacent_edges_is_empty():
     t = path(4)
     for e in range(3):
