@@ -41,12 +41,17 @@ q's odd side without lying inside it.  A scan of p's edge pairs in id
 order would stop at the lowest edge of p and the lowest edge of p on
 the other side from it, so that is the pair a violation names, and
 one edge path gives its crossing count.
+
+The bijection check is built once per pair of trees, from the source's
+depth-parity classes and the target's masks of the edges under each
+edge, and then applied to each mapping between them: a caller that
+checks many mappings between one pair reads both trees once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     InvalidBijection,
@@ -301,40 +306,67 @@ def is_self_standing(nu: Numbering, k: int) -> bool:
 # -- bijection check ---------------------------------------------------------
 
 
+def _bijection_checker(
+    source: Tree, target: Tree
+) -> Callable[[Sequence[int]], HookViolation | None]:
+    """The bijection check between two trees, built once for the pair.
+
+    ``check(mapping)`` takes the target edge id of each source edge, by
+    source edge id, and returns what ``check_friendly_bijection`` returns
+    for that mapping.  Each call builds every source vertex's image and
+    its odd side in one pass over the source edges, then scans the
+    vertex pairs in the checker's order.
+    """
+    under = target._under_masks()
+    edges = source.edges
+    n = source.n
+    side = source.bipartition()
+    classes = ([], [])
+    for v in range(n):
+        classes[side[v]].append(v)
+    # per vertex, the later vertices of its class: a slice made per call,
+    # since the slices kept for all vertices would fill O(n^2) memory
+    scan = sorted(
+        (p_v, cls, i + 1) for cls in classes for i, p_v in enumerate(cls[:-1])
+    )
+
+    def check(mapping: Sequence[int]) -> HookViolation | None:
+        masks = [0] * n
+        odds = [0] * n
+        for e, (u, v) in enumerate(edges):
+            f = mapping[e]
+            bit = 1 << f
+            masks[u] |= bit
+            masks[v] |= bit
+            odd = under[f]
+            odds[u] ^= odd
+            odds[v] ^= odd
+        for p_v, cls, start in scan:
+            p_mask = masks[p_v]
+            p_odd = odds[p_v]
+            for q_v in cls[start:]:
+                q_mask = masks[q_v]
+                x = p_mask & odds[q_v]
+                if x and x != p_mask:
+                    a, c, crossing = _hook_pair(target, p_mask, q_mask, odds[q_v])
+                    return HookViolation(p_v, q_v, "p", (a, c), crossing)
+                x = q_mask & p_odd
+                if x and x != q_mask:
+                    a, c, crossing = _hook_pair(target, q_mask, p_mask, p_odd)
+                    return HookViolation(p_v, q_v, "q", (a, c), crossing)
+        return None
+
+    return check
+
+
 def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
     """None when the bijection is friendly, else the first violation.
 
     Vertices are scanned by id; for each even-distance pair the image
     of the smaller vertex's coboundary is tested as hooking side "p"
-    first, then the other direction.  Each vertex's image and its odd
-    side are computed once, before the scan.
+    first, then the other direction.
     """
-    g1, g2, mapping = b.source, b.target, b.mapping
-    side = g1.bipartition()
-    # one pass over the source edges, not ``_masks`` per vertex: on the
-    # audit's small trees the calls would cost a third more time
-    under = g2._under_masks()
-    masks = [0] * g1.n
-    odds = [0] * g1.n
-    for e, (u, v) in enumerate(g1.edges):
-        f = mapping[e]
-        masks[u] |= 1 << f
-        masks[v] |= 1 << f
-        odds[u] ^= under[f]
-        odds[v] ^= under[f]
-    for p_v in range(g1.n):
-        p_mask, p_odd = masks[p_v], odds[p_v]
-        for q_v in range(p_v + 1, g1.n):
-            if side[q_v] != side[p_v]:
-                continue
-            q_mask = masks[q_v]
-            hit = _hook_pair(g2, p_mask, q_mask, odds[q_v])
-            if hit is not None:
-                return HookViolation(p_v, q_v, "p", (hit[0], hit[1]), hit[2])
-            hit = _hook_pair(g2, q_mask, p_mask, p_odd)
-            if hit is not None:
-                return HookViolation(p_v, q_v, "q", (hit[0], hit[1]), hit[2])
-    return None
+    return _bijection_checker(b.source, b.target)(b.mapping)
 
 
 Witness = TypeVar("Witness", Numbering, EdgeBijection)

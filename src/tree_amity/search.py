@@ -44,7 +44,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator
@@ -52,13 +52,11 @@ from typing import Callable, Iterable, Iterator
 from .amity import (
     EdgeBijection,
     Numbering,
-    _hook_pair,
-    _masks,
+    _bijection_checker,
     check_friendly_bijection,
     check_friendly_numbering,
     format_bijection,
     format_numbering,
-    invert_bijection,
     verified,
 )
 from .cb import CBShape, bijection_from_pair, find_subtree_pair, make_cb
@@ -352,26 +350,28 @@ def search_bijection(
     target_twin = _twin_before(target) if prune else [-1] * m
 
     # with pruning off no pair is tracked, so every branch survives
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    pairs: list[tuple[int, int]] = []
     pairs_at: list[list[int]] = [[] for _ in range(m)]
+    remaining: list[int] = []
     if prune:
         side = source.bipartition()
         for p_v in range(source.n):
             for q_v in range(p_v + 1, source.n):
                 if side[q_v] != side[p_v]:
                     continue
-                dp = tuple(sorted(source.coboundary(p_v)))
-                dq = tuple(sorted(source.coboundary(q_v)))
                 idx = len(pairs)
-                pairs.append((dp, dq))
-                for e in dp:
+                pairs.append((p_v, q_v))
+                for _, e in source.adj[p_v] + source.adj[q_v]:
                     pairs_at[e].append(idx)
-                for e in dq:
-                    pairs_at[e].append(idx)
-    remaining = [len(dp) + len(dq) for dp, dq in pairs]
+                remaining.append(source.degrees[p_v] + source.degrees[q_v])
 
     mapping = [-1] * m
     used = [False] * m
+    # per source vertex, the mask of its coboundary's images so far and
+    # their odd side in the target
+    under = target._under_masks()
+    vmask = [0] * source.n
+    vodd = [0] * source.n
     # how many of its pairs each depth's place counted down; None for all
     touched: list[int | None] = [None] * m
 
@@ -384,18 +384,31 @@ def search_bijection(
         ]
 
     def pair_ok(idx: int) -> bool:
-        dp, dq = pairs[idx]
-        p_mask, p_odd = _masks(target, [mapping[e] for e in dp])
-        q_mask, q_odd = _masks(target, [mapping[e] for e in dq])
-        return (
-            _hook_pair(target, p_mask, q_mask, q_odd) is None
-            and _hook_pair(target, q_mask, p_mask, p_odd) is None
-        )
+        # even-distance vertices have disjoint coboundaries, so this is
+        # the reference checker's hook test, both ways
+        p_v, q_v = pairs[idx]
+        p_mask, q_mask = vmask[p_v], vmask[q_v]
+        x = p_mask & vodd[q_v]
+        if x and x != p_mask:
+            return False
+        x = q_mask & vodd[p_v]
+        return not x or x == q_mask
+
+    def assign(e: int, f: int) -> None:
+        """Toggle f in the images of both endpoints of e."""
+        u, v = source.edges[e]
+        bit = 1 << f
+        odd = under[f]
+        vmask[u] ^= bit
+        vmask[v] ^= bit
+        vodd[u] ^= odd
+        vodd[v] ^= odd
 
     def place(i: int, f: int) -> bool:
         e = order[i]
         mapping[e] = f
         used[f] = True
+        assign(e, f)
         here = pairs_at[e]
         for idx in here:
             remaining[idx] -= 1
@@ -409,6 +422,7 @@ def search_bijection(
         e = order[i]
         mapping[e] = -1
         used[f] = False
+        assign(e, f)
         for idx in islice(pairs_at[e], touched[i]):
             remaining[idx] += 1
 
@@ -449,6 +463,15 @@ def _run_jobs(worker: Callable, payloads: Iterable, jobs: int) -> list:
 
 
 # -- symmetry audit -----------------------------------------------------------
+
+
+def _fields(record: AuditRecord | SweepRecord) -> dict:
+    """A flat record's fields by name, in field order.
+
+    Not ``asdict``, which deep-copies every scalar, nor ``vars``, which
+    would give each record a ``__dict__`` to hold for its lifetime.
+    """
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}
 
 
 @dataclass
@@ -494,19 +517,23 @@ class AuditReport:
             "note": self.note,
             "total_friendly": self.total_friendly,
             "total_failures": self.total_failures,
-            "records": [asdict(r) for r in self.records],
+            "records": [_fields(r) for r in self.records],
         }
 
 
 def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
     a, b = pair
+    forward = _bijection_checker(a, b)
+    backward = _bijection_checker(b, a)
+    inverse = [0] * a.m
     friendly = 0
     failures = 0
     for perm in permutations(range(a.m)):
-        bj = EdgeBijection(a, b, perm)
-        if check_friendly_bijection(bj) is None:
+        if forward(perm) is None:
             friendly += 1
-            if check_friendly_bijection(invert_bijection(bj)) is not None:
+            for src, dst in enumerate(perm):
+                inverse[dst] = src
+            if backward(inverse) is not None:
                 failures += 1
     return AuditRecord(
         a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
@@ -518,9 +545,11 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
     """Check every bijection between same-size trees against its inverse.
 
     For every unordered pair of trees with the same edge count up to
-    ``max_edges``, all m! bijections are enumerated; for each friendly
-    one the inverse is checked too.  Factorial cost: sizes beyond 6
-    edges get expensive quickly.
+    ``max_edges``, all m! bijections are enumerated and checked; for
+    each friendly one the inverse is checked too.  The check is built
+    once per pair of trees, each way, and applied to the permutations
+    as they come, with no ``EdgeBijection`` per permutation.  Factorial
+    cost: sizes beyond 6 edges get expensive quickly.
     """
 
     if max_edges < 1:
@@ -588,7 +617,7 @@ class SweepReport:
             "params": self.params,
             "note": self.note,
             "counts": self.counts(),
-            "records": [asdict(r) for r in self.records],
+            "records": [_fields(r) for r in self.records],
         }
 
 

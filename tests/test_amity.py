@@ -40,7 +40,12 @@ from tree_amity import (
     number_by_trunk,
     unlinked,
 )
-from tree_amity.amity import does_not_hook, is_self_standing, path_tree
+from tree_amity.amity import (
+    _bijection_checker,
+    does_not_hook,
+    is_self_standing,
+    path_tree,
+)
 
 
 # -- containers -----------------------------------------------------------------
@@ -299,6 +304,18 @@ def test_bijection_checker_matches_the_scan_random(b):
     flaw = check_friendly_bijection(b)
     assert flaw == _scan_check(b)
     assert flaw is None or flaw.replay(b)
+
+
+def test_one_checker_per_pair_matches_a_fresh_check_on_every_mapping():
+    # one checker runs every permutation in turn, so a state that leaked
+    # from one call into the next would show as a different record
+    for m in range(1, 6):
+        for s in all_trees(m):
+            for t in all_trees(m):
+                check = _bijection_checker(s, t)
+                for perm in itertools.permutations(range(m)):
+                    fresh = check_friendly_bijection(EdgeBijection(s, t, perm))
+                    assert check(perm) == fresh, (s.edges, t.edges, perm)
 
 
 def test_hook_violation_replays():

@@ -18,11 +18,13 @@ from tree_amity import (
     SearchBudget,
     ShapeMismatch,
     SizeMismatch,
+    EdgeBijection,
     Tree,
     check_friendly_bijection,
     check_friendly_numbering,
     enumerate_free_trees,
     find_subtree_pair,
+    invert_bijection,
     make_cb,
     parse_numbering,
     parse_tree_labeled,
@@ -33,7 +35,7 @@ from tree_amity import (
     sweep_question_path,
     symmetry_audit,
 )
-from tree_amity.search import _lift, _twin_before
+from tree_amity.search import AuditRecord, _lift, _twin_before
 from tree_amity.trees import canonical_order
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
@@ -201,8 +203,20 @@ def test_bijection_proofs_of_absence_node_counts():
     assert [r.nodes for r in results] == [38_764, 26_717, 18_488]
 
 
+def test_bijection_search_node_and_witness_totals_up_to_six_edges():
+    nodes = found = 0
+    for m in range(1, 7):
+        shapes = list(enumerate_free_trees(m))
+        for s in shapes:
+            for t in shapes:
+                result = search_bijection(s, t, EXHAUSTIVE)
+                nodes += result.nodes
+                found += result.status == FOUND
+    assert (nodes, found) == (6_834, 172)
+
+
 def test_bijection_pruning_changes_nothing_small():
-    for m in range(1, 6):
+    for m in range(1, 7):
         shapes = all_trees(m)
         for s in shapes:
             for t in shapes:
@@ -235,6 +249,38 @@ def test_audit_shape_and_totals():
     assert keys == sorted(keys)
     assert report.total_failures == 0
     assert report.total_friendly == sum(r.friendly for r in report.records)
+
+
+def _slow_audit_record(a, b):
+    """The audit record of one pair through a validated ``EdgeBijection``
+    per permutation, the public checker and ``invert_bijection``."""
+    friendly = failures = 0
+    for perm in itertools.permutations(range(a.m)):
+        bj = EdgeBijection(a, b, perm)
+        if check_friendly_bijection(bj) is None:
+            friendly += 1
+            if check_friendly_bijection(invert_bijection(bj)) is not None:
+                failures += 1
+    return AuditRecord(
+        a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
+        friendly, failures,
+    )
+
+
+def test_audit_matches_the_slow_path_pair_by_pair():
+    report = symmetry_audit(5)
+    trees = {}
+    for m in range(1, 6):
+        for t in enumerate_free_trees(m):
+            trees[t.canonical_code()] = t
+    assert len(report.records) == 1 + 1 + 3 + 6 + 21
+    for rec in report.records:
+        assert rec == _slow_audit_record(trees[rec.code_a], trees[rec.code_b])
+
+
+def test_audit_totals_at_six_edges():
+    report = symmetry_audit(6)
+    assert (report.total_friendly, report.total_failures) == (13_168, 0)
 
 
 def test_audit_rejects_nonsense():
