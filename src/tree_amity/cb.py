@@ -104,9 +104,9 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
         )
     everything = frozenset(range(tree.m))
     # edges below each vertex of the tree rooted at 0, whence every branch size
-    parent, _, depth = tree._rooted()
+    parent, _, _, order = tree._rooted()
     below = [0] * tree.n
-    for v in sorted(range(1, tree.n), key=depth.__getitem__, reverse=True):
+    for v in reversed(order[1:]):
         below[parent[v]] += below[v] + 1
     # subset sums are kept up to what the smaller part needs besides the
     # shared edge; the larger part takes the complement

@@ -1,11 +1,14 @@
 """Backtracking searches and exhaustive desk-scale surveys.
 
 ``search_numbering`` looks for a friendly edge numbering by placing the
-numbers 1..m in increasing order, so the constraint between consecutive
-numbers becomes checkable the moment the second one lands.
-``search_bijection`` looks for a friendly edge bijection between two
-trees, checking each even-distance vertex pair as soon as both
-coboundary images are fully assigned.  A numbering is friendly exactly
+numbers 1..m in increasing order; ``search_bijection`` looks for a
+friendly edge bijection between two trees, assigning the source edges
+in a fixed order.  In both, every constraint is fully decided at one
+fixed depth, the depth where it closes, and ``place`` tests exactly the
+constraints that close at its depth: the pairings on the path between
+consecutive numbers, or the even-distance vertex pairs whose coboundary
+images are complete.  No constraint is carried from one depth to the
+next, so ``lift`` only unassigns.  A numbering is friendly exactly
 when the bijection from the path onto the tree is, so both are one
 search: ``_search`` is an iterative depth-first engine with an explicit
 stack, and each search supplies only its state and four plug-ins (the
@@ -46,7 +49,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, permutations
+from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 from .amity import (
@@ -217,26 +220,33 @@ def search_numbering(
 
     Numbers are placed in increasing order over candidate edges in
     ascending id order, so the pruned and unpruned searches walk the
-    same tree and return the same first witness.  Pruning tracks, for
-    every located consecutive pair, the path between its two edges:
-    a placed number landing on such a path must have its parity partner
-    on the path too, and a partner that is already placed elsewhere, or
-    falls outside 1..m, kills the branch.  Pruning also numbers twin
-    leaf edges in increasing id order (an edge is a candidate only once
-    its smaller twin is numbered); the first friendly numbering always
-    does, so the witness is the unpruned search's.  Every witness is
-    re-verified through the reference checker before being returned.
+    same tree and return the same first witness.  With pruning on, each
+    constraint is tested at the depth where it closes.  Placing num
+    closes the path between the edges numbered num - 1 and num: it must
+    have even length, and every number already on it must have its
+    parity partner on it too, in 1..m.  It also closes the pairing of
+    num with num - 1 on every earlier path of num - 1's parity, where
+    the two are partners, so the path holds both or neither.  That m is
+    not on a path of its own parity, where its partner m + 1 would be,
+    needs no test: the path's other numbers then pair up, so m would
+    make its length odd.  Pruning also numbers twin leaf edges in
+    increasing id order (an edge is a candidate only once its smaller
+    twin is numbered); the first friendly numbering always does, so the
+    witness is the unpruned search's.  Every witness is re-verified
+    through the reference checker before being returned.
     """
 
     start = time.monotonic()
     m = tree.m
     twin = _twin_before(tree) if prune else [-1] * m
     number_of = [0] * m
-    edge_of: list[int | None] = [None] * (m + 2)
-    obligations: dict[int, list[int]] = {}
-    paths_at_edge: list[list[int]] = [[] for _ in range(m)]
-    pair_mask: dict[int, int] = {}
-    undo_at: list[list] = [[] for _ in range(m)]
+    edge_of = [0] * (m + 1)
+    # path[k] is the path between the edges numbered k and k + 1, once
+    # both are placed; bit k of on_path[e] is set when e lies on it
+    path = [0] * m
+    on_path = [0] * m
+    # the bits k of each parity
+    parity = [sum(1 << k for k in range(j, m, 2)) for j in (0, 1)]
 
     def candidates(t: int) -> list[int]:
         return [
@@ -244,63 +254,36 @@ def search_numbering(
             if not number_of[f] and (twin[f] < 0 or number_of[twin[f]])
         ]
 
-    def partner_ok(j: int, k: int, mask: int, undo: list) -> bool:
-        p = j + 1 if (j - k) % 2 == 0 else j - 1
-        if p < 1 or p > m:
-            return False
-        g = edge_of[p]
-        if g is not None:
-            return bool((mask >> g) & 1)
-        obligations.setdefault(p, []).append(k)
-        undo.append((1, p))
-        return True
-
     def place(t: int, f: int) -> bool:
         num = t + 1
         number_of[f] = num
         edge_of[num] = f
-        undo = undo_at[t] = [(0, num, f)]
-        if not prune:
+        if not prune or num == 1:
             return True
-        need = obligations.get(num)
-        if need is not None:
-            for k in need:
-                if not (pair_mask[k] >> f) & 1:
+        g = edge_of[t]
+        # on an earlier path of t's parity, num and t are partners
+        if (on_path[f] ^ on_path[g]) & parity[t & 1]:
+            return False
+        mask = tree.edge_path_mask(g, f)
+        if mask.bit_count() % 2:
+            return False
+        # the numbers on the new path pair up below t, so all are placed
+        for e in _iter_bits(mask):
+            j = number_of[e]
+            if j:
+                p = j + 1 if (j - t) % 2 == 0 else j - 1
+                if p < 1 or not (mask >> edge_of[p]) & 1:
                     return False
-        for k in paths_at_edge[f]:
-            if not partner_ok(num, k, pair_mask[k], undo):
-                return False
-        if num >= 2:
-            k0 = num - 1
-            mask = tree.edge_path_mask(edge_of[k0], f)
-            if mask.bit_count() % 2:
-                return False
-            pair_mask[k0] = mask
-            undo.append((2, k0))
-            for e in _iter_bits(mask):
-                paths_at_edge[e].append(k0)
-            for e in _iter_bits(mask):
-                j = number_of[e]
-                if j and not partner_ok(j, k0, mask, undo):
-                    return False
+        path[t] = mask
+        for e in _iter_bits(mask):
+            on_path[e] |= 1 << t
         return True
 
     def lift(t: int, f: int) -> None:
-        for entry in reversed(undo_at[t]):
-            tag = entry[0]
-            if tag == 0:
-                _, num, f = entry
-                number_of[f] = 0
-                edge_of[num] = None
-            elif tag == 1:
-                lst = obligations[entry[1]]
-                lst.pop()
-                if not lst:
-                    del obligations[entry[1]]
-            else:
-                mask = pair_mask.pop(entry[1])
-                for e in _iter_bits(mask):
-                    paths_at_edge[e].pop()
+        number_of[f] = 0
+        for e in _iter_bits(path[t]):
+            on_path[e] ^= 1 << t
+        path[t] = 0
 
     def finish() -> Numbering | None:
         nu = Numbering(tree, list(number_of))
@@ -324,13 +307,15 @@ def search_bijection(
 
     Source edges are assigned in order of decreasing endpoint degree
     sum (most constrained first); target candidates go in ascending id
-    order.  With pruning on, each even-distance vertex pair of the
-    source is tested the moment the images of both coboundaries are
-    complete, and twin-leaf symmetry is broken on both sides: a source
-    twin's image must exceed its smaller twin's (twins share a degree
-    sum, so the smaller one is assigned first), and a target edge is a
-    candidate only once its smaller twin is used.  The first friendly
-    bijection meets both rules, so the witness is the unpruned search's.
+    order.  With pruning on, each constraint is tested at the depth
+    where it closes: an even-distance vertex pair of the source is
+    tested, by the checker's hook test both ways, at the depth that
+    assigns the last edge of the two coboundaries, and nowhere else.
+    Twin-leaf symmetry is broken on both sides: a source twin's image
+    must exceed its smaller twin's (twins share a degree sum, so the
+    smaller one is assigned first), and a target edge is a candidate
+    only once its smaller twin is used.  The first friendly bijection
+    meets both rules, so the witness is the unpruned search's.
     Witnesses are re-verified through the reference checker.
     """
 
@@ -349,21 +334,19 @@ def search_bijection(
     source_twin = _twin_before(source) if prune else [-1] * m
     target_twin = _twin_before(target) if prune else [-1] * m
 
-    # with pruning off no pair is tracked, so every branch survives
-    pairs: list[tuple[int, int]] = []
-    pairs_at: list[list[int]] = [[] for _ in range(m)]
-    remaining: list[int] = []
+    # closing[i]: the even-distance vertex pairs of the source whose
+    # coboundaries are complete once depth i is placed; none without pruning
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     if prune:
+        done = [0] * source.n
+        for i, e in enumerate(order):
+            for v in source.edges[e]:
+                done[v] = i
         side = source.bipartition()
         for p_v in range(source.n):
             for q_v in range(p_v + 1, source.n):
-                if side[q_v] != side[p_v]:
-                    continue
-                idx = len(pairs)
-                pairs.append((p_v, q_v))
-                for _, e in source.adj[p_v] + source.adj[q_v]:
-                    pairs_at[e].append(idx)
-                remaining.append(source.degrees[p_v] + source.degrees[q_v])
+                if side[q_v] == side[p_v]:
+                    closing[max(done[p_v], done[q_v])].append((p_v, q_v))
 
     mapping = [-1] * m
     used = [False] * m
@@ -372,8 +355,6 @@ def search_bijection(
     under = target._under_masks()
     vmask = [0] * source.n
     vodd = [0] * source.n
-    # how many of its pairs each depth's place counted down; None for all
-    touched: list[int | None] = [None] * m
 
     def candidates(i: int) -> list[int]:
         e = order[i]
@@ -382,17 +363,6 @@ def search_bijection(
             f for f in range(low, m)
             if not used[f] and (target_twin[f] < 0 or used[target_twin[f]])
         ]
-
-    def pair_ok(idx: int) -> bool:
-        # even-distance vertices have disjoint coboundaries, so this is
-        # the reference checker's hook test, both ways
-        p_v, q_v = pairs[idx]
-        p_mask, q_mask = vmask[p_v], vmask[q_v]
-        x = p_mask & vodd[q_v]
-        if x and x != p_mask:
-            return False
-        x = q_mask & vodd[p_v]
-        return not x or x == q_mask
 
     def assign(e: int, f: int) -> None:
         """Toggle f in the images of both endpoints of e."""
@@ -409,13 +379,16 @@ def search_bijection(
         mapping[e] = f
         used[f] = True
         assign(e, f)
-        here = pairs_at[e]
-        for idx in here:
-            remaining[idx] -= 1
-            if not remaining[idx] and not pair_ok(idx):
-                touched[i] = here.index(idx) + 1
+        # even-distance vertices have disjoint coboundaries, so this is
+        # the reference checker's hook test, both ways
+        for p_v, q_v in closing[i]:
+            p_mask, q_mask = vmask[p_v], vmask[q_v]
+            x = p_mask & vodd[q_v]
+            if x and x != p_mask:
                 return False
-        touched[i] = None
+            x = q_mask & vodd[p_v]
+            if x and x != q_mask:
+                return False
         return True
 
     def lift(i: int, f: int) -> None:
@@ -423,8 +396,6 @@ def search_bijection(
         mapping[e] = -1
         used[f] = False
         assign(e, f)
-        for idx in islice(pairs_at[e], touched[i]):
-            remaining[idx] += 1
 
     def finish() -> EdgeBijection | None:
         bj = EdgeBijection(source, target, list(mapping))

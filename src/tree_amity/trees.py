@@ -18,16 +18,16 @@ on it.
 
 Trees are immutable after construction.  Path and distance queries run
 on one rooted copy of the tree: a single traversal from vertex 0 stores
-each vertex's parent, the edge up to it and its depth, three lists of
-length n built on the first such query and never in the constructor, so
-trees that are built and never queried pay nothing for it.  A query
-climbs both endpoints to their meeting point, which costs the length of
-the path.  Whole-tree questions (diameter, equidistant center) use
-single-source distance lists that are not kept.  Memoized, and never
-invalidated: the edge path masks that the searches ask for again and
-again; the depth-parity coloring and the per-edge masks of the edges
-below each edge, which the bijection checker asks for on every call;
-and the canonical code.
+each vertex's parent, the edge up to it and its depth, and the order it
+reached the vertices in, four lists of length n built on the first such
+query and never in the constructor, so trees that are built and never
+queried pay nothing for it.  A query climbs both endpoints to their
+meeting point, which costs the length of the path.  Whole-tree questions
+(diameter, equidistant center) use single-source distance lists that are
+not kept.  Memoized, and never invalidated: the edge path masks that
+the searches ask for again and again; the depth-parity coloring and the
+per-edge masks of the edges below each edge, which the bijection checker
+asks for on every call; and the canonical code.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class Tree:
         self._plain_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(w for w, _ in a) for a in adj
         )
-        self._rooting: tuple[list[int], list[int], list[int]] | None = None
+        self._rooting: tuple[list[int], list[int], list[int], list[int]] | None = None
         self._side: tuple[int, ...] | None = None
         self._under: tuple[int, ...] | None = None
         self._path_masks: dict[tuple[int, int], int] = {}
@@ -122,10 +122,12 @@ class Tree:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._plain_adj[v]
 
-    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
-        """Parent, edge up and depth of every vertex, rooted at vertex 0.
+    def _rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Parent, edge up and depth of every vertex, rooted at vertex 0,
+        and the vertices in the breadth-first order that reached them.
 
-        Built by one traversal on the first call and kept.
+        Built by one traversal on the first call and kept.  Walked
+        backwards, the order visits every vertex before its parent.
         """
         if self._rooting is not None:
             return self._rooting
@@ -143,7 +145,7 @@ class Tree:
                     parent[y] = x
                     up_edge[y] = eid
                     order.append(y)
-        self._rooting = (parent, up_edge, depth)
+        self._rooting = (parent, up_edge, depth, order)
         return self._rooting
 
     def distances_from(self, source: int) -> list[int]:
@@ -161,7 +163,7 @@ class Tree:
 
     def distance(self, u: int, v: int) -> int:
         """Number of edges on the unique u-v path."""
-        parent, _, depth = self._rooted()
+        parent, _, depth, _ = self._rooted()
         d = 0
         while u != v:
             if depth[u] >= depth[v]:
@@ -173,7 +175,7 @@ class Tree:
 
     def vertex_path(self, a: int, b: int) -> tuple[int, ...]:
         """Vertices of the unique a-b path, endpoints included."""
-        parent, _, depth = self._rooted()
+        parent, _, depth, _ = self._rooted()
         left, right = [a], [b]
         while left[-1] != right[-1]:
             x, y = left[-1], right[-1]
@@ -221,13 +223,13 @@ class Tree:
         """Per edge e, the mask of the edges whose far endpoint is reached
         from vertex 0 through e, e itself included.
 
-        Built on the first call from the rooting, deepest vertices first,
-        and kept.
+        Built on the first call from the rooting, children before their
+        parents, and kept.
         """
         if self._under is None:
-            parent, up_edge, depth = self._rooted()
+            parent, up_edge, _, order = self._rooted()
             under = [0] * self.m
-            for v in sorted(range(1, self.n), key=depth.__getitem__, reverse=True):
+            for v in reversed(order[1:]):
                 e = up_edge[v]
                 under[e] |= 1 << e
                 above = up_edge[parent[v]]
@@ -248,7 +250,7 @@ class Tree:
         cached = self._path_masks.get(key)
         if cached is not None:
             return cached
-        parent, up_edge, depth = self._rooted()
+        parent, up_edge, depth, _ = self._rooted()
         # Climb from the upper endpoint of each edge; the climb may run
         # along e1 or e2 itself, which the nearest-endpoint path excludes.
         a, b = self.edges[e1]

@@ -10,7 +10,7 @@ import pytest
 import oracles
 import tree_amity.search as search_module
 import tree_amity.trunk as trunk_module
-from helpers import all_trees, path, relabeled, spider, star, trees_up_to, tri_y
+from helpers import all_trees, path, relabeled, shuffled, spider, star, trees_up_to, tri_y
 from tree_amity import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -139,6 +139,28 @@ def test_numbering_search_runs_1500_deep():
     result = search_numbering(tree)
     assert result.status == FOUND
     assert check_friendly_numbering(result.witness) is None
+
+
+def test_numbering_search_node_totals_up_to_ten_edges():
+    # pins the pruning: every tree up to ten edges, each found
+    nodes = 0
+    for m in range(1, 11):
+        for t in enumerate_free_trees(m):
+            result = search_numbering(t, EXHAUSTIVE)
+            assert result.status == FOUND, t.edges
+            nodes += result.nodes
+    assert nodes == 50_456
+
+
+def test_numbering_search_node_counts_on_shuffled_paths():
+    # edge ids out of path order, so the paths between pairs run long
+    counts = []
+    for seed in range(3):
+        result = search_numbering(shuffled(path(20), random.Random(seed)), EXHAUSTIVE)
+        assert result.status == FOUND
+        assert check_friendly_numbering(result.witness) is None
+        counts.append(result.nodes)
+    assert counts == [168, 68, 127]
 
 
 def test_search_is_deterministic():

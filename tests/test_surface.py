@@ -88,3 +88,31 @@ def test_no_assert_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_unused_import_in_the_package():
+    """Every name a package module imports is used there or exported."""
+
+    found = []
+    for path in sorted(Path(tree_amity.__file__).parent.glob("*.py")):
+        imported = {}
+        needed = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                needed.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                needed.update(ast.literal_eval(node.value))
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in needed
+        ]
+    assert found == []

@@ -159,6 +159,28 @@ def test_same_side_pairs_are_the_even_distance_pairs_at_size():
     assert _pairs_by_side(tree) == _even_pairs(tree)
 
 
+def test_under_masks_match_root_paths_at_size():
+    """Edge f is under e when e lies on the path from vertex 0 to the far
+    endpoint of f; on shuffled trees, whose ids follow no traversal."""
+    rng = random.Random(200)
+    trees = [
+        shuffled(path(200), rng),
+        random_caterpillar(150, rng),
+        random_trunk_tree(180, rng),
+        complete_tree(3, 2, 5),
+    ] + [shuffled(random_prufer_tree(m, rng), rng) for m in (1, 2, 3, 40, 200)]
+    for tree in trees:
+        adj = oracles.adjacency(tree.edges, tree.n)
+        dist = oracles.bfs_distances(adj, 0)
+        eid = {frozenset(ends): e for e, ends in enumerate(tree.edges)}
+        want = [0] * tree.m
+        for f, ends in enumerate(tree.edges):
+            walk = oracles.vertex_path(adj, 0, max(ends, key=dist.__getitem__))
+            for step in zip(walk, walk[1:]):
+                want[eid[frozenset(step)]] |= 1 << f
+        assert list(tree._under_masks()) == want
+
+
 # -- laziness and memory -------------------------------------------------------------
 
 
