@@ -98,7 +98,15 @@ class Tree:
             root[ru] = rv
         if len({find(x) for x in range(n)}) != 1:
             raise Disconnected(f"{len(edge_list)} edges leave {n} vertices disconnected")
+        self._build(edge_list, n)
 
+    def _build(self, edge_list: list[tuple[int, int]], n: int) -> None:
+        """Fill in a tree from int edges that are known to form one.
+
+        ``__init__`` runs it after its checks; ``tree_from_level_sequence``
+        runs it alone, since a valid level sequence is a tree by
+        construction.
+        """
         self.n = n
         self.m = len(edge_list)
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)

@@ -8,7 +8,8 @@ and automorphism tests, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
 large for the brute-force ones, the trunk numbering's edge order, the
 parity-center numbering built the slow way, on a tower of pruned trees,
-and the first double-star subtree pair found by trying every edge set.
+the first double-star subtree pair found by trying every edge set, and
+one free tree per shape found by re-rooting every rooted tree.
 """
 
 from __future__ import annotations
@@ -363,6 +364,82 @@ def free_trees_first_seen(m):
         q = max(i for i in range(p) if seq[i] == seq[p] - 1)
         for i in range(p, n):
             seq[i] = seq[i - (p - q)]
+
+
+def free_trees_by_rerooting(m):
+    """(edges, n) of the largest canonical level sequence of each shape
+    with m edges, over all roots, in decreasing order of that sequence.
+
+    The slow way: every rooted tree on m vertices, in decreasing
+    Beyer-Hedetniemi order, is hung under a new leaf root, and the
+    candidate is kept unless re-rooting it at another leaf at greatest
+    distance from some end of a longest path gives a larger canonical
+    sequence.  Each kept sequence becomes edges from the latest vertex
+    one level up.
+    """
+    n = m + 1
+    if m == 0:
+        return [((), 1)]
+    out = []
+    branch = list(range(1, m + 1))
+    while True:
+        seq = [1] + [x + 1 for x in branch]
+        if _largest_over_roots(seq):
+            last = {1: 0}
+            edges = []
+            for i in range(1, n):
+                edges.append((last[seq[i] - 1], i))
+                last[seq[i]] = i
+            out.append((tuple(edges), n))
+        tall = [i for i in range(m) if branch[i] > 2]
+        if not tall:
+            return out
+        p = tall[-1]
+        q = max(i for i in range(p) if branch[i] == branch[p] - 1)
+        for i in range(p, m):
+            branch[i] = branch[i - (p - q)]
+
+
+def _largest_over_roots(seq):
+    """True when no root beats the canonical sequence seq of a tree
+    hung from a leaf.
+
+    The largest sequence is rooted at a leaf of greatest eccentricity.
+    Vertex h, the first at the greatest depth h, ends a longest path,
+    so seq must reach the diameter, and then a vertex's eccentricity is
+    the larger of its depth and its distance from vertex h.  Leaves on
+    one vertex give the same rooted shape, so one per vertex is tried.
+    """
+    n = len(seq)
+    last = {1: 0}
+    edges = []
+    for i in range(1, n):
+        edges.append((last[seq[i] - 1], i))
+        last[seq[i]] = i
+    adj = adjacency(edges, n)
+    h = max(seq) - 1
+    far = bfs_distances(adj, h)
+    if max(far) != h:
+        return False
+    tried = {1}
+    for w in range(2, n):
+        if len(adj[w]) == 1 and (far[w] == h or seq[w] == h + 1):
+            stem = adj[w][0][0]
+            if stem not in tried:
+                tried.add(stem)
+                if _canonical_levels(adj, w) > tuple(seq):
+                    return False
+    return True
+
+
+def _canonical_levels(adj, root):
+    """Canonical (lexicographically largest) level sequence rooted at root."""
+
+    def code(v, parent, level):
+        parts = sorted((code(w, v, level + 1) for w, _ in adj[v] if w != parent), reverse=True)
+        return (level,) + tuple(x for part in parts for x in part)
+
+    return code(root, -1, 1)
 
 
 def rooted_tree_counts(limit):

@@ -16,7 +16,7 @@ from tree_amity.enumeration import (
 # Known values, small enough to state outright: rooted shapes on n
 # vertices for n = 1.., and free shapes with m edges for m = 0..
 ROOTED = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
-FREE = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+FREE = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 
 def test_level_sequence_counts_are_the_rooted_counts():
@@ -50,11 +50,27 @@ def test_bad_level_sequences_are_rejected():
         tree_from_level_sequence([1, 3])
     with pytest.raises(ShapeMismatch):
         tree_from_level_sequence([1, 2, 4])
+    with pytest.raises(ShapeMismatch):
+        tree_from_level_sequence([1, 2, 2.5])
+    with pytest.raises(ShapeMismatch):
+        tree_from_level_sequence((1, "2"))
+
+
+def test_level_sequence_trees_equal_checked_trees():
+    for m in range(0, 11):
+        for t in all_trees(m):
+            checked = Tree(t.edges, t.n)
+            assert t.edges == checked.edges
+            assert t.adj == checked.adj
+            assert t.degrees == checked.degrees
+            assert all(t.neighbors(v) == checked.neighbors(v) for v in range(t.n))
 
 
 def test_enumeration_counts_match_the_closed_form():
     for m in range(0, 14):
         assert len(all_trees(m)) == FREE[m] == count_free_trees(m)
+    for m in (14, 15):
+        assert sum(1 for _ in enumerate_free_trees(m)) == FREE[m] == count_free_trees(m)
 
 
 def test_enumeration_counts_match_prufer_dedup():
@@ -67,6 +83,12 @@ def test_enumeration_matches_the_first_seen_dedup_oracle():
     for m in range(0, 12):
         got = [(t.edges, t.n) for t in enumerate_free_trees(m)]
         assert got == oracles.free_trees_first_seen(m)
+
+
+def test_enumeration_matches_the_rerooting_oracle():
+    for m in range(0, 14):
+        got = [(t.edges, t.n) for t in enumerate_free_trees(m)]
+        assert got == oracles.free_trees_by_rerooting(m)
 
 
 def test_enumeration_computes_no_canonical_code(monkeypatch):

@@ -460,9 +460,10 @@ def test_question_sweep_runs_one_pool_per_size(monkeypatch, jobs, cores, workers
 def survey_calls():
     """Tree builds and trunk searches made by the question-path survey to
     12 edges and the diameter-4 survey to 10 edges, with their record
-    count and the question-path report."""
+    count and the question-path report.  Builds are counted at
+    ``Tree._build``, which checked and level-sequence trees both run."""
     counts = {"builds": 0, "trunks": 0}
-    build = Tree.__init__
+    build = Tree._build
     find = trunk_module.find_trunk
 
     def counted_build(self, *args, **kwargs):
@@ -474,7 +475,7 @@ def survey_calls():
         return find(tree)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Tree, "__init__", counted_build)
+        mp.setattr(Tree, "_build", counted_build)
         mp.setattr(trunk_module, "find_trunk", counted_find)
         mp.setattr(search_module, "find_trunk", counted_find)
         question_path = sweep_question_path(12)
