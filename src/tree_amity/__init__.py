@@ -21,11 +21,9 @@ from .amity import (
     check_friendly_numbering,
     format_bijection,
     format_numbering,
-    invert_bijection,
     numbering_to_path_bijection,
     parse_bijection,
     parse_numbering,
-    unlinked,
 )
 from .cb import (
     CBShape,
@@ -35,10 +33,7 @@ from .cb import (
     make_cb,
     small_n_pair,
 )
-from .enumeration import (
-    count_free_trees,
-    enumerate_free_trees,
-)
+from .enumeration import enumerate_free_trees
 from .errors import (
     CycleDetected,
     Disconnected,
@@ -100,8 +95,6 @@ __all__ = [
     "HookViolation",
     "check_friendly_numbering",
     "check_friendly_bijection",
-    "unlinked",
-    "invert_bijection",
     "numbering_to_path_bijection",
     "parse_numbering",
     "format_numbering",
@@ -118,7 +111,6 @@ __all__ = [
     "bijection_from_pair",
     "small_n_pair",
     "enumerate_free_trees",
-    "count_free_trees",
     "FOUND",
     "PROVED_NONE",
     "BUDGET_EXCEEDED",

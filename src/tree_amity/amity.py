@@ -24,11 +24,10 @@ onto the tree, and the numbering is friendly exactly when that
 bijection is friendly.  ``numbering_to_path_bijection`` builds the
 bijection; the equivalence itself is exercised by the test suite.
 
-Checkers return None for success or a frozen violation record whose
-``replay`` method reproduces the failure from scratch.  Scan order is
-deterministic: numberings by k then by number on the path, bijections
-by vertex id pairs, then the hooking direction of the coboundary image
-of the smaller vertex first.
+Checkers return None for success or a frozen record of the first
+violation.  Scan order is deterministic: numberings by k then by number
+on the path, bijections by vertex id pairs, then the hooking direction
+of the coboundary image of the smaller vertex first.
 
 The hook test costs O(1) per vertex pair, not one edge path per pair
 of edges.  Root the tree at vertex 0; the *odd side* of an edge set q
@@ -89,16 +88,6 @@ class Numbering:
             raise InvalidNumbering(f"number {number} outside 1..{self.tree.m}")
         return self._edge_of[number]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Numbering)
-            and self.tree.edges == other.tree.edges
-            and self.numbers == other.numbers
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.tree.edges, self.numbers))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Numbering({self.numbers})"
 
@@ -120,18 +109,8 @@ class EdgeBijection:
         self.target = target
         self.mapping = mp
 
-    def image_set(self, eids: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.mapping[e] for e in eids)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"EdgeBijection({self.mapping})"
-
-
-def invert_bijection(b: EdgeBijection) -> EdgeBijection:
-    inverse = [0] * b.target.m
-    for src, dst in enumerate(b.mapping):
-        inverse[dst] = src
-    return EdgeBijection(b.target, b.source, inverse)
 
 
 # -- violations ------------------------------------------------------------
@@ -151,22 +130,8 @@ class NumberingPairViolation:
     path_edges: tuple[int, ...]
     path_numbers: tuple[int, ...]
 
-    kind = "NumberingPairViolation"
-
     def partner(self) -> int:
         return self.j + 1 if (self.j - self.k) % 2 == 0 else self.j - 1
-
-    def replay(self, nu: "Numbering") -> bool:
-        """Recompute the slice from scratch and confirm the failure."""
-        t = nu.tree
-        path = t.path_between_edges(nu.edge_of(self.k), nu.edge_of(self.k + 1))
-        if path != frozenset(self.path_edges):
-            return False
-        numbers = {nu.number_of(e) for e in path}
-        partner = self.partner()
-        return self.j in numbers and (
-            partner < 1 or partner > t.m or partner not in numbers
-        )
 
 
 @dataclass(frozen=True)
@@ -185,40 +150,8 @@ class HookViolation:
     edge_pair: tuple[int, int]
     crossing: int
 
-    kind = "HookViolation"
 
-    def replay(self, b: "EdgeBijection") -> bool:
-        """Recompute the failing pair from scratch and confirm it."""
-        g1, g2 = b.source, b.target
-        d = g1.distance(self.p_vertex, self.q_vertex)
-        if d < 2 or d % 2:
-            return False
-        p_img = b.image_set(g1.coboundary(self.p_vertex))
-        q_img = b.image_set(g1.coboundary(self.q_vertex))
-        hooking, other = (p_img, q_img) if self.hooking == "p" else (q_img, p_img)
-        a, c = self.edge_pair
-        if a not in hooking or c not in hooking:
-            return False
-        crossing = len(g2.path_between_edges(a, c) & other)
-        return crossing % 2 == 1 and crossing == self.crossing
-
-
-Violation = NumberingPairViolation | HookViolation
-
-
-# -- hooking predicates ------------------------------------------------------
-
-
-def _masks(tree: Tree, eids: Iterable[int]) -> tuple[int, int]:
-    """The mask of the given edges and their odd side: the mask of the
-    edges whose path from vertex 0 to their far endpoint crosses the
-    given edges an odd number of times."""
-    under = tree._under_masks()
-    mask = odd = 0
-    for e in eids:
-        mask |= 1 << e
-        odd ^= under[e]
-    return mask, odd
+# -- hook test ---------------------------------------------------------------
 
 
 def _hook_pair(
@@ -239,26 +172,6 @@ def _hook_pair(
     a = low.bit_length() - 1
     b = (other & -other).bit_length() - 1
     return (a, b, (tree.edge_path_mask(a, b) & q_mask).bit_count())
-
-
-def does_not_hook(tree: Tree, p: Iterable[int], q: Iterable[int]) -> bool:
-    """True when p does not hook onto q inside the given tree.
-
-    Empty or singleton p never hooks onto a disjoint q: there is no
-    pair of distinct edges to produce a path.
-    """
-    ps = frozenset(p)
-    qs = frozenset(q)
-    if ps & qs:
-        return False
-    return _hook_pair(tree, _masks(tree, ps)[0], *_masks(tree, qs)) is None
-
-
-def unlinked(tree: Tree, p: Iterable[int], q: Iterable[int]) -> bool:
-    """True when neither edge set hooks onto the other."""
-    ps = frozenset(p)
-    qs = frozenset(q)
-    return does_not_hook(tree, ps, qs) and does_not_hook(tree, qs, ps)
 
 
 # -- numbering check ---------------------------------------------------------
@@ -294,13 +207,6 @@ def check_friendly_numbering(nu: Numbering) -> NumberingPairViolation | None:
         if violation is not None:
             return violation
     return None
-
-
-def is_self_standing(nu: Numbering, k: int) -> bool:
-    """Single-k slice of the friendliness check."""
-    if not 1 <= k <= nu.tree.m - 1:
-        raise InvalidNumbering(f"k must lie in 1..{nu.tree.m - 1}, got {k}")
-    return _slice_violation(nu, k) is None
 
 
 # -- bijection check ---------------------------------------------------------

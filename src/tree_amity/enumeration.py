@@ -16,45 +16,20 @@ center of the tree, one per free tree, and jumps over whole runs of
 rooted trees whose root is off center.  Each centered sequence already
 holds every subtree in canonical order, so it turns into the
 representative in linear time by cutting and shifting.
-
-The counting functions use the classical rooted-tree convolution and the
-even/odd center correction, so generated families can be cross-checked
-against closed-form counts.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import ShapeMismatch
 from .trees import Tree
 
 __all__ = [
-    "level_sequences",
     "tree_from_level_sequence",
     "enumerate_free_trees",
-    "count_rooted_trees",
-    "count_free_trees",
 ]
-
-
-def level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical level sequences of all rooted trees on n vertices.
-
-    Emitted in decreasing lexicographic order, starting at the path
-    (1, 2, ..., n) and ending at the star (1, 2, 2, ..., 2).  Each
-    rooted tree appears exactly once.
-    """
-
-    if n < 1:
-        return
-    seq = list(range(1, n + 1))
-    while True:
-        yield tuple(seq)
-        if not _successor(seq):
-            return
 
 
 def _successor(seq: list[int], p: int | None = None) -> bool:
@@ -248,41 +223,3 @@ def _from_center(seq: list[int]) -> tuple[int, ...]:
         out.extend([x + shift for x in seq[v + 1:child]])
         out.extend([x + shift for x in seq[end[level + 1]:end[level]]])
     return tuple(out)
-
-
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
-
-
-@lru_cache(maxsize=None)
-def count_rooted_trees(n: int) -> int:
-    """Number of unlabeled rooted trees on n vertices."""
-
-    if n < 0:
-        raise ShapeMismatch("vertex count must be nonnegative")
-    if n <= 1:
-        return n
-    total = 0
-    for k in range(1, n):
-        s = sum(d * count_rooted_trees(d) for d in _divisors(k))
-        total += s * count_rooted_trees(n - k)
-    if total % (n - 1):
-        raise RuntimeError(f"rooted-tree recurrence for {n} vertices is not divisible")
-    return total // (n - 1)
-
-
-def count_free_trees(m: int) -> int:
-    """Number of unlabeled trees with m edges.
-
-    The rooted count minus the dissimilarity correction: each free tree
-    is counted once per vertex orbit when rooted, and the identity
-    reduces that to one via the pairing of rooted trees along edges.
-    """
-
-    if m < 0:
-        raise ShapeMismatch("edge count must be nonnegative")
-    n = m + 1
-    total = count_rooted_trees(n)
-    pairs = sum(count_rooted_trees(i) * count_rooted_trees(n - i) for i in range(1, n))
-    correction = count_rooted_trees(n // 2) if n % 2 == 0 else 0
-    return total - (pairs - correction) // 2

@@ -75,12 +75,3 @@ def number_parity_center(tree: Tree) -> Numbering:
         layer = [y for _, _, y in below]
     return Numbering(tree, numbers)
 
-
-def leaf_edge_property(nu: Numbering) -> bool:
-    """Every non-leaf edge numbered below every leaf edge."""
-    leaf_es = nu.tree.leaf_edges()
-    inner = [nu.number_of(e) for e in range(nu.tree.m) if e not in leaf_es]
-    outer = [nu.number_of(e) for e in leaf_es]
-    if not inner or not outer:
-        return True
-    return max(inner) < min(outer)

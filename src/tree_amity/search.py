@@ -18,11 +18,11 @@ checkers, and claims that nothing exists only after exhausting the
 whole space.  Its depth is bounded by memory, not by the interpreter's
 recursion limit.
 
-With pruning on, both searches break twin-leaf symmetry.  Twin leaf
-edges are leaf edges hanging from the same vertex; swapping two of them
-is a tree automorphism, and automorphisms preserve friendliness.  The
-searches therefore only accept assignments in which twin edges appear
-in increasing id order.  This never changes the status or the first
+Both searches break twin-leaf symmetry.  Twin leaf edges are leaf edges
+hanging from the same vertex; swapping two of them is a tree
+automorphism, and automorphisms preserve friendliness.  The searches
+therefore only accept assignments in which twin edges appear in
+increasing id order.  This never changes the status or the first
 witness: each search returns the lexicographically first friendly
 assignment in its scan order, and putting every twin class back into id
 order turns any friendly assignment into one that is friendly, meets
@@ -56,7 +56,6 @@ from .amity import (
     EdgeBijection,
     Numbering,
     _bijection_checker,
-    check_friendly_bijection,
     check_friendly_numbering,
     format_bijection,
     format_numbering,
@@ -151,7 +150,7 @@ def _search(
     candidates: Callable[[int], list[int]],
     place: Callable[[int, int], bool],
     lift: Callable[[int, int], None],
-    finish: Callable[[], Numbering | EdgeBijection | None],
+    finish: Callable[[], Numbering | EdgeBijection],
     found_by: str,
 ) -> SearchResult:
     """Depth-first search over ``size`` placements with an explicit stack.
@@ -161,8 +160,8 @@ def _search(
     every deeper placement is lifted before the next value is read.
     Each tried value is one node, counted before ``place`` assigns it
     and prunes; ``lift`` undoes a ``place`` whether or not its branch
-    survived.  At full depth ``finish`` builds the witness or rejects
-    the assignment, and a witness is re-verified through the reference
+    survived.  At full depth every constraint has passed, so ``finish``
+    builds the witness, which is re-verified through the reference
     checker before it is returned.  The clock runs from ``start``.
     """
 
@@ -175,16 +174,8 @@ def _search(
     levels: list[Iterator[int]] = [iter(())] * size
     placed = [0] * size
     depth = 0
-    while status is None:
-        if depth < size:
-            levels[depth] = iter(candidates(depth))
-        else:
-            witness = finish()
-            if witness is not None:
-                status = FOUND
-                break
-            depth -= 1
-            lift(depth, placed[depth])
+    while status is None and depth < size:
+        levels[depth] = iter(candidates(depth))
         # place the next surviving value, backtracking from exhausted depths
         while True:
             for value in levels[depth]:
@@ -208,37 +199,34 @@ def _search(
                 lift(depth, placed[depth])
                 continue
             break
-    if witness is not None:
-        verified(witness, found_by)
+    if status is None:
+        status = FOUND
+        witness = verified(finish(), found_by)
     return SearchResult(status, witness, nodes, time.monotonic() - start)
 
 
-def search_numbering(
-    tree: Tree, budget: SearchBudget | None = None, prune: bool = True
-) -> SearchResult:
+def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchResult:
     """Look for a friendly numbering of the tree's edges.
 
     Numbers are placed in increasing order over candidate edges in
-    ascending id order, so the pruned and unpruned searches walk the
-    same tree and return the same first witness.  With pruning on, each
-    constraint is tested at the depth where it closes.  Placing num
-    closes the path between the edges numbered num - 1 and num: it must
-    have even length, and every number already on it must have its
-    parity partner on it too, in 1..m.  It also closes the pairing of
-    num with num - 1 on every earlier path of num - 1's parity, where
-    the two are partners, so the path holds both or neither.  That m is
-    not on a path of its own parity, where its partner m + 1 would be,
-    needs no test: the path's other numbers then pair up, so m would
-    make its length odd.  Pruning also numbers twin leaf edges in
-    increasing id order (an edge is a candidate only once its smaller
-    twin is numbered); the first friendly numbering always does, so the
-    witness is the unpruned search's.  Every witness is re-verified
-    through the reference checker before being returned.
+    ascending id order, and each constraint is tested at the depth where
+    it closes.  Placing num closes the path between the edges numbered
+    num - 1 and num: it must have even length, and every number already
+    on it must have its parity partner on it too, in 1..m.  It also
+    closes the pairing of num with num - 1 on every earlier path of
+    num - 1's parity, where the two are partners, so the path holds both
+    or neither.  That m is not on a path of its own parity, where its
+    partner m + 1 would be, needs no test: the path's other numbers then
+    pair up, so m would make its length odd.  Twin leaf edges are
+    numbered in increasing id order (an edge is a candidate only once
+    its smaller twin is numbered); the first friendly numbering in scan
+    order always does, so it is the witness.  Every witness is
+    re-verified through the reference checker before being returned.
     """
 
     start = time.monotonic()
     m = tree.m
-    twin = _twin_before(tree) if prune else [-1] * m
+    twin = _twin_before(tree)
     number_of = [0] * m
     edge_of = [0] * (m + 1)
     # path[k] is the path between the edges numbered k and k + 1, once
@@ -258,7 +246,7 @@ def search_numbering(
         num = t + 1
         number_of[f] = num
         edge_of[num] = f
-        if not prune or num == 1:
+        if num == 1:
             return True
         g = edge_of[t]
         # on an earlier path of t's parity, num and t are partners
@@ -285,11 +273,8 @@ def search_numbering(
             on_path[e] ^= 1 << t
         path[t] = 0
 
-    def finish() -> Numbering | None:
-        nu = Numbering(tree, list(number_of))
-        if prune or check_friendly_numbering(nu) is None:
-            return nu
-        return None
+    def finish() -> Numbering:
+        return Numbering(tree, list(number_of))
 
     return _search(
         start, budget, m, candidates, place, lift, finish,
@@ -298,25 +283,22 @@ def search_numbering(
 
 
 def search_bijection(
-    source: Tree,
-    target: Tree,
-    budget: SearchBudget | None = None,
-    prune: bool = True,
+    source: Tree, target: Tree, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Look for a friendly edge bijection from source onto target.
 
     Source edges are assigned in order of decreasing endpoint degree
     sum (most constrained first); target candidates go in ascending id
-    order.  With pruning on, each constraint is tested at the depth
-    where it closes: an even-distance vertex pair of the source is
-    tested, by the checker's hook test both ways, at the depth that
-    assigns the last edge of the two coboundaries, and nowhere else.
-    Twin-leaf symmetry is broken on both sides: a source twin's image
-    must exceed its smaller twin's (twins share a degree sum, so the
-    smaller one is assigned first), and a target edge is a candidate
-    only once its smaller twin is used.  The first friendly bijection
-    meets both rules, so the witness is the unpruned search's.
-    Witnesses are re-verified through the reference checker.
+    order.  Each constraint is tested at the depth where it closes: an
+    even-distance vertex pair of the source is tested, by the checker's
+    hook test both ways, at the depth that assigns the last edge of the
+    two coboundaries, and nowhere else.  Twin-leaf symmetry is broken on
+    both sides: a source twin's image must exceed its smaller twin's
+    (twins share a degree sum, so the smaller one is assigned first),
+    and a target edge is a candidate only once its smaller twin is
+    used.  The first friendly bijection in scan order meets both rules,
+    so it is the witness.  Witnesses are re-verified through the
+    reference checker.
     """
 
     if source.m != target.m:
@@ -331,22 +313,21 @@ def search_bijection(
         return (-(source.degrees[u] + source.degrees[v]), e)
 
     order = sorted(range(m), key=weight)
-    source_twin = _twin_before(source) if prune else [-1] * m
-    target_twin = _twin_before(target) if prune else [-1] * m
+    source_twin = _twin_before(source)
+    target_twin = _twin_before(target)
 
     # closing[i]: the even-distance vertex pairs of the source whose
-    # coboundaries are complete once depth i is placed; none without pruning
+    # coboundaries are complete once depth i is placed
     closing: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    if prune:
-        done = [0] * source.n
-        for i, e in enumerate(order):
-            for v in source.edges[e]:
-                done[v] = i
-        side = source.bipartition()
-        for p_v in range(source.n):
-            for q_v in range(p_v + 1, source.n):
-                if side[q_v] == side[p_v]:
-                    closing[max(done[p_v], done[q_v])].append((p_v, q_v))
+    done = [0] * source.n
+    for i, e in enumerate(order):
+        for v in source.edges[e]:
+            done[v] = i
+    side = source.bipartition()
+    for p_v in range(source.n):
+        for q_v in range(p_v + 1, source.n):
+            if side[q_v] == side[p_v]:
+                closing[max(done[p_v], done[q_v])].append((p_v, q_v))
 
     mapping = [-1] * m
     used = [False] * m
@@ -397,11 +378,8 @@ def search_bijection(
         used[f] = False
         assign(e, f)
 
-    def finish() -> EdgeBijection | None:
-        bj = EdgeBijection(source, target, list(mapping))
-        if prune or check_friendly_bijection(bj) is None:
-            return bj
-        return None
+    def finish() -> EdgeBijection:
+        return EdgeBijection(source, target, list(mapping))
 
     return _search(
         start, budget, m, candidates, place, lift, finish,

@@ -11,23 +11,21 @@ Conventions used throughout the package:
   and dropping e or f when the climb ran along it.
 * The *coboundary* of a vertex is the set of edges incident to it.
 
-Edge sets are passed around as frozensets of edge ids.  Internally
-several hot paths use integer bitmasks over edge ids; ``edge_path_mask``
-is part of the public surface because the checkers and searches lean
-on it.
+The checkers and searches hold edge sets as integer bitmasks over edge
+ids, and ``edge_path_mask`` gives the path between two edges as one.
 
-Trees are immutable after construction.  Path and distance queries run
-on one rooted copy of the tree: a single traversal from vertex 0 stores
-each vertex's parent, the edge up to it and its depth, and the order it
-reached the vertices in, four lists of length n built on the first such
-query and never in the constructor, so trees that are built and never
-queried pay nothing for it.  A query climbs both endpoints to their
-meeting point, which costs the length of the path.  Whole-tree questions
-(diameter, equidistant center) use single-source distance lists that are
-not kept.  Memoized, and never invalidated: the edge path masks that
-the searches ask for again and again; the depth-parity coloring and the
-per-edge masks of the edges below each edge, which the bijection checker
-asks for on every call; and the canonical code.
+Trees are immutable after construction.  Path queries run on one rooted
+copy of the tree: a single traversal from vertex 0 stores each vertex's
+parent, the edge up to it and its depth, and the order it reached the
+vertices in, four lists of length n built on the first such query and
+never in the constructor, so trees that are built and never queried pay
+nothing for it.  A query climbs both endpoints to their meeting point,
+which costs the length of the path.  Whole-tree questions (diameter,
+equidistant center) use single-source distance lists that are not kept.
+Memoized, and never invalidated: the edge path masks that the searches
+ask for again and again; the depth-parity coloring and the per-edge
+masks of the edges below each edge, which the bijection checker asks for
+on every call; and the canonical code.
 """
 
 from __future__ import annotations
@@ -169,18 +167,6 @@ class Tree:
                     order.append(y)
         return dist
 
-    def distance(self, u: int, v: int) -> int:
-        """Number of edges on the unique u-v path."""
-        parent, _, depth, _ = self._rooted()
-        d = 0
-        while u != v:
-            if depth[u] >= depth[v]:
-                u = parent[u]
-            else:
-                v = parent[v]
-            d += 1
-        return d
-
     def vertex_path(self, a: int, b: int) -> tuple[int, ...]:
         """Vertices of the unique a-b path, endpoints included."""
         parent, _, depth, _ = self._rooted()
@@ -205,18 +191,6 @@ class Tree:
         if self._side is None:
             self._side = tuple(d & 1 for d in self._rooted()[2])
         return self._side
-
-    def coboundary(self, v: int) -> frozenset[int]:
-        """Edges incident to v."""
-        return frozenset(eid for _, eid in self.adj[v])
-
-    def leaf_edges(self) -> frozenset[int]:
-        """Edges with at least one endpoint of degree one."""
-        return frozenset(
-            eid
-            for eid, (u, v) in enumerate(self.edges)
-            if self.degrees[u] == 1 or self.degrees[v] == 1
-        )
 
     def diameter(self) -> int:
         if self.n == 1:
@@ -245,11 +219,6 @@ class Tree:
                     under[above] |= under[e]
             self._under = tuple(under)
         return self._under
-
-    def path_between_edges(self, e1: int, e2: int) -> frozenset[int]:
-        """Edges strictly between e1 and e2; empty when they share a vertex."""
-        mask = self.edge_path_mask(e1, e2)
-        return frozenset(_iter_bits(mask))
 
     def edge_path_mask(self, e1: int, e2: int) -> int:
         if e1 == e2:

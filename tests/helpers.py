@@ -8,7 +8,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 import oracles
-from tree_amity import Tree, enumerate_free_trees
+from tree_amity import EdgeBijection, Tree, enumerate_free_trees
 
 
 def path(m: int) -> Tree:
@@ -60,6 +60,14 @@ def tri_y() -> Tree:
 
 def from_prufer(seq, n: int) -> Tree:
     return Tree(oracles.prufer_decode(list(seq), n), n)
+
+
+def inverse(b: EdgeBijection) -> EdgeBijection:
+    """The bijection from b's target back onto its source."""
+    mapping = [0] * b.target.m
+    for src, dst in enumerate(b.mapping):
+        mapping[dst] = src
+    return EdgeBijection(b.target, b.source, mapping)
 
 
 # -- seeded large trees ----------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything here is written straight from the definitions and shares no
 code with the package, so it can serve as a second opinion: breadth
 first search distances and paths, a naive friendliness checker for
-numberings and for bijections, Pruefer coding, brute force isomorphism
+numberings and for bijections, the first friendly numbering and
+bijection in the searches' scan order, found by trying every
+assignment, Pruefer coding, brute force isomorphism
 and automorphism tests, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
 large for the brute-force ones, the trunk numbering's edge order, the
@@ -151,6 +153,49 @@ def check_bijection_naive(src_edges, src_n, dst_edges, dst_n, mapping):
     return True
 
 
+def first_friendly_numbering(edges, n):
+    """The first friendly numbering, by edge id, in the numbering search's
+    scan order, or None.
+
+    The scan gives numbers 1..m in turn, each to the smallest edge id it
+    has not yet tried, so the lists of edges numbered 1..m come in
+    lexicographic order; every one is checked by check_numbering_naive.
+    """
+
+    m = len(edges)
+    for edge_of in itertools.permutations(range(m)):
+        numbers = [0] * m
+        for k, e in enumerate(edge_of, start=1):
+            numbers[e] = k
+        if check_numbering_naive(edges, n, numbers):
+            return tuple(numbers)
+    return None
+
+
+def first_friendly_bijection(src_edges, src_n, dst_edges, dst_n):
+    """The first friendly bijection, as target ids by source edge id, in
+    the bijection search's scan order, or None.
+
+    The scan assigns the source edges by falling endpoint degree sum,
+    then by id, each to the smallest target id it has not yet tried, so
+    the target lists come in lexicographic order; every one is checked
+    by check_bijection_naive.
+    """
+
+    degree = [len(a) for a in adjacency(src_edges, src_n)]
+    order = sorted(
+        range(len(src_edges)),
+        key=lambda e: (-degree[src_edges[e][0]] - degree[src_edges[e][1]], e),
+    )
+    for images in itertools.permutations(range(len(dst_edges))):
+        mapping = [0] * len(src_edges)
+        for e, f in zip(order, images):
+            mapping[e] = f
+        if check_bijection_naive(src_edges, src_n, dst_edges, dst_n, mapping):
+            return tuple(mapping)
+    return None
+
+
 def children_from_root(adj):
     """Breadth-first order from vertex 0 and each vertex's children."""
     parent = [None] * len(adj)
@@ -295,8 +340,60 @@ def shape_key(plain_adj, n, table):
     return min(r1, r2)
 
 
-def count_trees_prufer_dedup(m):
-    """Unlabeled trees with m edges, by decoding every Pruefer sequence.
+def _count_vectors(total, most, labels):
+    """Non-increasing tuples of ``labels`` counts, none above ``most``,
+    summing to ``total``, in decreasing lexicographic order."""
+    if labels == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, most), -1, -1):
+        if first * labels < total:
+            return
+        for rest in _count_vectors(total - first, first, labels - 1):
+            yield (first,) + rest
+
+
+def _arrangements(counts):
+    """Every distinct sequence holding label v exactly counts[v] times,
+    in lexicographic order."""
+    left = list(counts)
+    seq = []
+    size = sum(counts)
+
+    def walk():
+        if len(seq) == size:
+            yield tuple(seq)
+            return
+        for v, c in enumerate(left):
+            if c:
+                left[v] -= 1
+                seq.append(v)
+                yield from walk()
+                seq.pop()
+                left[v] += 1
+
+    return walk()
+
+
+def prufer_sequences_by_degree(n):
+    """The Pruefer sequences on labels 0..n-1 whose label counts do not
+    increase with the label.
+
+    A label's count is its degree minus one, and every tree has a
+    labelling whose degrees do not increase with the label, so these
+    sequences still decode to every shape.  They are built directly:
+    the non-increasing count vectors first, then the distinct
+    arrangements of each.
+    """
+    for counts in _count_vectors(n - 2, n - 2, n):
+        yield from _arrangements(counts)
+
+
+def count_trees_prufer_dedup(m, every_sequence=False):
+    """Unlabeled trees with m edges, by decoding Pruefer sequences: all
+    of them with ``every_sequence``, else those that
+    prufer_sequences_by_degree gives.
 
     Decoding emits each edge of the tree rooted at n - 1 as (child,
     parent), every child before its parent, so each child's rooted code
@@ -310,7 +407,11 @@ def count_trees_prufer_dedup(m):
     rooted = set()
     seen = set()
     rng = range(n)
-    for seq in itertools.product(rng, repeat=n - 2):
+    if every_sequence:
+        sequences = itertools.product(rng, repeat=n - 2)
+    else:
+        sequences = prufer_sequences_by_degree(n)
+    for seq in sequences:
         edges = prufer_decode(seq, n)
         kids = [[] for _ in rng]
         for child, parent in edges:

@@ -197,8 +197,7 @@ def test_friendly_bijections_from_double_stars_have_connected_parts():
                     b = EdgeBijection(cb.tree, t, perm)
                     if check_friendly_bijection(b) is not None:
                         continue
-                    e1 = b.image_set(cb.tree.coboundary(0))
-                    e2 = b.image_set(cb.tree.coboundary(1))
+                    e1, e2 = ({perm[e] for _, e in cb.tree.adj[c]} for c in (0, 1))
                     assert len(e1 & e2) == 1
                     assert oracles.edges_connected(t.edges, e1)
                     assert oracles.edges_connected(t.edges, e2)

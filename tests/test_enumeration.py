@@ -1,4 +1,4 @@
-"""Shape generation and the two counting routes that must agree."""
+"""Shape generation, checked against counts and independent oracles."""
 
 import itertools
 
@@ -6,17 +6,23 @@ import pytest
 
 import oracles
 from helpers import all_trees
-from tree_amity import ShapeMismatch, Tree, count_free_trees, enumerate_free_trees
-from tree_amity.enumeration import (
-    count_rooted_trees,
-    level_sequences,
-    tree_from_level_sequence,
-)
+from tree_amity import ShapeMismatch, Tree, enumerate_free_trees
+from tree_amity.enumeration import _successor, tree_from_level_sequence
 
 # Known values, small enough to state outright: rooted shapes on n
 # vertices for n = 1.., and free shapes with m edges for m = 0..
 ROOTED = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 FREE = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+
+
+def level_sequences(n):
+    """Every canonical level sequence on n vertices, by stepping the path
+    with the generator's Beyer-Hedetniemi successor until it stops."""
+    seq = list(range(1, n + 1))
+    while True:
+        yield tuple(seq)
+        if not _successor(seq):
+            return
 
 
 def test_level_sequence_counts_are_the_rooted_counts():
@@ -68,15 +74,17 @@ def test_level_sequence_trees_equal_checked_trees():
 
 def test_enumeration_counts_match_the_closed_form():
     for m in range(0, 14):
-        assert len(all_trees(m)) == FREE[m] == count_free_trees(m)
+        assert len(all_trees(m)) == FREE[m] == oracles.free_tree_count(m)
     for m in (14, 15):
-        assert sum(1 for _ in enumerate_free_trees(m)) == FREE[m] == count_free_trees(m)
+        assert sum(1 for _ in enumerate_free_trees(m)) == FREE[m] == oracles.free_tree_count(m)
 
 
 def test_enumeration_counts_match_prufer_dedup():
-    # the heavyweight m = 8 run lives in the acceptance suite
+    # every Pruefer sequence against the ones the acceptance suite's
+    # m = 0..9 run decodes
     for m in range(0, 7):
-        assert len(all_trees(m)) == oracles.count_trees_prufer_dedup(m)
+        want = oracles.count_trees_prufer_dedup(m, every_sequence=True)
+        assert len(all_trees(m)) == want == oracles.count_trees_prufer_dedup(m)
 
 
 def test_enumeration_matches_the_first_seen_dedup_oracle():
@@ -125,9 +133,4 @@ def test_rejects_negative_edge_count():
 def test_rooted_counts_match_the_reference_recurrence():
     want = oracles.rooted_tree_counts(12)
     for n in range(1, 13):
-        assert count_rooted_trees(n) == want[n]
-
-
-def test_free_counts_match_the_reference_up_to_fourteen():
-    for m in range(0, 15):
-        assert count_free_trees(m) == oracles.free_tree_count(m)
+        assert sum(1 for _ in level_sequences(n)) == want[n]

@@ -5,19 +5,16 @@ import random
 import pytest
 
 import oracles
-from helpers import all_trees, complete_tree, path, shuffled, spider, star, tri_y
+from helpers import all_trees, complete_tree, inverse, path, shuffled, spider, star, tri_y
 from tree_amity import (
-    Numbering,
     PreconditionFailed,
     Tree,
     check_friendly_bijection,
     check_friendly_numbering,
     check_precondition,
-    invert_bijection,
     number_parity_center,
     numbering_to_path_bijection,
 )
-from tree_amity.parity import leaf_edge_property
 
 
 QUALIFYING_BY_EDGES = {1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 3, 7: 0, 8: 6}
@@ -107,7 +104,7 @@ def test_construction_is_friendly_both_ways_small():
         assert check_friendly_numbering(nu) is None, t.edges
         bridge = numbering_to_path_bijection(nu)
         assert check_friendly_bijection(bridge) is None, t.edges
-        assert check_friendly_bijection(invert_bijection(bridge)) is None, t.edges
+        assert check_friendly_bijection(inverse(bridge)) is None, t.edges
         count += 1
     assert count == 1 + 2 + 3 + 6 + 9
 
@@ -139,21 +136,24 @@ def test_rejects_uncovered_trees():
         number_parity_center(star(3))
 
 
+def _leaf_edges(t):
+    """Edges with an endpoint of degree one."""
+    return {e for e, (u, v) in enumerate(t.edges) if 1 in (t.degrees[u], t.degrees[v])}
+
+
 def test_leaf_edges_take_the_top_numbers():
     for t, _ in qualifying(10):
-        assert leaf_edge_property(number_parity_center(t))
-
-
-def test_leaf_edge_property_can_fail():
-    nu = Numbering(path(4), (1, 2, 3, 4))
-    assert not leaf_edge_property(nu)
+        nu = number_parity_center(t)
+        leaf_es = _leaf_edges(t)
+        inner = [nu.number_of(e) for e in range(t.m) if e not in leaf_es]
+        assert max(inner, default=0) < min(nu.number_of(e) for e in leaf_es), t.edges
 
 
 def test_leaf_edges_run_counter_to_their_parents():
     checked = 0
     for t, _ in qualifying(10):
         leaf_vs = {v for v in range(t.n) if t.degrees[v] == 1}
-        leaf_es = t.leaf_edges()
+        leaf_es = _leaf_edges(t)
         if len(leaf_es) == t.m:
             continue
         parents = {}
@@ -182,6 +182,8 @@ def test_leaf_to_near_leaf_distances_are_odd():
     for t, _ in qualifying(13):
         leaves = {v for v in range(t.n) if t.degrees[v] == 1}
         near = [p for p in range(t.n) if any(w in leaves for w in t.neighbors(p))]
+        adj = oracles.adjacency(t.edges, t.n)
         for p in near:
+            dist = oracles.bfs_distances(adj, p)
             for q in leaves:
-                assert t.distance(p, q) % 2 == 1, (t.edges, p, q)
+                assert dist[q] % 2 == 1, (t.edges, p, q)

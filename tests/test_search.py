@@ -10,7 +10,9 @@ import pytest
 import oracles
 import tree_amity.search as search_module
 import tree_amity.trunk as trunk_module
-from helpers import all_trees, path, relabeled, shuffled, spider, star, trees_up_to, tri_y
+from helpers import (
+    all_trees, inverse, path, relabeled, shuffled, spider, star, trees_up_to, tri_y,
+)
 from tree_amity import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -24,7 +26,6 @@ from tree_amity import (
     check_friendly_numbering,
     enumerate_free_trees,
     find_subtree_pair,
-    invert_bijection,
     make_cb,
     parse_numbering,
     parse_tree_labeled,
@@ -93,24 +94,24 @@ def test_search_witness_is_friendly_up_to_nine_edges():
         assert check_friendly_numbering(result.witness) is None
 
 
+def _assert_first_numbering(t):
+    """The search's status and witness are the brute-force scan's."""
+    result = search_numbering(t, EXHAUSTIVE)
+    want = oracles.first_friendly_numbering(t.edges, t.n)
+    assert result.status == (PROVED_NONE if want is None else FOUND), t.edges
+    if want is not None:
+        assert result.witness.numbers == want, t.edges
+
+
 def test_pruning_changes_nothing_small():
     for m in range(1, 6):
         for t in all_trees(m):
-            fast = search_numbering(t, EXHAUSTIVE, prune=True)
-            slow = search_numbering(t, EXHAUSTIVE, prune=False)
-            assert fast.status == slow.status
-            if fast.status == FOUND:
-                assert fast.witness.numbers == slow.witness.numbers
-            assert fast.nodes <= slow.nodes
+            _assert_first_numbering(t)
 
 
 def test_pruning_keeps_the_numbering_witness():
     for t in trees_up_to(7):
-        fast = search_numbering(t, EXHAUSTIVE, prune=True)
-        slow = search_numbering(t, EXHAUSTIVE, prune=False)
-        assert fast.status == slow.status, t.edges
-        if fast.status == FOUND:
-            assert fast.witness.numbers == slow.witness.numbers, t.edges
+        _assert_first_numbering(t)
 
 
 def test_twins_are_swapped_by_an_automorphism():
@@ -238,16 +239,16 @@ def test_bijection_search_node_and_witness_totals_up_to_six_edges():
 
 
 def test_bijection_pruning_changes_nothing_small():
+    """The search's status and witness are the brute-force scan's."""
     for m in range(1, 7):
         shapes = all_trees(m)
         for s in shapes:
             for t in shapes:
-                fast = search_bijection(s, t, EXHAUSTIVE, prune=True)
-                slow = search_bijection(s, t, EXHAUSTIVE, prune=False)
-                assert fast.status == slow.status, (s.edges, t.edges)
-                if fast.status == FOUND:
-                    assert fast.witness.mapping == slow.witness.mapping
-                assert fast.nodes <= slow.nodes
+                result = search_bijection(s, t, EXHAUSTIVE)
+                want = oracles.first_friendly_bijection(s.edges, s.n, t.edges, t.n)
+                assert result.status == (PROVED_NONE if want is None else FOUND)
+                if want is not None:
+                    assert result.witness.mapping == want, (s.edges, t.edges)
 
 
 def test_bijection_budget_exhaustion():
@@ -275,13 +276,13 @@ def test_audit_shape_and_totals():
 
 def _slow_audit_record(a, b):
     """The audit record of one pair through a validated ``EdgeBijection``
-    per permutation, the public checker and ``invert_bijection``."""
+    per permutation, the public checker and ``helpers.inverse``."""
     friendly = failures = 0
     for perm in itertools.permutations(range(a.m)):
         bj = EdgeBijection(a, b, perm)
         if check_friendly_bijection(bj) is None:
             friendly += 1
-            if check_friendly_bijection(invert_bijection(bj)) is not None:
+            if check_friendly_bijection(inverse(bj)) is not None:
                 failures += 1
     return AuditRecord(
         a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),

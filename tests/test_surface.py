@@ -4,6 +4,7 @@ Growing or shrinking ``tree_amity.__all__`` means editing this list.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import tree_amity
@@ -43,14 +44,12 @@ PUBLIC_NAMES = [
     "check_friendly_bijection",
     "check_friendly_numbering",
     "check_precondition",
-    "count_free_trees",
     "enumerate_free_trees",
     "find_subtree_pair",
     "find_trunk",
     "format_bijection",
     "format_numbering",
     "format_tree",
-    "invert_bijection",
     "make_cb",
     "number_by_trunk",
     "number_parity_center",
@@ -66,7 +65,6 @@ PUBLIC_NAMES = [
     "sweep_hypothesis",
     "sweep_question_path",
     "symmetry_audit",
-    "unlinked",
 ]
 
 
@@ -115,4 +113,50 @@ def test_no_unused_import_in_the_package():
             for name, line in imported.items()
             if name not in needed
         ]
+    assert found == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node, inside=()):
+    """(name, enclosing definitions) of every ast Name and Attribute under node."""
+    if isinstance(node, ast.Name):
+        yield node.id, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, inside
+    if isinstance(node, DEFINITIONS):
+        inside = inside + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_every_unexported_definition_has_a_caller():
+    """Every function, method and class the package defines is named by
+    the package outside its own definition, by ``scripts/`` or
+    ``perfbench/``, or by the entry point in ``pyproject.toml``.
+
+    Dunders and the names in ``tree_amity.__all__`` are exempt.  Code that
+    only the tests call belongs in the tests.
+    """
+
+    package = Path(tree_amity.__file__).parent
+    root = package.parent.parent
+    called = set(re.findall(r'"[\w.]+:(\w+)"', (root / "pyproject.toml").read_text()))
+    for path in [*root.glob("scripts/*.py"), *root.glob("perfbench/*.py")]:
+        called.update(name for name, _ in _references(ast.parse(path.read_text())))
+    modules = {path: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
+    refs = [ref for tree in modules.values() for ref in _references(tree)]
+    found = []
+    for path, tree in sorted(modules.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in tree_amity.__all__ or name in called:
+                continue
+            if not any(ref == name and node not in inside for ref, inside in refs):
+                found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
