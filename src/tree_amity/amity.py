@@ -29,6 +29,20 @@ violation.  Scan order is deterministic: numberings by k then by number
 on the path, bijections by vertex id pairs, then the hooking direction
 of the coboundary image of the smaller vertex first.
 
+The numbering check works in number space.  Root the tree at vertex 0
+and let R[v] be the bit set of the numbers on the path from the root to
+v, one pass in breadth-first order.  Clear bits k and k+1 of
+R[far(e_k)] ^ R[far(e_k+1)], with far(e) the endpoint of e away from
+the root, and what is left, N, is the set of numbers on the path
+between the edges numbered k and k+1.  With A the numbers of k's parity
+in 1..m, slice k is self-standing exactly when ``(N & A) << 1`` equals
+``N & ~A``: every number of k's parity has its successor there, and
+every other number its predecessor.  Partners 0 and m+1 fail on their
+own, as bit 0 is never shifted in and bit m+1 is never in N.  The bit
+sets tell only which slice fails first, so that slice alone is then
+read edge by edge, and the violation record names the same number,
+pair offset and path as a scan of every slice would.
+
 The hook test costs O(1) per vertex pair, not one edge path per pair
 of edges.  Root the tree at vertex 0; the *odd side* of an edge set q
 is the set of edges whose path from the root to their far endpoint
@@ -200,13 +214,49 @@ def _slice_violation(nu: Numbering, k: int) -> NumberingPairViolation | None:
     return None
 
 
+def _numbering_checker(tree: Tree) -> Callable[[Sequence[int]], int | None]:
+    """The numbering check on one tree, built once for the tree.
+
+    ``check(numbers)`` takes the number of each edge, by edge id, and
+    returns the first k whose slice is not self-standing, or None when
+    the numbering is friendly, by the number-space test of the module
+    docstring.
+    """
+    parent, up_edge, _, order = tree._rooted()
+    m = tree.m
+    steps = [(v, parent[v], up_edge[v]) for v in order[1:]]
+    # bits 1..m of either parity: A_k is parity[k & 1]
+    full = (1 << (m + 1)) - 2
+    every_other = int("01" * (m // 2 + 1), 2)
+    parity = (every_other & full, (every_other << 1) & full)
+
+    def check(numbers: Sequence[int]) -> int | None:
+        root_path = [0] * (m + 1)
+        far = [0] * (m + 1)
+        for v, p, e in steps:
+            k = numbers[e]
+            root_path[v] = root_path[p] | 1 << k
+            far[k] = v
+        for k in range(1, m):
+            between = (root_path[far[k]] ^ root_path[far[k + 1]]) & ~(3 << k)
+            aligned = between & parity[k & 1]
+            if aligned << 1 != between ^ aligned:
+                return k
+        return None
+
+    return check
+
+
 def check_friendly_numbering(nu: Numbering) -> NumberingPairViolation | None:
-    """None when the numbering is friendly, else the first violation."""
-    for k in range(1, nu.tree.m):
-        violation = _slice_violation(nu, k)
-        if violation is not None:
-            return violation
-    return None
+    """None when the numbering is friendly, else the first violation.
+
+    The slices are tested in number space by ``_numbering_checker``, in
+    O(m) big-int operations on an O(n·m)-bit table that lives only
+    during the call; the first slice that fails is then read edge by
+    edge to build the record, the one a scan of every slice finds.
+    """
+    k = _numbering_checker(nu.tree)(nu.numbers)
+    return None if k is None else _slice_violation(nu, k)
 
 
 # -- bijection check ---------------------------------------------------------

@@ -56,7 +56,7 @@ from .amity import (
     EdgeBijection,
     Numbering,
     _bijection_checker,
-    check_friendly_numbering,
+    _numbering_checker,
     format_bijection,
     format_numbering,
     verified,
@@ -609,9 +609,11 @@ def _lift(
     For each leaf edge in id order, the tree minus its leaf vertex is
     matched with its representative through the two canonical orders,
     which carries the witness over; then the leaf edge takes each value
-    p = 1..m in turn, the values p and above moving up by one.  The
-    first numbering the checker accepts is returned, and that check is
-    its verification.  ``parents`` keeps each witness as read (the
+    p = 1..m in turn, the values p and above moving up by one.  Each
+    trial runs the tree's numbering checker, built once, on the raw list
+    of numbers; only the first list it accepts becomes a ``Numbering``,
+    and that check, the one ``check_friendly_numbering`` makes, is its
+    verification.  ``parents`` keeps each witness as read (the
     representative's canonical order and its numbers by vertex pair) by
     code, so that callers lifting many trees from one ``below`` read
     each witness once.
@@ -619,6 +621,7 @@ def _lift(
     m = tree.m
     if parents is None:
         parents = {}
+    check = _numbering_checker(tree)
     for leaf, (u, v) in enumerate(tree.edges):
         x = v if tree.degrees[v] == 1 else u
         if tree.degrees[x] != 1:
@@ -652,9 +655,8 @@ def _lift(
         for p in range(1, m + 1):
             numbers = [k + (k >= p) for k in base]
             numbers[leaf] = p
-            nu = Numbering(tree, numbers)
-            if check_friendly_numbering(nu) is None:
-                return nu, f"parent={code} leaf={u}-{v} p={p}"
+            if check(numbers) is None:
+                return Numbering(tree, numbers), f"parent={code} leaf={u}-{v} p={p}"
     return None
 
 

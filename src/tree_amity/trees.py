@@ -94,7 +94,8 @@ class Tree:
             if ru == rv:
                 raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
             root[ru] = rv
-        if len({find(x) for x in range(n)}) != 1:
+        # acyclic, so n - 1 edges on n vertices make one component
+        if len(edge_list) != n - 1:
             raise Disconnected(f"{len(edge_list)} edges leave {n} vertices disconnected")
         self._build(edge_list, n)
 

@@ -16,6 +16,8 @@ from helpers import (
     random_prufer_tree,
     random_trees,
     random_trunk_tree,
+    relabeled,
+    shuffled,
     spider,
     star,
     trees_up_to,
@@ -31,6 +33,7 @@ from tree_amity import (
     SizeMismatch,
     check_friendly_bijection,
     check_friendly_numbering,
+    find_trunk,
     format_bijection,
     format_numbering,
     numbering_to_path_bijection,
@@ -42,6 +45,7 @@ from tree_amity import (
 from tree_amity.amity import (
     _bijection_checker,
     _hook_pair,
+    _numbering_checker,
     _slice_violation,
     path_tree,
 )
@@ -142,6 +146,71 @@ def test_violation_fields_replay(case):
     partner = flaw.partner()
     assert partner not in present
     assert partner in (flaw.j - 1, flaw.j + 1)
+
+
+# -- numbering checker vs the slice scan ------------------------------------------
+
+
+def _slice_scan(nu):
+    """The first violation found slice by slice, edge by edge."""
+    for k in range(1, nu.tree.m):
+        violation = _slice_violation(nu, k)
+        if violation is not None:
+            return violation
+    return None
+
+
+def test_checker_matches_the_slice_scan_exhaustively_small():
+    count = 0
+    for t in trees_up_to(7, min_edges=0):
+        for perm in itertools.permutations(range(1, t.m + 1)):
+            nu = Numbering(t, perm)
+            assert check_friendly_numbering(nu) == _slice_scan(nu), (t.edges, perm)
+            count += 1
+    assert count == 124_648
+
+
+@st.composite
+def numberings_at_size(draw):
+    """A shuffled trunk or Pruefer tree of 50-400 edges with its trunk
+    numbering or a random one, and at most one pair of numbers swapped."""
+    build = draw(st.sampled_from([random_trunk_tree, random_prufer_tree]))
+    m = draw(st.integers(50, 400))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t = shuffled(build(m, rng), rng)
+    if draw(st.booleans()) and find_trunk(t) is not None:
+        numbers = list(number_by_trunk(t).numbers)
+    else:
+        numbers = rng.sample(range(1, t.m + 1), t.m)
+    if draw(st.booleans()):
+        a, b = rng.sample(range(t.m), 2)
+        numbers[a], numbers[b] = numbers[b], numbers[a]
+    return Numbering(t, numbers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(numberings_at_size())
+def test_checker_matches_the_slice_scan_at_size(nu):
+    assert check_friendly_numbering(nu) == _slice_scan(nu)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_checker_finds_partners_outside_one_to_m(m):
+    """Number m on a path of its own parity lacks partner m+1, and number
+    1 on a path of even k lacks partner 0: each numbering of a path has
+    that one flaw and no other.  A path with two edges has no such
+    numbering, since its two edges touch."""
+    high = list(range(1, m - 1)) + [m, m - 1]
+    low = [2, 1] + list(range(3, m + 1))
+    for numbers, k, j, partner in ((high, m - 2, m, m + 1), (low, 2, 1, 0)):
+        for t in (path(m), relabeled(path(m), random.Random(m))):
+            nu = Numbering(t, numbers)
+            assert _numbering_checker(t)(numbers) == k
+            flaw = check_friendly_numbering(nu)
+            assert flaw == _slice_scan(nu)
+            assert (flaw.k, flaw.j, flaw.partner()) == (k, j, partner)
+            assert flaw.path_numbers == (j,)
+            assert all(_slice_violation(nu, i) is None for i in range(1, m) if i != k)
 
 
 # -- hooking and unlinking --------------------------------------------------------

@@ -52,6 +52,8 @@ def test_rejects_cycle():
 def test_rejects_disconnected():
     with pytest.raises(Disconnected):
         Tree([(0, 1), (2, 3)], 4)
+    with pytest.raises(Disconnected):
+        Tree([(0, 1), (1, 2)], 4)
 
 
 def test_degrees_and_adjacency():
