@@ -29,9 +29,9 @@ violation.  Scan order is deterministic: numberings by k then by number
 on the path, bijections by vertex id pairs, then the hooking direction
 of the coboundary image of the smaller vertex first.
 
-The numbering check works in number space.  Root the tree at vertex 0
-and let R[v] be the bit set of the numbers on the path from the root to
-v, one pass in breadth-first order.  Clear bits k and k+1 of
+The numbering check works in number space.  Root the tree at its first
+center, where every query roots it, and let R[v] be the bit set of the
+numbers on the path from the root to v, one pass in breadth-first order.  Clear bits k and k+1 of
 R[far(e_k)] ^ R[far(e_k+1)], with far(e) the endpoint of e away from
 the root, and what is left, N, is the set of numbers on the path
 between the edges numbered k and k+1.  With A the numbers of k's parity
@@ -44,8 +44,8 @@ read edge by edge, and the violation record names the same number,
 pair offset and path as a scan of every slice would.
 
 The hook test costs O(1) per vertex pair, not one edge path per pair
-of edges.  Root the tree at vertex 0; the *odd side* of an edge set q
-is the set of edges whose path from the root to their far endpoint
+of edges.  With the tree rooted there too, the *odd side* of an edge
+set q is the set of edges whose path from the root to their far endpoint
 crosses q an odd number of times, the XOR over q of each edge's mask of
 the edges under it.  The path between two edges off q crosses q an
 odd number of times exactly when one of them is on q's odd side and

@@ -103,7 +103,7 @@ def find_subtree_pair(tree: Tree, n1: int, n2: int) -> SubtreePair | None:
             f"tree has {tree.m} edges but a ({n1},{n2}) pair needs {n1 + n2 - 1}"
         )
     everything = frozenset(range(tree.m))
-    # edges below each vertex of the tree rooted at 0, whence every branch size
+    # edges below each vertex of the rooted tree, whence every branch size
     parent, _, _, order = tree._rooted()
     below = [0] * tree.n
     for v in reversed(order[1:]):

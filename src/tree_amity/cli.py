@@ -108,19 +108,11 @@ def _resolve_jobs(flag: int | None) -> int:
 
 
 def _budget_from(args, default_exhaustive: bool = False) -> SearchBudget:
-    exhaustive = bool(getattr(args, "exhaustive", False))
-    max_nodes = getattr(args, "max_nodes", None)
-    time_limit = getattr(args, "time_limit", None)
-    if exhaustive:
+    limits = {"max_nodes": args.max_nodes, "time_limit": args.time_limit}
+    given = {name: value for name, value in limits.items() if value is not None}
+    if args.exhaustive or (default_exhaustive and not given):
         return SearchBudget(exhaustive=True)
-    if max_nodes is None and time_limit is None and default_exhaustive:
-        return SearchBudget(exhaustive=True)
-    kwargs = {}
-    if max_nodes is not None:
-        kwargs["max_nodes"] = max_nodes
-    if time_limit is not None:
-        kwargs["time_limit"] = time_limit
-    return SearchBudget(**kwargs)
+    return SearchBudget(**given)
 
 
 def report_text(command: str, body: dict) -> str:
@@ -130,11 +122,10 @@ def report_text(command: str, body: dict) -> str:
 
 
 def _write_report(args, command: str, inputs: list[dict], payload: dict) -> None:
-    path = getattr(args, "report", None)
-    if not path:
+    if not args.report:
         return
     text = report_text(command, {"inputs": inputs, **payload})
-    Path(path).write_text(text, encoding="utf-8")
+    Path(args.report).write_text(text, encoding="utf-8")
 
 
 def _edge_label(tree: Tree, labels, eid: int) -> list[int]:

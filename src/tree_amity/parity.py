@@ -11,13 +11,15 @@ rho are exactly the leaf edges.
 The edges are numbered one depth layer at a time, outward from C, with
 consecutive numbers, so every edge is numbered below every deeper edge
 and in particular every non-leaf edge below every leaf edge (the
-*leaf-edge property*).  Depth-1 edges take their numbers in edge-id
-order.  In each deeper layer the edges run in *counter-run* order: an
-edge whose parent edge (the edge above its near endpoint) carries a
-smaller number gets a larger number, and edges sharing a parent edge
-take their numbers in edge-id order.  Stripping the leaf layer leaves
-a tree of the same kind with radius rho - 1, numbered the same way, so
-the numbering is the one built by pruning leaves level by level.
+*leaf-edge property*).  Such a C is the tree's only center, where the
+tree's one rooting starts, so each layer is one depth of that rooting.
+Depth-1 edges take their numbers in edge-id order.  In each deeper
+layer the edges run in *counter-run* order: an edge whose parent edge
+(the edge above its near endpoint) carries a smaller number gets a
+larger number, and edges sharing a parent edge take their numbers in
+edge-id order.  Stripping the leaf layer leaves a tree of the same kind
+with radius rho - 1, numbered the same way, so the numbering is the one
+built by pruning leaves level by level.
 
 The same layering gives the fact the correctness argument leans on:
 the distance between a leaf and any vertex adjacent to a leaf is odd,
@@ -25,6 +27,8 @@ because those vertices sit at depths rho and rho - 1.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .amity import Numbering
 from .errors import PreconditionFailed
@@ -52,26 +56,14 @@ def number_parity_center(tree: Tree) -> Numbering:
         raise PreconditionFailed(
             "needs an equidistant center and even non-leaf degrees"
         )
-    center, _ = found
+    parent, up_edge, depth, order = tree._rooted()
     numbers = [0] * tree.m
     # the number of the edge above each vertex; 0 at the center, so that
     # the depth-1 edges sort by id alone
     above = [0] * tree.n
-    seen = [False] * tree.n
-    seen[center] = True
-    layer = [center]
     k = 1
-    while layer:
-        below = []
-        for x in layer:
-            for y, eid in tree.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    below.append((-above[x], eid, y))
-        below.sort()
-        for _, eid, y in below:
-            numbers[eid] = above[y] = k
+    for _, layer in groupby(order[1:], key=depth.__getitem__):
+        for v in sorted(layer, key=lambda v: (-above[parent[v]], up_edge[v])):
+            numbers[up_edge[v]] = above[v] = k
             k += 1
-        layer = [y for _, _, y in below]
     return Numbering(tree, numbers)
-

@@ -14,22 +14,26 @@ Conventions used throughout the package:
 The checkers and searches hold edge sets as integer bitmasks over edge
 ids, and ``edge_path_mask`` gives the path between two edges as one.
 
-Trees are immutable after construction.  Path queries run on one rooted
-copy of the tree: a single traversal from vertex 0 stores each vertex's
+Trees are immutable after construction.  One leaf-stripping pass finds
+the one or two centers, and every query runs on one rooted copy of the
+tree: a single traversal from the first center stores each vertex's
 parent, the edge up to it and its depth, and the order it reached the
 vertices in, four lists of length n built on the first such query and
 never in the constructor, so trees that are built and never queried pay
-nothing for it.  A query climbs both endpoints to their meeting point,
-which costs the length of the path.  Whole-tree questions (diameter,
-equidistant center) use single-source distance lists that are not kept.
-Memoized, and never invalidated: the edge path masks that the searches
-ask for again and again; the depth-parity coloring and the per-edge
-masks of the edges below each edge, which the bijection checker asks for
-on every call; and the canonical code.
+nothing for it.  A path query climbs both endpoints to their meeting
+point, which costs the length of the path.  The whole-tree questions
+read the rooting: the diameter is twice the largest depth, less one with
+two centers, and an equidistant center is a lone center whose leaves
+all share one depth.  Memoized, and never invalidated: the centers; the
+edge path masks that the searches ask for again and again; the
+depth-parity coloring and the per-edge masks of the edges below each
+edge, which the bijection checker asks for on every call; and the
+canonical code.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -52,6 +56,7 @@ class Tree:
         "adj",
         "degrees",
         "_plain_adj",
+        "_centers",
         "_rooting",
         "_side",
         "_under",
@@ -60,12 +65,16 @@ class Tree:
     )
 
     def __init__(self, edges: Iterable[tuple[int, int]], vertex_count: int | None = None):
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        if vertex_count is None:
-            vertex_count = max((max(u, v) for u, v in edge_list), default=-1) + 1
-            if vertex_count == 0:
-                vertex_count = 1
-        n = int(vertex_count)
+        try:
+            edge_list = [(index(u), index(v)) for u, v in edges]
+            n = (
+                max((max(u, v) for u, v in edge_list), default=0) + 1
+                if vertex_count is None else index(vertex_count)
+            )
+        except TypeError:
+            raise MalformedLine(
+                "edges must be pairs of integer ids, and the vertex count an integer"
+            ) from None
         if n < 1:
             raise MalformedLine("a tree needs at least one vertex")
         seen: set[tuple[int, int]] = set()
@@ -118,6 +127,7 @@ class Tree:
         self._plain_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(w for w, _ in a) for a in adj
         )
+        self._centers: tuple[int, ...] | None = None
         self._rooting: tuple[list[int], list[int], list[int], list[int]] | None = None
         self._side: tuple[int, ...] | None = None
         self._under: tuple[int, ...] | None = None
@@ -130,20 +140,23 @@ class Tree:
         return self._plain_adj[v]
 
     def _rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Parent, edge up and depth of every vertex, rooted at vertex 0,
-        and the vertices in the breadth-first order that reached them.
+        """Parent, edge up and depth of every vertex, rooted at the first
+        center, and the vertices in the breadth-first order that reached
+        them.
 
         Built by one traversal on the first call and kept.  Walked
-        backwards, the order visits every vertex before its parent.
+        backwards, the order visits every vertex before its parent; its
+        last vertex is a deepest one.
         """
         if self._rooting is not None:
             return self._rooting
         n = self.n
+        root = self.centers()[0]
         parent = [-1] * n
         up_edge = [-1] * n
         depth = [-1] * n
-        depth[0] = 0
-        order = [0]
+        depth[root] = 0
+        order = [root]
         for x in order:
             dy = depth[x] + 1
             for y, eid in self.adj[x]:
@@ -154,19 +167,6 @@ class Tree:
                     order.append(y)
         self._rooting = (parent, up_edge, depth, order)
         return self._rooting
-
-    def distances_from(self, source: int) -> list[int]:
-        """Distance from source to every vertex, by one breadth-first search."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        order = [source]
-        for x in order:
-            dy = dist[x] + 1
-            for y in self._plain_adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dy
-                    order.append(y)
-        return dist
 
     def vertex_path(self, a: int, b: int) -> tuple[int, ...]:
         """Vertices of the unique a-b path, endpoints included."""
@@ -194,17 +194,16 @@ class Tree:
         return self._side
 
     def diameter(self) -> int:
-        if self.n == 1:
-            return 0
-        d0 = self.distances_from(0)
-        far = max(range(self.n), key=d0.__getitem__)
-        return max(self.distances_from(far))
+        """Twice the depth of the deepest vertex below the first center,
+        less one when the tree has two centers."""
+        _, _, depth, order = self._rooted()
+        return 2 * depth[order[-1]] - len(self.centers()) + 1
 
     # -- edge paths ------------------------------------------------------
 
     def _under_masks(self) -> tuple[int, ...]:
         """Per edge e, the mask of the edges whose far endpoint is reached
-        from vertex 0 through e, e itself included.
+        from the root through e, e itself included.
 
         Built on the first call from the rooting, children before their
         parents, and kept.
@@ -250,8 +249,11 @@ class Tree:
     # -- centers and equidistance -----------------------------------------
 
     def centers(self) -> tuple[int, ...]:
-        """The one or two middle vertices found by repeated leaf stripping."""
-        return tuple(tree_centers(self._plain_adj))
+        """The one or two middle vertices found by repeated leaf stripping,
+        found on the first call and kept."""
+        if self._centers is None:
+            self._centers = tuple(tree_centers(self._plain_adj))
+        return self._centers
 
     def equidistant_center(self) -> tuple[int, int] | None:
         """The vertex equally distant from every leaf, with that distance,
@@ -259,26 +261,31 @@ class Tree:
 
         Such a vertex sits in the middle of every longest path, so only
         the unique center of a tree with even diameter can qualify, and
-        one breadth-first search from it decides.
+        it does when every leaf has the same depth below it, the root.
         """
         if self.n == 1:
             return (0, 0)
-        centers = self.centers()
-        if len(centers) != 1:
+        if len(self.centers()) != 1:
             return None
-        center = centers[0]
-        dist = self.distances_from(center)
-        radii = {dist[v] for v in range(self.n) if self.degrees[v] == 1}
+        _, _, depth, order = self._rooted()
+        radii = {depth[v] for v in range(self.n) if self.degrees[v] == 1}
         if len(radii) != 1:
             return None
-        return (center, radii.pop())
+        return (order[0], radii.pop())
 
     # -- isomorphism -------------------------------------------------------
 
     def canonical_code(self) -> str:
-        """A string equal for two trees exactly when they are isomorphic."""
+        """A string equal for two trees exactly when they are isomorphic:
+        the minimum rooted code over the centers.
+
+        Isomorphic trees agree because an isomorphism maps centers onto
+        centers, and a rooted code determines the rooted tree.
+        """
         if self._code is None:
-            self._code = canonical_code_of_adjacency(self._plain_adj)
+            self._code = min(
+                _rooted_codes(self._plain_adj, c)[0][c] for c in self.centers()
+            )
         return self._code
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -327,15 +334,6 @@ def _rooted_codes(adj, root: int) -> tuple[list[str], list[int]]:
         children = sorted(codes[w] for w in adj[v] if w != parent[v])
         codes[v] = "(" + "".join(children) + ")"
     return codes, parent
-
-
-def canonical_code_of_adjacency(adj) -> str:
-    """Minimum rooted code over the tree's centers.
-
-    Isomorphic trees agree because an isomorphism maps centers onto
-    centers, and a rooted code determines the rooted tree.
-    """
-    return min(_rooted_codes(adj, c)[0][c] for c in tree_centers(adj))
 
 
 def canonical_order(adj) -> tuple[str, list[int]]:

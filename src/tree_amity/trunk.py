@@ -18,6 +18,12 @@ The numbers are assigned in one walk along the trunk, each link as it
 is met.  The resulting numbering is always friendly, which the test
 suite checks exhaustively at small sizes.
 
+A trunk is found by stripping every pendant path, from its leaf
+inward through vertices of degree two, off the branch vertex it ends
+at.  What remains is the smallest subtree spanning the branch vertices,
+and it is a path exactly when no branch vertex keeps more than two
+neighbors in it; its ends are the branch vertices that keep at most one.
+
 Deterministic choices: when no vertex has degree three or more the
 whole tree is a path and the trunk starts at its smaller-id endpoint;
 otherwise the path spanned by the branch vertices is oriented to start
@@ -39,20 +45,21 @@ def find_trunk(tree: Tree) -> tuple[int, ...] | None:
         raise EmptyTree("a trunk needs at least one edge")
     heavy = [v for v in range(tree.n) if tree.degrees[v] >= 3]
     if not heavy:
-        ends = sorted(v for v in range(tree.n) if tree.degrees[v] == 1)
+        ends = [v for v in range(tree.n) if tree.degrees[v] == 1]
         return tree.vertex_path(ends[0], ends[1])
-    if len(heavy) == 1:
-        return _extend_to_leaf(tree, [heavy[0]])
-    d0 = tree.distances_from(heavy[0])
-    x = max(heavy, key=lambda v: (d0[v], v))
-    dx = tree.distances_from(x)
-    y = max(heavy, key=lambda v: (dx[v], v))
-    dy = tree.distances_from(y)
-    if any(dx[v] + dy[v] != dx[y] for v in heavy):
+    # strip each pendant path, leaf inward, off the branch vertex it ends at
+    span = list(tree.degrees)
+    for leaf in range(tree.n):
+        if tree.degrees[leaf] == 1:
+            back, cur = leaf, tree.neighbors(leaf)[0]
+            while tree.degrees[cur] == 2:
+                a, b = tree.neighbors(cur)
+                back, cur = cur, b if a == back else a
+            span[cur] -= 1
+    if any(span[v] > 2 for v in heavy):
         return None
-    first, last = (x, y) if x < y else (y, x)
-    core = list(tree.vertex_path(first, last))
-    return _extend_to_leaf(tree, core)
+    ends = [v for v in heavy if span[v] <= 1]
+    return _extend_to_leaf(tree, list(tree.vertex_path(ends[0], ends[-1])))
 
 
 def _extend_to_leaf(tree: Tree, core: list[int]) -> tuple[int, ...]:

@@ -1,10 +1,11 @@
 """The rooted tree core at size, cross-checked against BFS oracles.
 
-Path and distance queries climb one rooted copy of the tree, and the
-whole-tree questions run single-source searches.  Every answer is
-compared here with the independent references in ``oracles.py`` on
-seeded trees of 1,000 to 3,000 edges, and the new references are first
-checked against the brute-force ones on every small tree.
+Every query reads one rooted copy of the tree, rooted at its first
+center: path queries climb it, and the whole-tree questions read its
+depths.  Every answer is compared here with the independent references
+in ``oracles.py`` on seeded trees of 1,000 to 3,000 edges and on every
+small tree under relabeling, and the new references are first checked
+against the brute-force ones on every small tree.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import given
 
 import oracles
 from helpers import (
+    all_trees,
     complete_tree,
     path,
     random_caterpillar,
@@ -25,7 +27,14 @@ from helpers import (
     shuffled,
     trees_up_to,
 )
-from tree_amity import Tree, check_friendly_numbering, find_trunk, number_by_trunk
+from tree_amity import (
+    Tree,
+    check_friendly_numbering,
+    check_precondition,
+    find_trunk,
+    number_by_trunk,
+    number_parity_center,
+)
 
 
 FAMILIES = {
@@ -50,7 +59,6 @@ def test_distance_and_vertex_path_match_bfs(large):
     adj = oracles.adjacency(tree.edges, tree.n)
     for _ in range(40):
         a = rng.randrange(tree.n)
-        assert tree.distances_from(a) == oracles.bfs_distances(adj, a)
         for b in [rng.randrange(tree.n) for _ in range(5)] + [a]:
             assert list(tree.vertex_path(a, b)) == oracles.vertex_path(adj, a, b)
 
@@ -124,6 +132,26 @@ def test_linear_references_agree_with_brute_force_random(t):
     assert find_trunk(t) == oracles.trunk_reference(t.edges, t.n)
 
 
+def test_record_facts_match_references_under_relabeling():
+    """Every tree with 1 to 11 edges, as enumerated and under three
+    seeded relabelings, so that ties for the center and the root move."""
+    rng = random.Random(18)
+    for m in range(1, 12):
+        for tree in all_trees(m):
+            for t in [tree] + [shuffled(tree, rng) for _ in range(3)]:
+                assert t.diameter() == oracles.diameter_by_heights(t.edges, t.n)
+                want = oracles.equidistant_vertices(t.edges, t.n)
+                got = t.equidistant_center()
+                assert got in want if want else got is None
+                covered = oracles.parity_covered(t.edges, t.n)
+                assert (check_precondition(t) is not None) == covered
+                assert find_trunk(t) == oracles.trunk_reference(t.edges, t.n)
+                if covered:
+                    want = oracles.parity_tower_numbering(t.edges, t.n)
+                    assert list(number_parity_center(t).numbers) == want
+                assert t._rooted()[3][0] == t.centers()[0]
+
+
 # -- the depth-parity pair filter --------------------------------------------------
 
 
@@ -159,7 +187,7 @@ def test_same_side_pairs_are_the_even_distance_pairs_at_size():
 
 
 def test_under_masks_match_root_paths_at_size():
-    """Edge f is under e when e lies on the path from vertex 0 to the far
+    """Edge f is under e when e lies on the path from the root to the far
     endpoint of f; on shuffled trees, whose ids follow no traversal."""
     rng = random.Random(200)
     trees = [
@@ -170,11 +198,12 @@ def test_under_masks_match_root_paths_at_size():
     ] + [shuffled(random_prufer_tree(m, rng), rng) for m in (1, 2, 3, 40, 200)]
     for tree in trees:
         adj = oracles.adjacency(tree.edges, tree.n)
-        dist = oracles.bfs_distances(adj, 0)
+        root = tree._rooted()[3][0]
+        dist = oracles.bfs_distances(adj, root)
         eid = {frozenset(ends): e for e, ends in enumerate(tree.edges)}
         want = [0] * tree.m
         for f, ends in enumerate(tree.edges):
-            walk = oracles.vertex_path(adj, 0, max(ends, key=dist.__getitem__))
+            walk = oracles.vertex_path(adj, root, max(ends, key=dist.__getitem__))
             for step in zip(walk, walk[1:]):
                 want[eid[frozenset(step)]] |= 1 << f
         assert list(tree._under_masks()) == want
@@ -184,21 +213,28 @@ def test_under_masks_match_root_paths_at_size():
 
 
 def test_rooting_is_lazy_and_happens_once():
-    tree = random_caterpillar(300, random.Random(5))
-    assert tree._rooting is None
-    tree.canonical_code()
-    tree.diameter()
-    tree.equidistant_center()
-    assert tree._rooting is None
-    tree.vertex_path(0, 1)
-    rooting = tree._rooting
-    assert rooting is not None
-    tree.vertex_path(3, 7)
-    tree.edge_path_mask(0, 1)
-    tree.bipartition()
-    tree._under_masks()
-    number_by_trunk(tree)
-    assert tree._rooting is rooting
+    """Construction and the canonical code root nothing; every other
+    query shares one rooting, at a center."""
+    caterpillar = random_caterpillar(300, random.Random(5))
+    covered = shuffled(complete_tree(4, 3, 3), random.Random(5))
+    for tree, construct in ((caterpillar, number_by_trunk), (covered, number_parity_center)):
+        assert tree._rooting is None
+        tree.canonical_code()
+        assert tree._rooting is None
+        tree.vertex_path(0, 1)
+        rooting = tree._rooting
+        assert rooting is not None and rooting[3][0] in tree.centers()
+        tree.diameter()
+        tree.equidistant_center()
+        tree.vertex_path(3, 7)
+        tree.edge_path_mask(0, 1)
+        tree.bipartition()
+        tree._under_masks()
+        find_trunk(tree)
+        check_precondition(tree)
+        construct(tree)
+        assert tree._rooting is rooting
+    assert check_precondition(covered) is not None
 
 
 def test_bipartition_is_kept():
