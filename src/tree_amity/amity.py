@@ -64,6 +64,7 @@ checks many mappings between one pair reads both trees once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -82,7 +83,10 @@ class Numbering:
     __slots__ = ("tree", "numbers", "_edge_of")
 
     def __init__(self, tree: Tree, numbers: Iterable[int]):
-        nums = tuple(int(x) for x in numbers)
+        try:
+            nums = tuple(map(index, numbers))
+        except TypeError:
+            raise InvalidNumbering("numbers must be integers") from None
         if sorted(nums) != list(range(1, tree.m + 1)):
             raise InvalidNumbering(
                 f"numbers must be a bijection onto 1..{tree.m}, got {nums}"
@@ -116,7 +120,10 @@ class EdgeBijection:
             raise SizeMismatch(
                 f"edge counts differ: {source.m} versus {target.m}"
             )
-        mp = tuple(map(int, mapping))
+        try:
+            mp = tuple(map(index, mapping))
+        except TypeError:
+            raise InvalidBijection("mapping entries must be integers") from None
         if sorted(mp) != list(range(target.m)):
             raise InvalidBijection(f"mapping is not a bijection: {mp}")
         self.source = source

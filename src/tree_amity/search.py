@@ -65,7 +65,7 @@ from .cb import CBShape, bijection_from_pair, find_subtree_pair, make_cb
 from .enumeration import enumerate_free_trees
 from .errors import ShapeMismatch, SizeMismatch
 from .parity import check_precondition, number_parity_center
-from .trees import Tree, _iter_bits, canonical_order, format_tree
+from .trees import Tree, _iter_bits, format_tree
 from .trunk import _number_along, find_trunk
 
 __all__ = [
@@ -627,23 +627,21 @@ def _lift(
         if tree.degrees[x] != 1:
             continue
         # the tree minus x, with the vertices above x moved down by one
-        code, order = canonical_order([
-            [w - (w > x) for w in tree.neighbors(y) if w != x]
-            for y in range(tree.n) if y != x
-        ])
+        code, order = Tree([
+            (a - (a > x), b - (b > x)) for e, (a, b) in enumerate(tree.edges) if e != leaf
+        ], m).canonical_order()
         parent = parents.get(code)
         if parent is None:
             witness = below.get(code)
             if witness is None:
                 continue
-            rep_adj: list[list[int]] = [[] for _ in range(m)]
+            rep_edges = []
             number = {}
             for line in witness.splitlines():
                 a, b, k = map(int, line.split())
-                rep_adj[a].append(b)
-                rep_adj[b].append(a)
+                rep_edges.append((a, b))
                 number[a, b] = number[b, a] = k
-            parent = parents[code] = (canonical_order(rep_adj)[1], number)
+            parent = parents[code] = (Tree(rep_edges, m).canonical_order()[1], number)
         rep_order, number = parent
         rep = [0] * m
         for y, r in zip(order, rep_order):

@@ -14,21 +14,23 @@ Conventions used throughout the package:
 The checkers and searches hold edge sets as integer bitmasks over edge
 ids, and ``edge_path_mask`` gives the path between two edges as one.
 
-Trees are immutable after construction.  One leaf-stripping pass finds
-the one or two centers, and every query runs on one rooted copy of the
-tree: a single traversal from the first center stores each vertex's
-parent, the edge up to it and its depth, and the order it reached the
-vertices in, four lists of length n built on the first such query and
-never in the constructor, so trees that are built and never queried pay
-nothing for it.  A path query climbs both endpoints to their meeting
-point, which costs the length of the path.  The whole-tree questions
-read the rooting: the diameter is twice the largest depth, less one with
-two centers, and an equidistant center is a lone center whose leaves
-all share one depth.  Memoized, and never invalidated: the centers; the
-edge path masks that the searches ask for again and again; the
-depth-parity coloring and the per-edge masks of the edges below each
-edge, which the bijection checker asks for on every call; and the
-canonical code.
+Trees are immutable after construction and keep one adjacency: per
+vertex, its neighbors with the edge ids, in edge-id order.  One
+leaf-stripping pass finds the one or two centers, and every query runs
+on one rooted copy of the tree: a single traversal from the first center
+stores each vertex's parent, the edge up to it and its depth, and the
+order it reached the vertices in, four lists of length n built on the
+first such query and never in the constructor, so trees that are built
+and never queried pay nothing for it.  A path query climbs both
+endpoints to their meeting point, which costs the length of the path.
+The whole-tree questions read the rooting: the diameter is twice the
+largest depth, less one with two centers, and an equidistant center is a
+lone center whose leaves all share one depth; one pass codes every
+subtree for the canonical code and order, then turns to the second
+center, if any.  Memoized, and never invalidated: the centers; the edge
+path masks that the searches ask for again and again; the depth-parity
+coloring and the per-edge masks of the edges below each edge, which the
+bijection checker asks for on every call; and the canonical code.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class Tree:
         "edges",
         "adj",
         "degrees",
-        "_plain_adj",
         "_centers",
         "_rooting",
         "_side",
@@ -124,9 +125,6 @@ class Tree:
             adj[v].append((u, eid))
         self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(tuple(a) for a in adj)
         self.degrees: tuple[int, ...] = tuple(len(a) for a in adj)
-        self._plain_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(w for w, _ in a) for a in adj
-        )
         self._centers: tuple[int, ...] | None = None
         self._rooting: tuple[list[int], list[int], list[int], list[int]] | None = None
         self._side: tuple[int, ...] | None = None
@@ -135,9 +133,6 @@ class Tree:
         self._code: str | None = None
 
     # -- basic queries ---------------------------------------------------
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._plain_adj[v]
 
     def _rooted(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Parent, edge up and depth of every vertex, rooted at the first
@@ -250,9 +245,25 @@ class Tree:
 
     def centers(self) -> tuple[int, ...]:
         """The one or two middle vertices found by repeated leaf stripping,
-        found on the first call and kept."""
+        found on the first call and kept.  The lone vertex of the
+        one-vertex tree, of degree 0, is its center."""
         if self._centers is None:
-            self._centers = tuple(tree_centers(self._plain_adj))
+            n = self.n
+            deg = list(self.degrees)
+            layer = [v for v in range(n) if deg[v] <= 1]
+            remaining = n
+            while remaining > 2:
+                remaining -= len(layer)
+                nxt = []
+                for v in layer:
+                    deg[v] = 0
+                    for w, _ in self.adj[v]:
+                        if deg[w] > 0:
+                            deg[w] -= 1
+                            if deg[w] == 1:
+                                nxt.append(w)
+                layer = nxt
+            self._centers = tuple(sorted(layer))
         return self._centers
 
     def equidistant_center(self) -> tuple[int, int] | None:
@@ -275,91 +286,70 @@ class Tree:
 
     # -- isomorphism -------------------------------------------------------
 
+    def _codes(self) -> tuple[list[str], int]:
+        """Every vertex's rooted code, the tree rooted at the center of
+        least code, and that center; ties go to the first center, c0.
+
+        A subtree's code is its children's codes, sorted, in parentheses.
+        Rooted at a second center c1, a child of c0, only two codes
+        change: c0's becomes its half, its code without c1, and c1's
+        takes that half among its children's.
+        """
+        parent, _, _, order = self._rooted()
+        adj = self.adj
+        codes = [""] * self.n
+        for v in reversed(order):
+            up = parent[v]
+            codes[v] = "(" + "".join(sorted([codes[w] for w, _ in adj[v] if w != up])) + ")"
+        root = order[0]
+        centers = self.centers()
+        if len(centers) == 2:
+            c1 = centers[1]
+            half = "(" + "".join(sorted([codes[w] for w, _ in adj[root] if w != c1])) + ")"
+            turned = "(" + "".join(sorted(
+                [half] + [codes[w] for w, _ in adj[c1] if w != root]
+            )) + ")"
+            if turned < codes[root]:
+                codes[root], codes[c1], root = half, turned, c1
+        return codes, root
+
     def canonical_code(self) -> str:
         """A string equal for two trees exactly when they are isomorphic:
-        the minimum rooted code over the centers.
+        the least rooted code over the centers, read from the rooting.
 
         Isomorphic trees agree because an isomorphism maps centers onto
         centers, and a rooted code determines the rooted tree.
         """
         if self._code is None:
-            self._code = min(
-                _rooted_codes(self._plain_adj, c)[0][c] for c in self.centers()
-            )
+            codes, root = self._codes()
+            self._code = codes[root]
         return self._code
+
+    def canonical_order(self) -> tuple[str, list[int]]:
+        """The canonical code and every vertex in canonical order.
+
+        The tree is rooted at its center of least code and read in
+        preorder, children by increasing code, so the k-th vertex is the
+        one whose "(" comes k-th in the code.  Two trees with the same
+        code therefore list matching vertices at matching positions:
+        pairing the two orders position by position is an isomorphism,
+        since the code fixes the parent of every position.  Children
+        with equal codes head isomorphic subtrees, so the order among
+        them does not matter.
+        """
+        codes, root = self._codes()
+        order = []
+        stack = [(root, -1)]
+        while stack:
+            v, up = stack.pop()
+            order.append(v)
+            stack.extend((w, v) for w in sorted(
+                (w for w, _ in self.adj[v] if w != up), key=codes.__getitem__, reverse=True,
+            ))
+        return codes[root], order
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(n={self.n}, edges={list(self.edges)})"
-
-
-# -- canonical coding on raw adjacency -----------------------------------
-
-
-def tree_centers(adj) -> list[int]:
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
-
-
-def _rooted_codes(adj, root: int) -> tuple[list[str], list[int]]:
-    """Nested-parentheses code of every vertex's subtree, children sorted,
-    and every vertex's parent, with the tree rooted at root; the root is
-    its own parent."""
-    n = len(adj)
-    parent = [-1] * n
-    order = [root]
-    parent[root] = root
-    for x in order:
-        for y in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
-    codes: list[str] = [""] * n
-    for v in reversed(order):
-        children = sorted(codes[w] for w in adj[v] if w != parent[v])
-        codes[v] = "(" + "".join(children) + ")"
-    return codes, parent
-
-
-def canonical_order(adj) -> tuple[str, list[int]]:
-    """The canonical code and every vertex in canonical order.
-
-    The tree is rooted at a center of minimum rooted code and read in
-    preorder, children by increasing code, so the k-th vertex is the
-    one whose "(" comes k-th in the code.  Two trees with the same code
-    therefore list matching vertices at matching positions: pairing the
-    two orders position by position is an isomorphism, since the code
-    fixes the parent of every position.  Children with equal codes head
-    isomorphic subtrees, so the order among them does not matter.
-    """
-    root, codes, parent = min(
-        ((c, *_rooted_codes(adj, c)) for c in tree_centers(adj)),
-        key=lambda rooted: rooted[1][rooted[0]],
-    )
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(sorted(
-            (w for w in adj[v] if w != parent[v]), key=codes.__getitem__, reverse=True,
-        ))
-    return codes[root], order
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

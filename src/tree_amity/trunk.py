@@ -51,9 +51,9 @@ def find_trunk(tree: Tree) -> tuple[int, ...] | None:
     span = list(tree.degrees)
     for leaf in range(tree.n):
         if tree.degrees[leaf] == 1:
-            back, cur = leaf, tree.neighbors(leaf)[0]
+            back, cur = leaf, tree.adj[leaf][0][0]
             while tree.degrees[cur] == 2:
-                a, b = tree.neighbors(cur)
+                (a, _), (b, _) = tree.adj[cur]
                 back, cur = cur, b if a == back else a
             span[cur] -= 1
     if any(span[v] > 2 for v in heavy):
@@ -66,7 +66,7 @@ def _extend_to_leaf(tree: Tree, core: list[int]) -> tuple[int, ...]:
     path = list(core)
     while tree.degrees[path[-1]] != 1:
         prev = path[-2] if len(path) >= 2 else -1
-        path.append(min(w for w in tree.neighbors(path[-1]) if w != prev))
+        path.append(min(w for w, _ in tree.adj[path[-1]] if w != prev))
     return tuple(path)
 
 

@@ -6,7 +6,8 @@ first search distances and paths, a naive friendliness checker for
 numberings and for bijections, the first friendly numbering and
 bijection in the searches' scan order, found by trying every
 assignment, Pruefer coding, brute force isomorphism
-and automorphism tests, counting oracles for unlabeled trees, and
+and automorphism tests, the canonical code string coded afresh from
+each center, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
 large for the brute-force ones, the trunk numbering's edge order, the
 parity-center numbering built the slow way, on a tower of pruned trees,
@@ -338,6 +339,50 @@ def shape_key(plain_adj, n, table):
     r1 = _intern(table, tuple(sorted(kids[c1] + [inner2])))
     r2 = _intern(table, tuple(sorted(kids[c2] + [inner1])))
     return min(r1, r2)
+
+
+def canonical_code_reference(edges, n):
+    """The canonical code string, coded afresh from every center.
+
+    Centers come from leaf stripping; from each, the tree is traversed
+    on plain neighbor lists and each subtree coded as its children's
+    codes, sorted, in one pair of parentheses.  The code is the least
+    of the one or two root codes.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w] > 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    best = None
+    for root in layer:
+        parent = [-1] * n
+        parent[root] = root
+        order = [root]
+        for x in order:
+            for y in adj[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    order.append(y)
+        codes = [""] * n
+        for v in reversed(order):
+            codes[v] = "(" + "".join(sorted(codes[w] for w in adj[v] if w != parent[v])) + ")"
+        if best is None or codes[root] < best:
+            best = codes[root]
+    return best
 
 
 def _count_vectors(total, most, labels):

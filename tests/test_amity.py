@@ -31,6 +31,7 @@ from tree_amity import (
     Numbering,
     NumberingPairViolation,
     SizeMismatch,
+    Tree,
     check_friendly_bijection,
     check_friendly_numbering,
     find_trunk,
@@ -63,6 +64,17 @@ def test_numbering_validation():
         Numbering(t, (0, 1, 2))
     with pytest.raises(InvalidNumbering):
         Numbering(t, (1, 2))
+
+
+def test_containers_reject_non_integer_entries():
+    """Entries must be integers; none is truncated or parsed."""
+    t = Tree([(0, 1), (1, 2)])
+    for numbers in ([1.9, 2.2], ["1", "2"]):
+        with pytest.raises(InvalidNumbering):
+            Numbering(t, numbers)
+    for mapping in ([0.5, 1.7], ["0", "1"]):
+        with pytest.raises(InvalidBijection):
+            EdgeBijection(t, t, mapping)
 
 
 def test_numbering_lookups():

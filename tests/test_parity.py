@@ -181,7 +181,7 @@ def test_leaf_to_near_leaf_distances_are_odd():
 
     for t, _ in qualifying(13):
         leaves = {v for v in range(t.n) if t.degrees[v] == 1}
-        near = [p for p in range(t.n) if any(w in leaves for w in t.neighbors(p))]
+        near = [p for p in range(t.n) if any(w in leaves for w, _ in t.adj[p])]
         adj = oracles.adjacency(t.edges, t.n)
         for p in near:
             dist = oracles.bfs_distances(adj, p)

@@ -37,7 +37,6 @@ from tree_amity import (
     symmetry_audit,
 )
 from tree_amity.search import AuditRecord, _lift, _twin_before
-from tree_amity.trees import canonical_order
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
 
@@ -459,17 +458,23 @@ def test_question_sweep_runs_one_pool_per_size(monkeypatch, jobs, cores, workers
 
 @pytest.fixture(scope="module")
 def survey_calls():
-    """Tree builds and trunk searches made by the question-path survey to
-    12 edges and the diameter-4 survey to 10 edges, with their record
-    count and the question-path report.  Builds are counted at
-    ``Tree._build``, which checked and level-sequence trees both run."""
-    counts = {"builds": 0, "trunks": 0}
+    """Tree builds, rootings and trunk searches made by the question-path
+    survey to 12 edges and the diameter-4 survey to 10 edges, with their
+    record count and the question-path report.  Builds are counted at
+    ``Tree._build``, which checked and level-sequence trees both run, and
+    rootings at the ``Tree._rooted`` calls that make the rooting."""
+    counts = {"builds": 0, "rootings": 0, "trunks": 0}
     build = Tree._build
+    rooted = Tree._rooted
     find = trunk_module.find_trunk
 
     def counted_build(self, *args, **kwargs):
         counts["builds"] += 1
         build(self, *args, **kwargs)
+
+    def counted_rooted(self):
+        counts["rootings"] += self._rooting is None
+        return rooted(self)
 
     def counted_find(tree):
         counts["trunks"] += 1
@@ -477,6 +482,7 @@ def survey_calls():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tree, "_build", counted_build)
+        mp.setattr(Tree, "_rooted", counted_rooted)
         mp.setattr(trunk_module, "find_trunk", counted_find)
         mp.setattr(search_module, "find_trunk", counted_find)
         question_path = sweep_question_path(12)
@@ -487,8 +493,14 @@ def survey_calls():
 
 def test_surveys_build_each_enumerated_tree_once(survey_calls):
     counts, _, _ = survey_calls
-    # 2,287 free trees with 1..12 edges and 435 with 1..10
-    assert counts["builds"] == 2287 + 435
+    # 2,287 free trees with 1..12 edges and 435 with 1..10, and the lift's
+    # 181 trees minus a leaf and 81 parents read from their witnesses
+    assert counts["builds"] == 2287 + 435 + 181 + 81
+
+
+def test_surveys_root_each_built_tree_once(survey_calls):
+    counts, _, _ = survey_calls
+    assert counts["rootings"] == counts["builds"]
 
 
 def test_surveys_find_each_trunk_once(survey_calls):
@@ -513,8 +525,8 @@ def _carried(source_nu, target):
     two canonical orders."""
     src = source_nu.tree
     number = {frozenset(e): k for e, k in zip(src.edges, source_nu.numbers)}
-    _, src_order = canonical_order([list(src.neighbors(v)) for v in range(src.n)])
-    _, order = canonical_order([list(target.neighbors(v)) for v in range(target.n)])
+    _, src_order = src.canonical_order()
+    _, order = target.canonical_order()
     match = [0] * target.n
     for v, w in zip(order, src_order):
         match[v] = w

@@ -213,17 +213,17 @@ def test_under_masks_match_root_paths_at_size():
 
 
 def test_rooting_is_lazy_and_happens_once():
-    """Construction and the canonical code root nothing; every other
-    query shares one rooting, at a center."""
+    """Construction roots nothing; the canonical code makes the rooting,
+    at a center, and every later query shares it."""
     caterpillar = random_caterpillar(300, random.Random(5))
     covered = shuffled(complete_tree(4, 3, 3), random.Random(5))
     for tree, construct in ((caterpillar, number_by_trunk), (covered, number_parity_center)):
         assert tree._rooting is None
         tree.canonical_code()
-        assert tree._rooting is None
-        tree.vertex_path(0, 1)
         rooting = tree._rooting
         assert rooting is not None and rooting[3][0] in tree.centers()
+        tree.canonical_order()
+        tree.vertex_path(0, 1)
         tree.diameter()
         tree.equidistant_center()
         tree.vertex_path(3, 7)

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import all_trees, caterpillar, path, random_trees, spider, star, tri_y, trees_up_to
+from helpers import (
+    all_trees, caterpillar, path, random_trees, shuffled, spider, star, tri_y, trees_up_to,
+)
 from tree_amity import (
     CycleDetected,
     Disconnected,
@@ -20,7 +22,6 @@ from tree_amity import (
     parse_tree,
     parse_tree_labeled,
 )
-from tree_amity.trees import canonical_order
 
 
 # -- construction and validation ----------------------------------------------
@@ -67,7 +68,7 @@ def test_degrees_and_adjacency():
     t = star(4)
     assert t.degrees[0] == 4
     assert all(t.degrees[v] == 1 for v in range(1, 5))
-    assert sorted(t.neighbors(0)) == [1, 2, 3, 4]
+    assert sorted(w for w, _ in t.adj[0]) == [1, 2, 3, 4]
 
 
 # -- text format ---------------------------------------------------------------
@@ -251,8 +252,8 @@ def test_codes_separate_all_small_shapes():
 @given(random_trees(min_vertices=2, max_vertices=7), st.data())
 def test_code_invariant_under_relabeling(t, data):
     perm = data.draw(st.permutations(tuple(range(t.n))))
-    shuffled = Tree([(perm[u], perm[v]) for u, v in t.edges], t.n)
-    assert shuffled.canonical_code() == t.canonical_code()
+    copy = Tree([(perm[u], perm[v]) for u, v in t.edges], t.n)
+    assert copy.canonical_code() == t.canonical_code()
 
 
 @given(random_trees(max_vertices=6), random_trees(max_vertices=6))
@@ -261,8 +262,22 @@ def test_is_isomorphic_matches_brute_force(a, b):
     assert (a.canonical_code() == b.canonical_code()) == want
 
 
-def _plain(tree):
-    return [list(tree.neighbors(v)) for v in range(tree.n)]
+def test_codes_and_orders_match_the_reference_under_relabeling():
+    """Every tree with 0 to 11 edges, as enumerated and under three seeded
+    relabelings: the code is the reference's string exactly, since the
+    reports key on it, and the canonical order lists every vertex once."""
+    rng = random.Random(19)
+    for m in range(12):
+        for tree in all_trees(m):
+            for t in [tree] + [shuffled(tree, rng) for _ in range(3)]:
+                want = oracles.canonical_code_reference(t.edges, t.n)
+                code, order = t.canonical_order()
+                assert code == t.canonical_code() == want, t.edges
+                assert sorted(order) == list(range(t.n))
+    # the two centers of a path tie, and the order starts at the first
+    for m in (1, 3, 5):
+        t = shuffled(path(m), rng)
+        assert t.canonical_order()[1][0] == t.centers()[0]
 
 
 def test_canonical_order_matches_copies_isomorphically():
@@ -273,7 +288,7 @@ def test_canonical_order_matches_copies_isomorphically():
 
     rng = random.Random(9)
     for t in trees_up_to(9):
-        code, order = canonical_order(_plain(t))
+        code, order = t.canonical_order()
         assert code == t.canonical_code()
         assert sorted(order) == list(range(t.n))
         for _ in range(3):
@@ -282,7 +297,7 @@ def test_canonical_order_matches_copies_isomorphically():
             edges = [(relabel[u], relabel[v]) for u, v in t.edges]
             rng.shuffle(edges)
             copy = Tree(edges, t.n)
-            copy_code, copy_order = canonical_order(_plain(copy))
+            copy_code, copy_order = copy.canonical_order()
             assert copy_code == code
             match = [0] * t.n
             for v, w in zip(order, copy_order):
