@@ -58,7 +58,10 @@ one edge path gives its crossing count.
 The bijection check is built once per pair of trees, from the source's
 depth-parity classes and the target's masks of the edges under each
 edge, and then applied to each mapping between them: a caller that
-checks many mappings between one pair reads both trees once.
+checks many mappings between one pair reads both trees once.  It
+reports only the first failing vertex pair and which side hooks; the
+public checker alone reads that pair's two images again to build the
+violation record.
 """
 
 from __future__ import annotations
@@ -271,14 +274,16 @@ def check_friendly_numbering(nu: Numbering) -> NumberingPairViolation | None:
 
 def _bijection_checker(
     source: Tree, target: Tree
-) -> Callable[[Sequence[int]], HookViolation | None]:
+) -> Callable[[Sequence[int]], tuple[int, int, str] | None]:
     """The bijection check between two trees, built once for the pair.
 
     ``check(mapping)`` takes the target edge id of each source edge, by
-    source edge id, and returns what ``check_friendly_bijection`` returns
-    for that mapping.  Each call builds every source vertex's image and
-    its odd side in one pass over the source edges, then scans the
-    vertex pairs in the checker's order.
+    source edge id, and returns None when the mapping is friendly, or
+    the first failing vertex pair and its hooking side,
+    ``(p_vertex, q_vertex, hooking)``, the three fields that
+    ``check_friendly_bijection``'s record starts with.  Each call builds
+    every source vertex's image and its odd side in one pass over the
+    source edges, then scans the vertex pairs in the checker's order.
     """
     under = target._under_masks()
     edges = source.edges
@@ -293,7 +298,7 @@ def _bijection_checker(
         (p_v, cls, i + 1) for cls in classes for i, p_v in enumerate(cls[:-1])
     )
 
-    def check(mapping: Sequence[int]) -> HookViolation | None:
+    def check(mapping: Sequence[int]) -> tuple[int, int, str] | None:
         masks = [0] * n
         odds = [0] * n
         for e, (u, v) in enumerate(edges):
@@ -311,12 +316,10 @@ def _bijection_checker(
                 q_mask = masks[q_v]
                 x = p_mask & odds[q_v]
                 if x and x != p_mask:
-                    a, c, crossing = _hook_pair(target, p_mask, q_mask, odds[q_v])
-                    return HookViolation(p_v, q_v, "p", (a, c), crossing)
+                    return p_v, q_v, "p"
                 x = q_mask & p_odd
                 if x and x != q_mask:
-                    a, c, crossing = _hook_pair(target, q_mask, p_mask, p_odd)
-                    return HookViolation(p_v, q_v, "q", (a, c), crossing)
+                    return p_v, q_v, "q"
         return None
 
     return check
@@ -327,9 +330,29 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
 
     Vertices are scanned by id; for each even-distance pair the image
     of the smaller vertex's coboundary is tested as hooking side "p"
-    first, then the other direction.
+    first, then the other direction.  ``_bijection_checker`` finds the
+    pair; only then are the pair's two images and the odd side of the
+    one hooked onto rebuilt, for ``_hook_pair`` to name the edge pair
+    and its crossing count.
     """
-    return _bijection_checker(b.source, b.target)(b.mapping)
+    flaw = _bijection_checker(b.source, b.target)(b.mapping)
+    if flaw is None:
+        return None
+    under = b.target._under_masks()
+
+    def image(v: int) -> tuple[int, int]:
+        mask = odd = 0
+        for _, e in b.source.adj[v]:
+            f = b.mapping[e]
+            mask |= 1 << f
+            odd ^= under[f]
+        return mask, odd
+
+    p_v, q_v, hooking = flaw
+    hook_mask, _ = image(p_v if hooking == "p" else q_v)
+    other_mask, other_odd = image(q_v if hooking == "p" else p_v)
+    a, c, crossing = _hook_pair(b.target, hook_mask, other_mask, other_odd)
+    return HookViolation(p_v, q_v, hooking, (a, c), crossing)
 
 
 Witness = TypeVar("Witness", Numbering, EdgeBijection)

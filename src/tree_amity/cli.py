@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check all bijections between same-size trees "
                             "against their inverses")
     p.add_argument("-m", "--max-edges", type=int, required=True,
-                   help="size bound in edges (factorial cost; 5 or 6 is "
+                   help="size bound in edges (factorial cost; 7 is "
                         "a reasonable maximum)")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: all cores; "

@@ -36,7 +36,7 @@ otherwise lifting a witness from the size below before it searches;
 ``sweep_hypothesis`` restricts that to two
 conjectured families, ``sweep_cb_universal`` tests the double-star
 criterion over all trees of the matching size, and ``symmetry_audit``
-brute-forces all bijections between small tree pairs to test that
+walks every friendly bijection between small tree pairs to test that
 friendliness survives inversion.  Survey results are plain records,
 replayable through the checkers and serializable to JSON.
 """
@@ -49,7 +49,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 from .amity import (
@@ -282,6 +281,54 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     )
 
 
+def _closing_order(source: Tree) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The order in which ``search_bijection`` and ``_friendly_mappings``
+    assign the source edges, and per depth the constraints that close
+    there.
+
+    Edges go by decreasing endpoint degree sum (most constrained
+    first), then by id.  ``closing[i]`` lists the even-distance vertex
+    pairs of the source whose coboundaries are complete once depth i is
+    placed, each pair at exactly one depth.
+    """
+
+    def weight(e: int) -> tuple[int, int]:
+        u, v = source.edges[e]
+        return (-(source.degrees[u] + source.degrees[v]), e)
+
+    order = sorted(range(source.m), key=weight)
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(source.m)]
+    done = [0] * source.n
+    for i, e in enumerate(order):
+        for v in source.edges[e]:
+            done[v] = i
+    side = source.bipartition()
+    for p_v in range(source.n):
+        for q_v in range(p_v + 1, source.n):
+            if side[q_v] == side[p_v]:
+                closing[max(done[p_v], done[q_v])].append((p_v, q_v))
+    return order, closing
+
+
+def _unlinked(pairs: list[tuple[int, int]], vmask: list[int], vodd: list[int]) -> bool:
+    """Whether each vertex pair's images are unlinked: neither hooks onto
+    the other, by the checker's hook test both ways.
+
+    ``vmask`` holds each source vertex's image and ``vodd`` its odd side
+    in the target; even-distance vertices have disjoint coboundaries, so
+    this is exactly the reference checker's test.
+    """
+    for p_v, q_v in pairs:
+        p_mask, q_mask = vmask[p_v], vmask[q_v]
+        x = p_mask & vodd[q_v]
+        if x and x != p_mask:
+            return False
+        x = q_mask & vodd[p_v]
+        if x and x != q_mask:
+            return False
+    return True
+
+
 def search_bijection(
     source: Tree, target: Tree, budget: SearchBudget | None = None
 ) -> SearchResult:
@@ -307,27 +354,9 @@ def search_bijection(
         )
     start = time.monotonic()
     m = source.m
-
-    def weight(e: int) -> tuple[int, int]:
-        u, v = source.edges[e]
-        return (-(source.degrees[u] + source.degrees[v]), e)
-
-    order = sorted(range(m), key=weight)
+    order, closing = _closing_order(source)
     source_twin = _twin_before(source)
     target_twin = _twin_before(target)
-
-    # closing[i]: the even-distance vertex pairs of the source whose
-    # coboundaries are complete once depth i is placed
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    done = [0] * source.n
-    for i, e in enumerate(order):
-        for v in source.edges[e]:
-            done[v] = i
-    side = source.bipartition()
-    for p_v in range(source.n):
-        for q_v in range(p_v + 1, source.n):
-            if side[q_v] == side[p_v]:
-                closing[max(done[p_v], done[q_v])].append((p_v, q_v))
 
     mapping = [-1] * m
     used = [False] * m
@@ -360,17 +389,7 @@ def search_bijection(
         mapping[e] = f
         used[f] = True
         assign(e, f)
-        # even-distance vertices have disjoint coboundaries, so this is
-        # the reference checker's hook test, both ways
-        for p_v, q_v in closing[i]:
-            p_mask, q_mask = vmask[p_v], vmask[q_v]
-            x = p_mask & vodd[q_v]
-            if x and x != p_mask:
-                return False
-            x = q_mask & vodd[p_v]
-            if x and x != q_mask:
-                return False
-        return True
+        return _unlinked(closing[i], vmask, vodd)
 
     def lift(i: int, f: int) -> None:
         e = order[i]
@@ -470,20 +489,74 @@ class AuditReport:
         }
 
 
+def _friendly_mappings(source: Tree, target: Tree) -> Iterator[list[int]]:
+    """Every friendly bijection from source onto target, each once.
+
+    A depth-first walk over the assignments of source edges in
+    ``_closing_order``, with an explicit stack: depth i tries the free
+    target edges, a bit mask, from the lowest id up.  Placing target
+    edge f on source edge e adds f's bit to the images of both ends of
+    e, and f's mask of the edges under it to their odd sides, on top of
+    what the two held when depth i opened; depth i then tests, both
+    ways, only the vertex pairs in ``closing[i]``.  Every pair is
+    decided at one depth on every path, so each complete assignment is
+    friendly and none is built to be rejected.  There is no twin-leaf
+    rule, because every bijection counts.  Yields the target edge of
+    each source edge, by source edge id, in one list that the walk goes
+    on to change: copy it to keep it.
+    """
+    m = source.m
+    order, closing = _closing_order(source)
+    ends = [source.edges[e] for e in order]
+    under = target._under_masks()
+    vmask = [0] * source.n
+    vodd = [0] * source.n
+    mapping = [-1] * m
+    # per depth: the target edges still to try, the free ones, and the
+    # images and odd sides of the two endpoints before it places
+    todo = [0] * m
+    free = [0] * m
+    saved = [(0, 0, 0, 0)] * m
+    todo[0] = free[0] = (1 << m) - 1
+    i = 0
+    while i >= 0:
+        u, v = ends[i]
+        left = todo[i]
+        if not left:
+            vmask[u], vmask[v], vodd[u], vodd[v] = saved[i]
+            i -= 1
+            continue
+        bit = left & -left
+        todo[i] = left ^ bit
+        f = bit.bit_length() - 1
+        mu, mv, ou, ov = saved[i]
+        vmask[u] = mu | bit
+        vmask[v] = mv | bit
+        vodd[u] = ou ^ under[f]
+        vodd[v] = ov ^ under[f]
+        if _unlinked(closing[i], vmask, vodd):
+            mapping[order[i]] = f
+            if i + 1 == m:
+                yield mapping
+            else:
+                i += 1
+                todo[i] = free[i] = free[i - 1] ^ bit
+                u, v = ends[i]
+                saved[i] = (vmask[u], vmask[v], vodd[u], vodd[v])
+
+
 def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
     a, b = pair
-    forward = _bijection_checker(a, b)
     backward = _bijection_checker(b, a)
     inverse = [0] * a.m
     friendly = 0
     failures = 0
-    for perm in permutations(range(a.m)):
-        if forward(perm) is None:
-            friendly += 1
-            for src, dst in enumerate(perm):
-                inverse[dst] = src
-            if backward(inverse) is not None:
-                failures += 1
+    for mapping in _friendly_mappings(a, b):
+        friendly += 1
+        for src, dst in enumerate(mapping):
+            inverse[dst] = src
+        if backward(inverse) is not None:
+            failures += 1
     return AuditRecord(
         a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
         friendly, failures,
@@ -491,14 +564,17 @@ def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
 
 
 def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
-    """Check every bijection between same-size trees against its inverse.
+    """Check every friendly bijection between same-size trees against
+    its inverse.
 
     For every unordered pair of trees with the same edge count up to
-    ``max_edges``, all m! bijections are enumerated and checked; for
-    each friendly one the inverse is checked too.  The check is built
-    once per pair of trees, each way, and applied to the permutations
-    as they come, with no ``EdgeBijection`` per permutation.  Factorial
-    cost: sizes beyond 6 edges get expensive quickly.
+    ``max_edges``, the friendly bijections are walked edge by edge, each
+    vertex pair tested once, at the depth that completes its two images
+    (``_friendly_mappings``), so no unfriendly one is built in full;
+    ``bijections`` still reports all m! of them.  The inverse of each
+    friendly one goes through the backward check, built once per pair,
+    with no ``EdgeBijection`` per mapping.  The cost still grows about
+    factorially with the edge count.
     """
 
     if max_edges < 1:
@@ -626,10 +702,13 @@ def _lift(
         x = v if tree.degrees[v] == 1 else u
         if tree.degrees[x] != 1:
             continue
-        # the tree minus x, with the vertices above x moved down by one
-        code, order = Tree([
+        # the tree minus x, with the vertices above x moved down by one:
+        # a tree by construction, so built without ``Tree``'s checks
+        minus = Tree.__new__(Tree)
+        minus._build([
             (a - (a > x), b - (b > x)) for e, (a, b) in enumerate(tree.edges) if e != leaf
-        ], m).canonical_order()
+        ], m)
+        code, order = minus.canonical_order()
         parent = parents.get(code)
         if parent is None:
             witness = below.get(code)

@@ -36,7 +36,8 @@ from tree_amity import (
     sweep_question_path,
     symmetry_audit,
 )
-from tree_amity.search import AuditRecord, _lift, _twin_before
+from tree_amity.cli import main
+from tree_amity.search import AuditRecord, _friendly_mappings, _lift, _twin_before
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
 
@@ -298,6 +299,52 @@ def test_audit_matches_the_slow_path_pair_by_pair():
     assert len(report.records) == 1 + 1 + 3 + 6 + 21
     for rec in report.records:
         assert rec == _slow_audit_record(trees[rec.code_a], trees[rec.code_b])
+
+
+def test_walk_yields_exactly_the_friendly_permutations():
+    # the walk against the brute force it replaced, as sets: every
+    # ordered pair of free trees with 1-5 edges
+    for m in range(1, 6):
+        trees = list(enumerate_free_trees(m))
+        for a in trees:
+            for b in trees:
+                walked = [tuple(mp) for mp in _friendly_mappings(a, b)]
+                brute = {
+                    perm for perm in itertools.permutations(range(m))
+                    if check_friendly_bijection(EdgeBijection(a, b, perm)) is None
+                }
+                assert len(walked) == len(brute), (a.edges, b.edges)
+                assert set(walked) == brute, (a.edges, b.edges)
+
+
+def test_audit_counts_inverse_failures(monkeypatch, tmp_path):
+    # friendliness has survived inversion on every pair so far, so a
+    # backward check is made to also flag the inverses that send target
+    # edge 0 back to source edge 0, and the audit must count exactly those
+    real = search_module._bijection_checker
+
+    def flagged(source, target):
+        check = real(source, target)
+        return lambda mp: check(mp) or ((0, 0, "p") if mp[0] == 0 else None)
+
+    monkeypatch.setattr(search_module, "_bijection_checker", flagged)
+    # the audit must run in this process, where the patch is in place
+    monkeypatch.delenv("TREE_AMITY_JOBS", raising=False)
+    report = symmetry_audit(4)
+    trees = {t.canonical_code(): t for m in range(1, 5) for t in enumerate_free_trees(m)}
+    for rec in report.records:
+        a, b = trees[rec.code_a], trees[rec.code_b]
+        failures = 0
+        for perm in itertools.permutations(range(a.m)):
+            bj = EdgeBijection(a, b, perm)
+            if check_friendly_bijection(bj) is None:
+                back = inverse(bj)
+                if check_friendly_bijection(back) is not None or back.mapping[0] == 0:
+                    failures += 1
+        assert rec.inverse_failures == failures, rec
+    assert report.total_failures > 0
+    out = str(tmp_path / "audit.json")
+    assert main(["audit-symmetry", "-m", "3", "--jobs", "1", "--out", out]) == 1
 
 
 def test_audit_totals_at_six_edges():
