@@ -572,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit-symmetry",
-                       help="check all bijections between same-size trees "
-                            "against their inverses")
+                       help="check every friendly bijection between "
+                            "same-size trees against its inverse")
     p.add_argument("-m", "--max-edges", type=int, required=True,
                    help="size bound in edges (factorial cost; 7 is "
                         "a reasonable maximum)")

@@ -3,20 +3,18 @@
 ``search_numbering`` looks for a friendly edge numbering by placing the
 numbers 1..m in increasing order; ``search_bijection`` looks for a
 friendly edge bijection between two trees, assigning the source edges
-in a fixed order.  In both, every constraint is fully decided at one
-fixed depth, the depth where it closes, and ``place`` tests exactly the
-constraints that close at its depth: the pairings on the path between
-consecutive numbers, or the even-distance vertex pairs whose coboundary
-images are complete.  No constraint is carried from one depth to the
-next, so ``lift`` only unassigns.  A numbering is friendly exactly
-when the bijection from the path onto the tree is, so both are one
-search: ``_search`` is an iterative depth-first engine with an explicit
-stack, and each search supplies only its state and four plug-ins (the
-candidates at a depth, place, lift, and finish).  The engine counts
-nodes, enforces the budget, re-verifies every hit through the reference
-checkers, and claims that nothing exists only after exhausting the
-whole space.  Its depth is bounded by memory, not by the interpreter's
-recursion limit.
+in a fixed order, and takes the first mapping of ``_friendly_mappings``,
+the walk that also yields every friendly bijection to the symmetry
+audit.  Each is one depth-first loop over an explicit stack, whose
+depth is bounded by memory, not by the interpreter's recursion limit;
+each depth holds a bit mask of the values it has still to try.  Every
+constraint is decided at the one depth where it closes: the pairings on
+the path between consecutive numbers, or the even-distance vertex pairs
+whose coboundary images are complete.  No constraint is carried from
+one depth to the next, so backtracking only unassigns.  Each value
+tried is one node.  Both searches stop when the budget runs out,
+re-verify every witness through the reference checkers, and claim that
+nothing exists only after exhausting the whole space.
 
 Both searches break twin-leaf symmetry.  Twin leaf edges are leaf edges
 hanging from the same vertex; swapping two of them is a tree
@@ -49,7 +47,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, Iterable
 
 from .amity import (
     EdgeBijection,
@@ -142,66 +140,45 @@ def _twin_before(tree: Tree) -> list[int]:
     return before
 
 
-def _search(
-    start: float,
-    budget: SearchBudget | None,
-    size: int,
-    candidates: Callable[[int], list[int]],
-    place: Callable[[int, int], bool],
-    lift: Callable[[int, int], None],
-    finish: Callable[[], Numbering | EdgeBijection],
-    found_by: str,
-) -> SearchResult:
-    """Depth-first search over ``size`` placements with an explicit stack.
+def _twin_frees(tree: Tree) -> tuple[int, list[int]]:
+    """The edges free to place first when twin leaf edges go in id
+    order, as a mask, and per edge the next twin that placing it frees,
+    as a bit."""
+    free = (1 << tree.m) - 1
+    frees = [0] * tree.m
+    for f, g in enumerate(_twin_before(tree)):
+        if g >= 0:
+            free ^= 1 << f
+            frees[g] = 1 << f
+    return free, frees
 
-    Depth t tries ``candidates(t)`` in order.  The list is read once,
-    when the depth opens; that is what a lazy scan would see, because
-    every deeper placement is lifted before the next value is read.
-    Each tried value is one node, counted before ``place`` assigns it
-    and prunes; ``lift`` undoes a ``place`` whether or not its branch
-    survived.  At full depth every constraint has passed, so ``finish``
-    builds the witness, which is re-verified through the reference
-    checker before it is returned.  The clock runs from ``start``.
+
+def _limits(budget: SearchBudget | None, start: float) -> tuple[float, float]:
+    """The node count and the clock reading past which a search begun at
+    ``start`` stops: the budget's, or none when it is exhaustive.
+
+    Each value a search tries is one node.  A search checks both limits
+    only at node ``stop``, the next multiple of 1,024 or the node past
+    the limit, whichever comes first, so a count past the limit stops it
+    at once and the clock is read every 1,024 nodes.
     """
-
     budget = budget or SearchBudget()
-    bounded = not budget.exhaustive
-    deadline = start + budget.time_limit
-    nodes = 0
-    status = None
-    witness = None
-    levels: list[Iterator[int]] = [iter(())] * size
-    placed = [0] * size
-    depth = 0
-    while status is None and depth < size:
-        levels[depth] = iter(candidates(depth))
-        # place the next surviving value, backtracking from exhausted depths
-        while True:
-            for value in levels[depth]:
-                nodes += 1
-                if bounded and (
-                    nodes > budget.max_nodes
-                    or (nodes % 1024 == 0 and time.monotonic() > deadline)
-                ):
-                    status = BUDGET_EXCEEDED
-                    break
-                if place(depth, value):
-                    placed[depth] = value
-                    depth += 1
-                    break
-                lift(depth, value)
-            else:
-                if depth == 0:
-                    status = PROVED_NONE
-                    break
-                depth -= 1
-                lift(depth, placed[depth])
-                continue
-            break
-    if status is None:
-        status = FOUND
-        witness = verified(finish(), found_by)
-    return SearchResult(status, witness, nodes, time.monotonic() - start)
+    if budget.exhaustive:
+        return math.inf, math.inf
+    return budget.max_nodes, start + budget.time_limit
+
+
+def _paired(mask: int, t: int, number_of: list[int], edge_of: list[int]) -> bool:
+    """Whether every number on the path ``mask`` between the edges
+    numbered t and t + 1 has its partner on it too, where the partners
+    are k and k + 1 for every k of t's parity."""
+    for e in _iter_bits(mask):
+        j = number_of[e]
+        if j:
+            p = j + 1 if (j - t) % 2 == 0 else j - 1
+            if p < 1 or not (mask >> edge_of[p]) & 1:
+                return False
+    return True
 
 
 def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchResult:
@@ -224,8 +201,8 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     """
 
     start = time.monotonic()
+    limit, deadline = _limits(budget, start)
     m = tree.m
-    twin = _twin_before(tree)
     number_of = [0] * m
     edge_of = [0] * (m + 1)
     # path[k] is the path between the edges numbered k and k + 1, once
@@ -234,62 +211,68 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     on_path = [0] * m
     # the bits k of each parity
     parity = [sum(1 << k for k in range(j, m, 2)) for j in (0, 1)]
-
-    def candidates(t: int) -> list[int]:
-        return [
-            f for f in range(m)
-            if not number_of[f] and (twin[f] < 0 or number_of[twin[f]])
-        ]
-
-    def place(t: int, f: int) -> bool:
+    free, frees = _twin_frees(tree)
+    # per depth: the edges still to try, and the free ones
+    todo = [0] * (m + 1)
+    free_at = [0] * (m + 1)
+    todo[0] = free_at[0] = free
+    nodes = 0
+    stop = min(1024, limit + 1)
+    status = FOUND
+    t = 0
+    while t < m:
+        left = todo[t]
+        if not left:
+            if not t:
+                status = PROVED_NONE
+                break
+            # unnumber the edge placed at depth t - 1
+            t -= 1
+            number_of[edge_of[t + 1]] = 0
+            for e in _iter_bits(path[t]):
+                on_path[e] ^= 1 << t
+            path[t] = 0
+            continue
+        bit = left & -left
+        todo[t] = left ^ bit
+        nodes += 1
+        if nodes == stop:
+            if nodes > limit or time.monotonic() > deadline:
+                status = BUDGET_EXCEEDED
+                break
+            stop = min(nodes + 1024, limit + 1)
+        f = bit.bit_length() - 1
         num = t + 1
-        number_of[f] = num
         edge_of[num] = f
-        if num == 1:
-            return True
-        g = edge_of[t]
-        # on an earlier path of t's parity, num and t are partners
-        if (on_path[f] ^ on_path[g]) & parity[t & 1]:
-            return False
-        mask = tree.edge_path_mask(g, f)
-        if mask.bit_count() % 2:
-            return False
-        # the numbers on the new path pair up below t, so all are placed
-        for e in _iter_bits(mask):
-            j = number_of[e]
-            if j:
-                p = j + 1 if (j - t) % 2 == 0 else j - 1
-                if p < 1 or not (mask >> edge_of[p]) & 1:
-                    return False
-        path[t] = mask
-        for e in _iter_bits(mask):
-            on_path[e] |= 1 << t
-        return True
-
-    def lift(t: int, f: int) -> None:
-        number_of[f] = 0
-        for e in _iter_bits(path[t]):
-            on_path[e] ^= 1 << t
-        path[t] = 0
-
-    def finish() -> Numbering:
-        return Numbering(tree, list(number_of))
-
-    return _search(
-        start, budget, m, candidates, place, lift, finish,
-        "numbering found by search",
-    )
+        if t:
+            g = edge_of[t]
+            # on an earlier path of t's parity, num and t are partners
+            if (on_path[f] ^ on_path[g]) & parity[t & 1]:
+                continue
+            mask = tree.edge_path_mask(g, f)
+            if mask.bit_count() % 2 or not _paired(mask, t, number_of, edge_of):
+                continue
+            path[t] = mask
+            for e in _iter_bits(mask):
+                on_path[e] |= 1 << t
+        number_of[f] = num
+        t = num
+        todo[t] = free_at[t] = free_at[t - 1] ^ bit | frees[f]
+    witness = None
+    if status == FOUND:
+        witness = verified(Numbering(tree, number_of), "numbering found by search")
+    return SearchResult(status, witness, nodes, time.monotonic() - start)
 
 
 def _closing_order(source: Tree) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """The order in which ``search_bijection`` and ``_friendly_mappings``
-    assign the source edges, and per depth the constraints that close
-    there.
+    """The order in which ``_friendly_mappings`` assigns the source
+    edges, and per depth the vertex pairs that close there.
 
     Edges go by decreasing endpoint degree sum (most constrained
-    first), then by id.  ``closing[i]`` lists the even-distance vertex
-    pairs of the source whose coboundaries are complete once depth i is
-    placed, each pair at exactly one depth.
+    first), then by id, so twin leaf edges go in id order.
+    ``closing[i]`` lists the even-distance vertex pairs of the source
+    whose coboundaries are complete once depth i is placed, each pair at
+    exactly one depth.
     """
 
     def weight(e: int) -> tuple[int, int]:
@@ -310,23 +293,111 @@ def _closing_order(source: Tree) -> tuple[list[int], list[list[tuple[int, int]]]
     return order, closing
 
 
-def _unlinked(pairs: list[tuple[int, int]], vmask: list[int], vodd: list[int]) -> bool:
-    """Whether each vertex pair's images are unlinked: neither hooks onto
-    the other, by the checker's hook test both ways.
+def _friendly_mappings(
+    source: Tree,
+    target: Tree,
+    twins: bool = False,
+    limit: float = math.inf,
+    deadline: float = math.inf,
+) -> Generator[tuple[int, list[int]], None, tuple[str, int]]:
+    """Every friendly bijection from source onto target, each once, with
+    the number of nodes tried so far.
 
-    ``vmask`` holds each source vertex's image and ``vodd`` its odd side
-    in the target; even-distance vertices have disjoint coboundaries, so
-    this is exactly the reference checker's test.
+    A depth-first walk over the assignments of source edges in
+    ``_closing_order``, with an explicit stack: depth i tries the free
+    target edges, a bit mask, from the lowest id up, each one node.
+    Placing target edge f on source edge e adds f's bit to the images of
+    both ends of e, and f's mask of the edges under it to their odd
+    sides, on top of what the two held when depth i opened; depth i then
+    tests only the vertex pairs in ``closing[i]``, by the checker's hook
+    test both ways (even-distance vertices have disjoint coboundaries,
+    so this is exactly the reference checker's test).  Every pair is
+    decided at one depth on every path, so each complete assignment is
+    friendly and none is built to be rejected.  Yields the target edge
+    of each source edge, by source edge id, in one list that the walk
+    goes on to change: copy it to keep it.
+
+    With ``twins`` set, twin leaf edges keep id order on both sides: a
+    target edge becomes free only when its smaller twin is placed, and a
+    source twin's candidates are cut below the image of its smaller
+    twin, placed before it.  The audit counts every bijection and walks
+    without them.  The walk returns BUDGET_EXCEEDED and the node count
+    once the count passes ``limit`` or the clock passes ``deadline``
+    (see ``_limits``), and PROVED_NONE and the count when it has tried
+    everything.
     """
-    for p_v, q_v in pairs:
-        p_mask, q_mask = vmask[p_v], vmask[q_v]
-        x = p_mask & vodd[q_v]
-        if x and x != p_mask:
-            return False
-        x = q_mask & vodd[p_v]
-        if x and x != q_mask:
-            return False
-    return True
+    m = source.m
+    mapping = [-1] * m
+    if not m:
+        yield 0, mapping
+        return PROVED_NONE, 0
+    order, closing = _closing_order(source)
+    ends = [source.edges[e] for e in order]
+    under = target._under_masks()
+    vmask = [0] * source.n
+    vodd = [0] * source.n
+    # per depth, the source edge whose image the candidates must
+    # exceed, or -1
+    free, frees = (1 << m) - 1, [0] * m
+    above = [-1] * m
+    if twins:
+        free, frees = _twin_frees(target)
+        twin = _twin_before(source)
+        above = [twin[e] for e in order]
+    # per depth: the target edges still to try, the free ones, and the
+    # images and odd sides of the two endpoints before it places
+    todo = [0] * m
+    free_at = [0] * m
+    saved = [(0, 0, 0, 0)] * m
+    todo[0] = free_at[0] = free
+    nodes = 0
+    stop = min(1024, limit + 1)
+    i = 0
+    while i >= 0:
+        u, v = ends[i]
+        mu, mv, ou, ov = saved[i]
+        pairs = closing[i]
+        left = todo[i]
+        while left:
+            bit = left & -left
+            left ^= bit
+            nodes += 1
+            if nodes == stop:
+                if nodes > limit or time.monotonic() > deadline:
+                    return BUDGET_EXCEEDED, nodes
+                stop = min(nodes + 1024, limit + 1)
+            f = bit.bit_length() - 1
+            odd = under[f]
+            vmask[u] = mu | bit
+            vmask[v] = mv | bit
+            vodd[u] = ou ^ odd
+            vodd[v] = ov ^ odd
+            # neither image of a closing pair hooks onto the other
+            for p_v, q_v in pairs:
+                p_mask, q_mask = vmask[p_v], vmask[q_v]
+                x = p_mask & vodd[q_v]
+                if x and x != p_mask:
+                    break
+                x = q_mask & vodd[p_v]
+                if x and x != q_mask:
+                    break
+            else:
+                mapping[order[i]] = f
+                if i + 1 == m:
+                    yield nodes, mapping
+                    continue
+                todo[i] = left
+                i += 1
+                free = free_at[i] = free_at[i - 1] ^ bit | frees[f]
+                low = above[i]
+                todo[i] = free if low < 0 else free & -(2 << mapping[low])
+                u, v = ends[i]
+                saved[i] = (vmask[u], vmask[v], vodd[u], vodd[v])
+                break
+        else:
+            vmask[u], vmask[v], vodd[u], vodd[v] = mu, mv, ou, ov
+            i -= 1
+    return PROVED_NONE, nodes
 
 
 def search_bijection(
@@ -334,18 +405,13 @@ def search_bijection(
 ) -> SearchResult:
     """Look for a friendly edge bijection from source onto target.
 
-    Source edges are assigned in order of decreasing endpoint degree
-    sum (most constrained first); target candidates go in ascending id
-    order.  Each constraint is tested at the depth where it closes: an
-    even-distance vertex pair of the source is tested, by the checker's
-    hook test both ways, at the depth that assigns the last edge of the
-    two coboundaries, and nowhere else.  Twin-leaf symmetry is broken on
-    both sides: a source twin's image must exceed its smaller twin's
-    (twins share a degree sum, so the smaller one is assigned first),
-    and a target edge is a candidate only once its smaller twin is
-    used.  The first friendly bijection in scan order meets both rules,
-    so it is the witness.  Witnesses are re-verified through the
-    reference checker.
+    The witness is the first mapping of the ``_friendly_mappings`` walk
+    with both twin rules: source edges go in order of decreasing
+    endpoint degree sum (most constrained first), target candidates in
+    ascending id order, and each vertex pair of the source is tested at
+    the depth that completes its two images.  The first friendly
+    bijection in that scan order meets both twin rules, so the rules
+    never change it.  It is re-verified through the reference checker.
     """
 
     if source.m != target.m:
@@ -353,57 +419,14 @@ def search_bijection(
             f"edge counts differ: {source.m} versus {target.m}"
         )
     start = time.monotonic()
-    m = source.m
-    order, closing = _closing_order(source)
-    source_twin = _twin_before(source)
-    target_twin = _twin_before(target)
-
-    mapping = [-1] * m
-    used = [False] * m
-    # per source vertex, the mask of its coboundary's images so far and
-    # their odd side in the target
-    under = target._under_masks()
-    vmask = [0] * source.n
-    vodd = [0] * source.n
-
-    def candidates(i: int) -> list[int]:
-        e = order[i]
-        low = mapping[source_twin[e]] + 1 if source_twin[e] >= 0 else 0
-        return [
-            f for f in range(low, m)
-            if not used[f] and (target_twin[f] < 0 or used[target_twin[f]])
-        ]
-
-    def assign(e: int, f: int) -> None:
-        """Toggle f in the images of both endpoints of e."""
-        u, v = source.edges[e]
-        bit = 1 << f
-        odd = under[f]
-        vmask[u] ^= bit
-        vmask[v] ^= bit
-        vodd[u] ^= odd
-        vodd[v] ^= odd
-
-    def place(i: int, f: int) -> bool:
-        e = order[i]
-        mapping[e] = f
-        used[f] = True
-        assign(e, f)
-        return _unlinked(closing[i], vmask, vodd)
-
-    def lift(i: int, f: int) -> None:
-        e = order[i]
-        mapping[e] = -1
-        used[f] = False
-        assign(e, f)
-
-    def finish() -> EdgeBijection:
-        return EdgeBijection(source, target, list(mapping))
-
-    return _search(
-        start, budget, m, candidates, place, lift, finish,
-        "bijection found by search",
-    )
+    walk = _friendly_mappings(source, target, True, *_limits(budget, start))
+    try:
+        nodes, mapping = next(walk)
+    except StopIteration as end:
+        status, nodes = end.value
+        return SearchResult(status, None, nodes, time.monotonic() - start)
+    witness = verified(EdgeBijection(source, target, mapping), "bijection found by search")
+    return SearchResult(FOUND, witness, nodes, time.monotonic() - start)
 
 
 # -- parallel driver ----------------------------------------------------------
@@ -489,69 +512,13 @@ class AuditReport:
         }
 
 
-def _friendly_mappings(source: Tree, target: Tree) -> Iterator[list[int]]:
-    """Every friendly bijection from source onto target, each once.
-
-    A depth-first walk over the assignments of source edges in
-    ``_closing_order``, with an explicit stack: depth i tries the free
-    target edges, a bit mask, from the lowest id up.  Placing target
-    edge f on source edge e adds f's bit to the images of both ends of
-    e, and f's mask of the edges under it to their odd sides, on top of
-    what the two held when depth i opened; depth i then tests, both
-    ways, only the vertex pairs in ``closing[i]``.  Every pair is
-    decided at one depth on every path, so each complete assignment is
-    friendly and none is built to be rejected.  There is no twin-leaf
-    rule, because every bijection counts.  Yields the target edge of
-    each source edge, by source edge id, in one list that the walk goes
-    on to change: copy it to keep it.
-    """
-    m = source.m
-    order, closing = _closing_order(source)
-    ends = [source.edges[e] for e in order]
-    under = target._under_masks()
-    vmask = [0] * source.n
-    vodd = [0] * source.n
-    mapping = [-1] * m
-    # per depth: the target edges still to try, the free ones, and the
-    # images and odd sides of the two endpoints before it places
-    todo = [0] * m
-    free = [0] * m
-    saved = [(0, 0, 0, 0)] * m
-    todo[0] = free[0] = (1 << m) - 1
-    i = 0
-    while i >= 0:
-        u, v = ends[i]
-        left = todo[i]
-        if not left:
-            vmask[u], vmask[v], vodd[u], vodd[v] = saved[i]
-            i -= 1
-            continue
-        bit = left & -left
-        todo[i] = left ^ bit
-        f = bit.bit_length() - 1
-        mu, mv, ou, ov = saved[i]
-        vmask[u] = mu | bit
-        vmask[v] = mv | bit
-        vodd[u] = ou ^ under[f]
-        vodd[v] = ov ^ under[f]
-        if _unlinked(closing[i], vmask, vodd):
-            mapping[order[i]] = f
-            if i + 1 == m:
-                yield mapping
-            else:
-                i += 1
-                todo[i] = free[i] = free[i - 1] ^ bit
-                u, v = ends[i]
-                saved[i] = (vmask[u], vmask[v], vodd[u], vodd[v])
-
-
 def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
     a, b = pair
     backward = _bijection_checker(b, a)
     inverse = [0] * a.m
     friendly = 0
     failures = 0
-    for mapping in _friendly_mappings(a, b):
+    for _, mapping in _friendly_mappings(a, b):
         friendly += 1
         for src, dst in enumerate(mapping):
             inverse[dst] = src

@@ -248,6 +248,14 @@ def test_search_bijection_between_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_search_on_the_single_vertex(tmp_path, capsys):
+    a = write(tmp_path, "a.txt", ".\n")
+    b = write(tmp_path, "b.txt", ".\n")
+    assert main(["search", a]) == 0
+    assert main(["search", a, b]) == 0
+    capsys.readouterr()
+
+
 def test_search_proves_absence(tmp_path, capsys):
     cb = tree_file(tmp_path, "cb.txt", make_cb(5, 5).tree)
     sp = tree_file(tmp_path, "sp.txt", spider(3, 3, 3))

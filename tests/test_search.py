@@ -36,8 +36,12 @@ from tree_amity import (
     sweep_question_path,
     symmetry_audit,
 )
+from tree_amity import amity
 from tree_amity.cli import main
-from tree_amity.search import AuditRecord, _friendly_mappings, _lift, _twin_before
+from tree_amity.errors import VerificationFailed
+from tree_amity.search import (
+    AuditRecord, _closing_order, _friendly_mappings, _lift, _twin_before,
+)
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
 
@@ -240,7 +244,7 @@ def test_bijection_search_node_and_witness_totals_up_to_six_edges():
 
 def test_bijection_pruning_changes_nothing_small():
     """The search's status and witness are the brute-force scan's."""
-    for m in range(1, 7):
+    for m in range(0, 7):
         shapes = all_trees(m)
         for s in shapes:
             for t in shapes:
@@ -255,6 +259,31 @@ def test_bijection_budget_exhaustion():
     cb = make_cb(5, 5)
     result = search_bijection(cb.tree, spider(3, 3, 3), SearchBudget(max_nodes=5))
     assert result.status == BUDGET_EXCEEDED
+    assert result.witness is None
+    # the counter includes the node that tripped the limit
+    assert result.nodes == 6
+
+
+def test_searches_read_the_clock_every_1024_nodes():
+    # a deadline already past stops each search at its first clock read
+    budget = SearchBudget(time_limit=1e-9)
+    results = [
+        search_numbering(shuffled(path(40), random.Random(0)), budget),
+        search_bijection(make_cb(5, 5).tree, spider(3, 3, 3), budget),
+    ]
+    for result in results:
+        assert result.status == BUDGET_EXCEEDED
+        assert result.witness is None
+        assert result.nodes == 1024
+
+
+def test_searches_reverify_their_witnesses(monkeypatch):
+    monkeypatch.setattr(amity, "check_friendly_numbering", lambda nu: "fake violation")
+    monkeypatch.setattr(amity, "check_friendly_bijection", lambda bj: "fake violation")
+    with pytest.raises(VerificationFailed, match="numbering found by search"):
+        search_numbering(spider(2, 2, 1), EXHAUSTIVE)
+    with pytest.raises(VerificationFailed, match="bijection found by search"):
+        search_bijection(path(3), star(3), EXHAUSTIVE)
 
 
 # -- symmetry audit -----------------------------------------------------------------
@@ -301,20 +330,41 @@ def test_audit_matches_the_slow_path_pair_by_pair():
         assert rec == _slow_audit_record(trees[rec.code_a], trees[rec.code_b])
 
 
+def _twins_in_order(a, b, perm):
+    """Whether a bijection keeps both sides' twin leaf edges in order:
+    each source twin's image above its smaller twin's, and each target
+    twin's preimage placed after its smaller twin's in the walk."""
+    rank = {e: i for i, e in enumerate(_closing_order(a)[0])}
+    placed = [0] * a.m
+    for e, f in enumerate(perm):
+        placed[f] = rank[e]
+    return all(
+        g < 0 or perm[g] < perm[e] for e, g in enumerate(_twin_before(a))
+    ) and all(
+        g < 0 or placed[g] < placed[f] for f, g in enumerate(_twin_before(b))
+    )
+
+
 def test_walk_yields_exactly_the_friendly_permutations():
     # the walk against the brute force it replaced, as sets: every
-    # ordered pair of free trees with 1-5 edges
-    for m in range(1, 6):
+    # ordered pair of free trees with 0-5 edges, without the twin rules
+    # and with them
+    for m in range(0, 6):
         trees = list(enumerate_free_trees(m))
         for a in trees:
             for b in trees:
-                walked = [tuple(mp) for mp in _friendly_mappings(a, b)]
+                walked = [tuple(mp) for _, mp in _friendly_mappings(a, b)]
                 brute = {
                     perm for perm in itertools.permutations(range(m))
                     if check_friendly_bijection(EdgeBijection(a, b, perm)) is None
                 }
                 assert len(walked) == len(brute), (a.edges, b.edges)
                 assert set(walked) == brute, (a.edges, b.edges)
+                ruled = [tuple(mp) for _, mp in _friendly_mappings(a, b, True)]
+                assert len(ruled) == len(set(ruled)), (a.edges, b.edges)
+                assert set(ruled) == {
+                    perm for perm in brute if _twins_in_order(a, b, perm)
+                }, (a.edges, b.edges)
 
 
 def test_audit_counts_inverse_failures(monkeypatch, tmp_path):
