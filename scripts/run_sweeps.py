@@ -6,10 +6,10 @@ Four questions, four sweeps:
 * ``question-path``: does every tree admit a friendly numbering?  Every
   shape up to the size bound is numbered, by construction when one
   applies and by exhaustive search otherwise.
-* ``d4``: the diameter-at-most-four family, surveyed by search.
-* ``odd``: trees with all degrees odd and a vertex equally far from
-  every leaf, surveyed by search.  This family contains the smallest
-  trunkless tree, so the searches here are the interesting ones.
+* ``d4``, the diameter-at-most-four family, and ``odd``, trees with all
+  degrees odd and a vertex equally far from every leaf: the same survey
+  over the family alone.  The odd family contains the smallest trunkless
+  tree, so its searches are the interesting ones.
 * ``cb``: the double-star criterion over every tree of matching size,
   with criterion failures double-checked by exhaustive search.
 

@@ -31,12 +31,12 @@ On top of the searches sit the surveys: ``sweep_question_path``
 classifies every unlabeled tree up to a size bound by whether it admits
 a friendly numbering, constructing one where a construction applies and
 otherwise lifting a witness from the size below before it searches;
-``sweep_hypothesis`` restricts that to two
-conjectured families, ``sweep_cb_universal`` tests the double-star
-criterion over all trees of the matching size, and ``symmetry_audit``
-walks every friendly bijection between small tree pairs to test that
-friendliness survives inversion.  Survey results are plain records,
-replayable through the checkers and serializable to JSON.
+``sweep_hypothesis`` does the same over two conjectured families,
+``sweep_cb_universal`` tests the double-star criterion over all trees
+of the matching size, and ``symmetry_audit`` walks every friendly
+bijection between small tree pairs to test that friendliness survives
+inversion.  Survey results are plain records, replayable through the
+checkers and serializable to JSON.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ __all__ = [
     "FOUND",
     "PROVED_NONE",
     "BUDGET_EXCEEDED",
-    "HYPOTHESIS_D4",
-    "HYPOTHESIS_ODD",
     "SearchBudget",
     "SearchResult",
     "search_numbering",
@@ -88,10 +86,6 @@ __all__ = [
 FOUND = "found"
 PROVED_NONE = "none"
 BUDGET_EXCEEDED = "budget"
-
-HYPOTHESIS_D4 = "d4"
-HYPOTHESIS_ODD = "odd"
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -707,19 +701,18 @@ def _lift(
 def _numbering_worker(
     tree: Tree,
     budget: SearchBudget,
-    below: dict[str, str] | None,
-    parents: dict[str, tuple] | None = None,
+    below: dict[str, str],
+    parents: dict[str, tuple],
 ) -> SweepRecord:
-    """The record of a numbering survey.  With ``below``, the witnesses one
-    edge smaller by canonical code, the tree is numbered along its trunk,
-    by the parity construction, by a lift from ``below`` or by search,
-    the first that applies; without it, by search alone.  ``parents``
-    keeps the witnesses ``_lift`` has read."""
+    """The record of a numbering survey: the tree numbered along its
+    trunk, by the parity construction, by a lift from ``below``, the
+    witnesses one edge smaller by canonical code, or by search, the first
+    that applies.  ``parents`` keeps the witnesses ``_lift`` has read."""
     trunk = find_trunk(tree)
     parity = check_precondition(tree) is not None
-    if below is not None and trunk is not None:
+    if trunk is not None:
         method, nu = "trunk", _number_along(tree, trunk)
-    elif below is not None and parity:
+    elif parity:
         method, nu = "parity-center", number_parity_center(tree)
     else:
         lifted = _lift(tree, below, parents) if below else None
@@ -733,6 +726,29 @@ def _numbering_worker(
         return _record(tree, trunk, parity, "search", res.status, witness, res.nodes)
     verified(nu, f"{method} numbering")
     return _record(tree, trunk, parity, method, FOUND, format_numbering(nu))
+
+
+def _sweep_numberings(
+    max_edges: int,
+    budget: SearchBudget | None,
+    jobs: int,
+    keep: Callable[[Tree], bool] | None = None,
+) -> list[SweepRecord]:
+    """The records of the trees with 1..max_edges edges that ``keep``, run
+    in this process, accepts (all without it), numbered size by size in
+    increasing order, each lifting from the witnesses of the size below."""
+    if max_edges < 1:
+        raise ShapeMismatch("max_edges must be at least 1")
+    budget = budget or SearchBudget(exhaustive=True)
+    records: list[SweepRecord] = []
+    below: dict[str, str] = {}
+    for m in range(1, max_edges + 1):
+        trees = enumerate_free_trees(m)
+        worker = partial(_numbering_worker, budget=budget, below=below, parents={})
+        size = _run_jobs(worker, filter(keep, trees) if keep else trees, jobs)
+        below = {r.code: r.witness for r in size if r.outcome == FOUND}
+        records += size
+    return records
 
 
 def sweep_question_path(
@@ -753,16 +769,7 @@ def sweep_question_path(
     yet; such records are surfaced via ``SweepReport.findings``.
     """
 
-    if max_edges < 1:
-        raise ShapeMismatch("max_edges must be at least 1")
-    budget = budget or SearchBudget(exhaustive=True)
-    records: list[SweepRecord] = []
-    below: dict[str, str] = {}
-    for m in range(1, max_edges + 1):
-        worker = partial(_numbering_worker, budget=budget, below=below, parents={})
-        size = _run_jobs(worker, enumerate_free_trees(m), jobs)
-        below = {r.code: r.witness for r in size if r.outcome == FOUND}
-        records += size
+    records = _sweep_numberings(max_edges, budget, jobs)
     note = (
         "Empirical survey. Every 'found' witness re-verifies through the "
         "checker; a 'none' record is an exhaustively verified tree with no "
@@ -770,6 +777,16 @@ def sweep_question_path(
         "all-found report does not settle the open existence question."
     )
     return _survey("question-path", max_edges, {}, note, records)
+
+
+# The conjectured always-numberable families: each one's filter and name.
+_FAMILIES = {
+    "d4": (lambda t: t.diameter() <= 4, "all trees of diameter at most 4"),
+    "odd": (
+        lambda t: all(d % 2 for d in t.degrees) and t.equidistant_center() is not None,
+        "trees with all degrees odd and a vertex equally distant from every leaf",
+    ),
+}
 
 
 def sweep_hypothesis(
@@ -782,42 +799,23 @@ def sweep_hypothesis(
 
     ``which`` selects the family: "d4" keeps trees of diameter at most
     4; "odd" keeps trees whose vertex degrees are all odd and which
-    have a vertex equally distant from every leaf.  Numberings are
-    searched exhaustively rather than constructed, since no
-    construction is known for either family.
+    have a vertex equally distant from every leaf.  The kept trees are
+    numbered as ``sweep_question_path`` numbers them, a lift drawing on
+    the family's own witnesses one edge smaller: a d4 tree minus a leaf
+    is a d4 tree, and the odd family, which has trees only at odd sizes,
+    never lifts.
     """
 
-    if which not in (HYPOTHESIS_D4, HYPOTHESIS_ODD):
+    if which not in _FAMILIES:
         raise ValueError(f"unknown hypothesis {which!r}; use 'd4' or 'odd'")
-    if max_edges < 1:
-        raise ShapeMismatch("max_edges must be at least 1")
-    budget = budget or SearchBudget(exhaustive=True)
-    trees = []
-    for m in range(1, max_edges + 1):
-        for tree in enumerate_free_trees(m):
-            if which == HYPOTHESIS_D4:
-                keep = tree.diameter() <= 4
-            else:
-                keep = (
-                    all(d % 2 == 1 for d in tree.degrees)
-                    and tree.equidistant_center() is not None
-                )
-            if keep:
-                trees.append(tree)
-    worker = partial(_numbering_worker, budget=budget, below=None)
-    if which == HYPOTHESIS_D4:
-        note = (
-            "Exhaustive numbering search over all trees of diameter at most "
-            "4 up to the size bound. All-found supports, but does not prove, "
-            "the conjecture that every such tree has a friendly numbering."
-        )
-    else:
-        note = (
-            "Exhaustive numbering search over trees with all degrees odd "
-            "and a vertex equally distant from every leaf. All-found "
-            "supports, but does not prove, the conjecture for this family."
-        )
-    records = _run_jobs(worker, trees, jobs)
+    keep, family = _FAMILIES[which]
+    records = _sweep_numberings(max_edges, budget, jobs, keep)
+    note = (
+        f"Numbering survey over {family} up to the size bound. Every 'found' "
+        "witness re-verifies through the checker. All-found supports, but "
+        "does not prove, the conjecture that every such tree has a friendly "
+        "numbering."
+    )
     return _survey(which, max_edges, {"which": which}, note, records)
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -24,8 +25,10 @@ from tree_amity import (
     Tree,
     check_friendly_bijection,
     check_friendly_numbering,
+    check_precondition,
     enumerate_free_trees,
     find_subtree_pair,
+    find_trunk,
     make_cb,
     parse_numbering,
     parse_tree_labeled,
@@ -437,24 +440,42 @@ def test_question_sweep_records_replay():
         assert check_friendly_numbering(nu) is None
 
 
+def _methods_agreeing_with_search(report):
+    """The records per method, once every record's outcome is found to be
+    plain exhaustive search's status on its tree, and every searched tree
+    to have neither a trunk nor parity readiness."""
+    methods = Counter()
+    for rec in report.records:
+        tree, _ = parse_tree_labeled(rec.tree)
+        assert rec.outcome == search_numbering(tree, EXHAUSTIVE).status, rec.code
+        if rec.method == "search":
+            assert not rec.has_trunk and not rec.parity_ready
+            assert find_trunk(tree) is None and check_precondition(tree) is None
+        methods[rec.method] += 1
+    return methods
+
+
 def test_diameter_four_sweep():
-    report = sweep_hypothesis(5, "d4")
+    report = sweep_hypothesis(10, "d4")
     want = sum(
-        1 for m in range(1, 6) for t in all_trees(m) if t.diameter() <= 4
+        1 for m in range(1, 11) for t in all_trees(m) if t.diameter() <= 4
     )
-    assert len(report.records) == want
+    assert len(report.records) == want == 113
     assert report.counts() == {FOUND: want}
     assert all(r.diameter <= 4 for r in report.records)
-    assert all(r.method == "search" for r in report.records)
+    # a lift at 9 edges and two at 10; no d4 tree up to 10 edges is searched
+    assert _methods_agreeing_with_search(report) == {"trunk": 110, "lift": 3}
 
 
 def test_odd_degree_sweep():
-    report = sweep_hypothesis(7, "odd")
-    assert report.counts() == {FOUND: 3}
+    report = sweep_hypothesis(13, "odd")
+    assert report.counts() == {FOUND: 10}
     codes = {r.code for r in report.records}
-    assert star(3).canonical_code() in codes
-    assert star(5).canonical_code() in codes
-    assert star(7).canonical_code() in codes
+    for k in (3, 5, 7, 9, 11, 13):
+        assert star(k).canonical_code() in codes
+    # the stars have a trunk; the family has trees only at odd sizes, so
+    # nothing lifts
+    assert _methods_agreeing_with_search(report) == {"trunk": 6, "search": 4}
 
 
 def test_sweep_rejects_unknown_hypothesis():
@@ -527,16 +548,19 @@ def _fake_pools(monkeypatch, cores):
 
 @pytest.mark.parametrize(
     "jobs, cores, workers",
-    [(500, 8, 4), (500, 2, 2), (3, 8, 3), (1, 8, None), (500, 1, None)],
+    [(500, 8, [2, 3, 5]), (500, 2, [2, 2, 2]), (2, 8, [2, 2, 2]), (1, 8, None),
+     (500, 1, None)],
+    ids=lambda v: "+".join(map(str, v)) if isinstance(v, list) else None,
 )
 def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, workers):
-    """The four trees with up to 3 edges, all of diameter at most 4, in one
-    pool: it never gets more workers than trees or cores, and none at all
-    when that leaves one."""
-    serial = sweep_hypothesis(3, "d4").to_json_dict()
+    """Trees of diameter at most 4 with up to 5 edges are 1, 1, 2, 3 and 5
+    per size; each size with more than one gets a pool that never has more
+    workers than its trees, the cores or the jobs, and none at all when
+    that leaves one."""
+    serial = sweep_hypothesis(5, "d4").to_json_dict()
     sizes = _fake_pools(monkeypatch, cores)
-    assert sweep_hypothesis(3, "d4", jobs=jobs).to_json_dict() == serial
-    assert sizes == ([] if workers is None else [workers])
+    assert sweep_hypothesis(5, "d4", jobs=jobs).to_json_dict() == serial
+    assert sizes == (workers or [])
 
 
 @pytest.mark.parametrize(
@@ -557,7 +581,7 @@ def test_question_sweep_runs_one_pool_per_size(monkeypatch, jobs, cores, workers
 def survey_calls():
     """Tree builds, rootings and trunk searches made by the question-path
     survey to 12 edges and the diameter-4 survey to 10 edges, with their
-    record count and the question-path report.  Builds are counted at
+    record count and the two reports.  Builds are counted at
     ``Tree._build``, which checked and level-sequence trees both run, and
     rootings at the ``Tree._rooted`` calls that make the rooting."""
     counts = {"builds": 0, "rootings": 0, "trunks": 0}
@@ -583,25 +607,26 @@ def survey_calls():
         mp.setattr(trunk_module, "find_trunk", counted_find)
         mp.setattr(search_module, "find_trunk", counted_find)
         question_path = sweep_question_path(12)
-        records = len(question_path.records)
-        records += len(sweep_hypothesis(10, "d4").records)
-    return counts, records, question_path
+        d4 = sweep_hypothesis(10, "d4")
+    records = len(question_path.records) + len(d4.records)
+    return counts, records, question_path, d4
 
 
 def test_surveys_build_each_enumerated_tree_once(survey_calls):
-    counts, _, _ = survey_calls
-    # 2,287 free trees with 1..12 edges and 435 with 1..10, and the lift's
-    # 181 trees minus a leaf and 81 parents read from their witnesses
-    assert counts["builds"] == 2287 + 435 + 181 + 81
+    counts = survey_calls[0]
+    # 2,287 free trees with 1..12 edges and 435 with 1..10; the
+    # question-path lifts' 181 trees minus a leaf and 81 parents read from
+    # their witnesses, and the d4 lifts' 3 and 3
+    assert counts["builds"] == 2287 + 435 + 181 + 81 + 3 + 3
 
 
 def test_surveys_root_each_built_tree_once(survey_calls):
-    counts, _, _ = survey_calls
+    counts = survey_calls[0]
     assert counts["rootings"] == counts["builds"]
 
 
 def test_surveys_find_each_trunk_once(survey_calls):
-    counts, records, _ = survey_calls
+    counts, records = survey_calls[:2]
     assert records == 2287 + 113
     assert counts["trunks"] == records
 
@@ -648,31 +673,32 @@ def test_lifted_records_replay_from_their_text(survey_calls):
     """A lifted record names its parent's code, its leaf edge and the
     value p.  Its witness numbers that edge p; without it, and with the
     values above p moved down, it is the parent's witness carried over
-    by the canonical orders."""
-    report = survey_calls[2]
-    by_code = {r.code: r for r in report.records}
-    lifted = [r for r in report.records if r.method == "lift"]
-    assert lifted
-    for rec in lifted:
-        assert rec.outcome == FOUND and rec.nodes == 0
-        parent_code, u, v, p = re.fullmatch(
-            r"parent=(\S+) leaf=(\d+)-(\d+) p=(\d+)", rec.detail
-        ).groups()
-        tree, labels = parse_tree_labeled(rec.tree)
-        nu = parse_numbering(rec.witness, tree, labels)
-        assert check_friendly_numbering(nu) is None
-        index = {label: i for i, label in enumerate(labels)}
-        leaf = tree.edges.index((index[int(u)], index[int(v)]))
-        (x,) = [w for w in tree.edges[leaf] if tree.degrees[w] == 1]
-        assert nu.numbers[leaf] == int(p)
-        rest, kept = _without(tree, x)
-        assert rest.canonical_code() == parent_code
-        parent = by_code[parent_code]
-        assert parent.edges == rec.edges - 1
-        parent_tree, parent_labels = parse_tree_labeled(parent.tree)
-        parent_nu = parse_numbering(parent.witness, parent_tree, parent_labels)
-        below = [k - (k > int(p)) for k in (nu.numbers[e] for e in kept)]
-        assert below == _carried(parent_nu, rest)
+    by the canonical orders.  The parent is a record one size down of the
+    same survey: in the question-path survey and in the d4 survey."""
+    for report in survey_calls[2:]:
+        by_code = {r.code: r for r in report.records}
+        lifted = [r for r in report.records if r.method == "lift"]
+        assert lifted
+        for rec in lifted:
+            assert rec.outcome == FOUND and rec.nodes == 0
+            parent_code, u, v, p = re.fullmatch(
+                r"parent=(\S+) leaf=(\d+)-(\d+) p=(\d+)", rec.detail
+            ).groups()
+            tree, labels = parse_tree_labeled(rec.tree)
+            nu = parse_numbering(rec.witness, tree, labels)
+            assert check_friendly_numbering(nu) is None
+            index = {label: i for i, label in enumerate(labels)}
+            leaf = tree.edges.index((index[int(u)], index[int(v)]))
+            (x,) = [w for w in tree.edges[leaf] if tree.degrees[w] == 1]
+            assert nu.numbers[leaf] == int(p)
+            rest, kept = _without(tree, x)
+            assert rest.canonical_code() == parent_code
+            parent = by_code[parent_code]
+            assert parent.edges == rec.edges - 1
+            parent_tree, parent_labels = parse_tree_labeled(parent.tree)
+            parent_nu = parse_numbering(parent.witness, parent_tree, parent_labels)
+            below = [k - (k > int(p)) for k in (nu.numbers[e] for e in kept)]
+            assert below == _carried(parent_nu, rest)
 
 
 def test_lift_or_search_agrees_with_search_up_to_11_edges(survey_calls):
