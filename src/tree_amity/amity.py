@@ -77,7 +77,7 @@ from .errors import (
     SizeMismatch,
     VerificationFailed,
 )
-from .trees import Tree, _iter_bits
+from .trees import Tree, _clean_lines, _iter_bits
 
 
 class Numbering:
@@ -392,13 +392,6 @@ def numbering_to_path_bijection(nu: Numbering) -> EdgeBijection:
 
 
 # -- text formats -------------------------------------------------------------
-
-
-def _clean_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def _edge_index(tree: Tree, labels: tuple[int, ...] | None) -> dict[tuple[int, int], int]:

@@ -190,8 +190,10 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     pair up, so m would make its length odd.  Twin leaf edges are
     numbered in increasing id order (an edge is a candidate only once
     its smaller twin is numbered); the first friendly numbering in scan
-    order always does, so it is the witness.  Every witness is
-    re-verified through the reference checker before being returned.
+    order always does, so it is the witness.  The paths it asks for are
+    kept in a dict keyed by the edge pair, which lives only as long as
+    the call.  Every witness is re-verified through the reference
+    checker before being returned.
     """
 
     start = time.monotonic()
@@ -205,6 +207,7 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     on_path = [0] * m
     # the bits k of each parity
     parity = [sum(1 << k for k in range(j, m, 2)) for j in (0, 1)]
+    path_masks: dict[tuple[int, int], int] = {}
     free, frees = _twin_frees(tree)
     # per depth: the edges still to try, and the free ones
     todo = [0] * (m + 1)
@@ -243,7 +246,9 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
             # on an earlier path of t's parity, num and t are partners
             if (on_path[f] ^ on_path[g]) & parity[t & 1]:
                 continue
-            mask = tree.edge_path_mask(g, f)
+            mask = path_masks.get((g, f))
+            if mask is None:
+                mask = path_masks[g, f] = tree.edge_path_mask(g, f)
             if mask.bit_count() % 2 or not _paired(mask, t, number_of, edge_of):
                 continue
             path[t] = mask

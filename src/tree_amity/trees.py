@@ -27,10 +27,9 @@ The whole-tree questions read the rooting: the diameter is twice the
 largest depth, less one with two centers, and an equidistant center is a
 lone center whose leaves all share one depth; one pass codes every
 subtree for the canonical code and order, then turns to the second
-center, if any.  Memoized, and never invalidated: the centers; the edge
-path masks that the searches ask for again and again; the depth-parity
-coloring and the per-edge masks of the edges below each edge, which the
-bijection checker asks for on every call; and the canonical code.
+center, if any.  A tree keeps only its centers and its rooting; every
+other answer is computed from them on each call, and a caller that asks
+for the same one again keeps it itself.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ class Tree:
         "degrees",
         "_centers",
         "_rooting",
-        "_side",
-        "_under",
-        "_path_masks",
-        "_code",
     )
 
     def __init__(self, edges: Iterable[tuple[int, int]], vertex_count: int | None = None):
@@ -127,10 +122,6 @@ class Tree:
         self.degrees: tuple[int, ...] = tuple(len(a) for a in adj)
         self._centers: tuple[int, ...] | None = None
         self._rooting: tuple[list[int], list[int], list[int], list[int]] | None = None
-        self._side: tuple[int, ...] | None = None
-        self._under: tuple[int, ...] | None = None
-        self._path_masks: dict[tuple[int, int], int] = {}
-        self._code: str | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -139,9 +130,9 @@ class Tree:
         center, and the vertices in the breadth-first order that reached
         them.
 
-        Built by one traversal on the first call and kept.  Walked
-        backwards, the order visits every vertex before its parent; its
-        last vertex is a deepest one.
+        Built by one traversal on the first call and kept for the tree's
+        lifetime, like the centers.  Walked backwards, the order visits
+        every vertex before its parent; its last vertex is a deepest one.
         """
         if self._rooting is not None:
             return self._rooting
@@ -184,9 +175,7 @@ class Tree:
         even, so two distinct vertices of one color lie at even
         distance two or more.
         """
-        if self._side is None:
-            self._side = tuple(d & 1 for d in self._rooted()[2])
-        return self._side
+        return tuple(d & 1 for d in self._rooted()[2])
 
     def diameter(self) -> int:
         """Twice the depth of the deepest vertex below the first center,
@@ -196,32 +185,30 @@ class Tree:
 
     # -- edge paths ------------------------------------------------------
 
-    def _under_masks(self) -> tuple[int, ...]:
+    def _under_masks(self) -> list[int]:
         """Per edge e, the mask of the edges whose far endpoint is reached
         from the root through e, e itself included.
 
-        Built on the first call from the rooting, children before their
-        parents, and kept.
+        Built from the rooting on every call, children before their
+        parents; O(n·m) bits, which the caller holds only as long as it
+        needs them.
         """
-        if self._under is None:
-            parent, up_edge, _, order = self._rooted()
-            under = [0] * self.m
-            for v in reversed(order[1:]):
-                e = up_edge[v]
-                under[e] |= 1 << e
-                above = up_edge[parent[v]]
-                if above >= 0:
-                    under[above] |= under[e]
-            self._under = tuple(under)
-        return self._under
+        parent, up_edge, _, order = self._rooted()
+        under = [0] * self.m
+        for v in reversed(order[1:]):
+            e = up_edge[v]
+            under[e] |= 1 << e
+            above = up_edge[parent[v]]
+            if above >= 0:
+                under[above] |= under[e]
+        return under
 
     def edge_path_mask(self, e1: int, e2: int) -> int:
+        """The path between two distinct edges as a mask of edge ids,
+        climbed on the rooting: it costs the length of the path and keeps
+        nothing."""
         if e1 == e2:
             raise EqualEdges(f"no path is defined between edge {e1} and itself")
-        key = (e1, e2) if e1 < e2 else (e2, e1)
-        cached = self._path_masks.get(key)
-        if cached is not None:
-            return cached
         parent, up_edge, depth, _ = self._rooted()
         # Climb from the upper endpoint of each edge; the climb may run
         # along e1 or e2 itself, which the nearest-endpoint path excludes.
@@ -237,9 +224,7 @@ class Tree:
             else:
                 mask |= 1 << up_edge[y]
                 y = parent[y]
-        mask &= ~((1 << e1) | (1 << e2))
-        self._path_masks[key] = mask
-        return mask
+        return mask & ~((1 << e1) | (1 << e2))
 
     # -- centers and equidistance -----------------------------------------
 
@@ -315,15 +300,14 @@ class Tree:
 
     def canonical_code(self) -> str:
         """A string equal for two trees exactly when they are isomorphic:
-        the least rooted code over the centers, read from the rooting.
+        the least rooted code over the centers, computed from the rooting
+        on every call.
 
         Isomorphic trees agree because an isomorphism maps centers onto
         centers, and a rooted code determines the rooted tree.
         """
-        if self._code is None:
-            codes, root = self._codes()
-            self._code = codes[root]
-        return self._code
+        codes, root = self._codes()
+        return codes[root]
 
     def canonical_order(self) -> tuple[str, list[int]]:
         """The canonical code and every vertex in canonical order.
@@ -362,6 +346,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
 # -- text format ---------------------------------------------------------
 
 
+def _clean_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a text format with comments and blanks gone:
+    '#' starts a comment, and a line with nothing else is skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_tree_labeled(text: str) -> tuple[Tree, tuple[int, ...]]:
     """Parse the edge-list format and keep the original vertex labels.
 
@@ -383,16 +376,13 @@ def parse_tree_labeled(text: str) -> tuple[Tree, tuple[int, ...]]:
             labels.append(label)
         return got
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _clean_lines(text):
         if line == ".":
             saw_dot = True
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise MalformedLine(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise MalformedLine(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:

@@ -1,6 +1,7 @@
 """The public surface of the package, pinned name by name.
 
-Growing or shrinking ``tree_amity.__all__`` means editing this list.
+Growing or shrinking ``tree_amity.__all__`` means editing this list, and
+giving a tree more state than its own means editing ``TREE_SLOTS``.
 """
 
 import ast
@@ -70,6 +71,14 @@ PUBLIC_NAMES = [
 
 def test_all_lists_exactly_the_pinned_names():
     assert sorted(tree_amity.__all__) == PUBLIC_NAMES
+
+
+# what a tree keeps: its edges and adjacency, and its centers and rooting
+TREE_SLOTS = ("n", "m", "edges", "adj", "degrees", "_centers", "_rooting")
+
+
+def test_a_tree_keeps_exactly_the_pinned_state():
+    assert tree_amity.Tree.__slots__ == TREE_SLOTS
 
 
 def test_every_public_name_resolves():

@@ -34,6 +34,7 @@ from tree_amity import (
     find_trunk,
     number_by_trunk,
     number_parity_center,
+    search_numbering,
 )
 
 
@@ -237,14 +238,36 @@ def test_rooting_is_lazy_and_happens_once():
     assert check_precondition(covered) is not None
 
 
-def test_bipartition_is_kept():
-    tree = random_caterpillar(300, random.Random(5))
-    assert tree.bipartition() is tree.bipartition()
+def _held_after(tree: Tree, queries) -> int:
+    """Bytes still allocated once the queries have run on a rooted tree
+    and their answers are dropped."""
+    tree._rooted()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for query in queries:
+            query(tree)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
-def test_under_masks_are_kept():
-    tree = random_caterpillar(300, random.Random(5))
-    assert tree._under_masks() is tree._under_masks()
+def test_a_tree_keeps_nothing_beyond_its_rooting():
+    """The under masks alone would take O(n·m) bits: 13 MiB on a shuffled
+    10,000-edge path, whose edge ids follow no traversal."""
+    queries = (
+        Tree._under_masks,
+        Tree.bipartition,
+        Tree.canonical_code,
+        lambda tree: tree.edge_path_mask(0, 1),
+    )
+    cases = [
+        (shuffled(path(10_000), random.Random(0)), queries),
+        (random_trunk_tree(10_000, random.Random(1)), queries),
+        (path(1500), (search_numbering,)),
+    ]
+    for tree, asked in cases:
+        assert _held_after(tree, asked) < 1024 * 1024
 
 
 def test_numbering_ten_thousand_edges_in_linear_memory():

@@ -75,7 +75,7 @@ def test_degrees_and_adjacency():
 
 
 def test_parse_basic():
-    t, labels = parse_tree_labeled("1 2\n2 3\n# a comment\n\n2 4\n")
+    t, labels = parse_tree_labeled("1 2\n2 3  # trailing comment\n# a comment\n\n2 4\n")
     assert t.m == 3
     assert sorted(labels) == [1, 2, 3, 4]
 
@@ -89,6 +89,8 @@ def test_parse_single_vertex_dot():
 def test_parse_rejects_junk():
     with pytest.raises(MalformedLine):
         parse_tree("1 2 3")
+    with pytest.raises(MalformedLine, match=r"line 2: expected 'u v', got '1 2 3'$"):
+        parse_tree("0 1\n1 2 3  # one field too many\n")
     with pytest.raises(MalformedLine):
         parse_tree("a b")
     with pytest.raises(MalformedLine):
