@@ -16,8 +16,9 @@ Four questions, four sweeps:
 A symmetry audit of small bijections rounds the set out.  Each survey
 runs through the ``tree-amity`` command, which writes its JSON report
 into the output directory and prints its summary and findings (anything
-that is not a plain "found") on stderr.  The exit code is the worst of
-the surveys' exit codes.
+that is not a plain "found") on stderr.  The script prints one line per
+survey on stdout: exit code, wall time, report path and report size in
+bytes.  The exit code is the worst of the surveys' exit codes.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ def main(argv=None) -> int:
     worst = 0
     for name, command in surveys:
         path = out_dir / f"{name}.json"
+        path.unlink(missing_ok=True)
         started = time.monotonic()
         code = cli.main([*command.split(), "--jobs", str(args.jobs), "--out", str(path)])
-        print(f"{name}: exit {code} in {time.monotonic() - started:.1f}s -> {path}")
+        elapsed = time.monotonic() - started
+        size = f"{path.stat().st_size} bytes" if path.exists() else "no report"
+        print(f"{name}: exit {code} in {elapsed:.1f}s -> {path} ({size})")
         worst = max(worst, code)
     return worst
 

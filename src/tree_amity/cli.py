@@ -17,9 +17,10 @@ Exit codes are a stable contract:
 Reports are JSON documents tagged with ``"schema": "tree-amity/1"``.
 Every embedded witness is stored in the same text formats the parsers
 accept, together with the input trees, so a report can be re-loaded and
-re-verified without the original files.  The ``--jobs`` flag controls
-worker-pool width for sweeps and audits; the TREE_AMITY_JOBS
-environment variable overrides it when set.
+re-verified without the original files.  A report is written record by
+record, with no copy of the whole document built in memory.  The
+``--jobs`` flag controls worker-pool width for sweeps and audits; the
+TREE_AMITY_JOBS environment variable overrides it when set.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -71,7 +73,7 @@ EXIT_INPUT = 2
 EXIT_INAPPLICABLE = 3
 EXIT_INTERNAL = 4
 
-__all__ = ["main", "main_entry", "build_parser", "report_text", "SCHEMA"]
+__all__ = ["main", "main_entry", "build_parser", "SCHEMA"]
 
 
 # -- small helpers ------------------------------------------------------------
@@ -115,17 +117,35 @@ def _budget_from(args, default_exhaustive: bool = False) -> SearchBudget:
     return SearchBudget(**given)
 
 
-def report_text(command: str, body: dict) -> str:
-    """The JSON report of one command: schema tag, command name, body."""
+def _emit_report(path: str | None, command: str, body: dict) -> None:
+    """Write the JSON report of one command (schema tag, command name,
+    body) to ``path``, or to stdout when ``path`` is None.
+
+    The bytes are those of ``json.dumps(doc, indent=2)`` and a newline,
+    written record by record so that no copy of the whole document is
+    held.  Everything but ``records`` is encoded at once, before the file
+    is opened.  ``records``, when present, is the body's last key, and
+    each record is a flat dict of str, int, bool and None, which the C
+    encoder writes on its own.
+    """
     doc = {"schema": SCHEMA, "command": command, **body}
-    return json.dumps(doc, indent=2) + "\n"
+    records = doc.pop("records", None)
+    head = json.dumps(doc, indent=2)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        if records is None:
+            out.write(head + "\n")
+            return
+        out.write(head[:-2] + ',\n  "records": [')  # head ends in "\n}"
+        for i, rec in enumerate(records):
+            # the record's fields as indent=2 lays them out at depth 3
+            fields = json.dumps(rec, separators=(",\n      ", ": "))[1:-1]
+            out.write(f"{',' if i else ''}\n    {{\n      {fields}\n    }}")
+        out.write("\n  ]\n}\n" if records else "]\n}\n")
 
 
 def _write_report(args, command: str, inputs: list[dict], payload: dict) -> None:
-    if not args.report:
-        return
-    text = report_text(command, {"inputs": inputs, **payload})
-    Path(args.report).write_text(text, encoding="utf-8")
+    if args.report:
+        _emit_report(args.report, command, {"inputs": inputs, **payload})
 
 
 def _edge_label(tree: Tree, labels, eid: int) -> list[int]:
@@ -411,14 +431,6 @@ def cmd_search(args) -> int:
     return EXIT_INAPPLICABLE
 
 
-def _emit_report(args, command: str, body: dict) -> None:
-    text = report_text(command, body)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_sweep(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     budget = _budget_from(args, default_exhaustive=True)
@@ -437,7 +449,7 @@ def cmd_sweep(args) -> int:
             report = sweep_hypothesis(
                 args.max_edges, args.kind, budget=budget, jobs=jobs
             )
-    _emit_report(args, "sweep", report.to_json_dict())
+    _emit_report(args.out, "sweep", report.to_json_dict())
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
     findings = report.findings
     print(
@@ -455,7 +467,7 @@ def cmd_sweep(args) -> int:
 def cmd_audit_symmetry(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
-    _emit_report(args, "audit-symmetry", report.to_json_dict())
+    _emit_report(args.out, "audit-symmetry", report.to_json_dict())
     print(
         f"audit: {len(report.records)} pairs, {report.total_friendly} friendly "
         f"bijections, {report.total_failures} inverse failures",

@@ -11,13 +11,15 @@ each center, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
 large for the brute-force ones, the trunk numbering's edge order, the
 parity-center numbering built the slow way, on a tower of pruned trees,
-the first double-star subtree pair found by trying every edge set, and
-one free tree per shape found by re-rooting every rooted tree.
+the first double-star subtree pair found by trying every edge set,
+one free tree per shape found by re-rooting every rooted tree, and a
+command's JSON report encoded as one document.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 
@@ -855,3 +857,12 @@ def parity_tower_numbering(edges, n):
             here[eid] = k
         numbers = here
     return numbers
+
+
+# -- reports ------------------------------------------------------------------
+
+
+def report_text(command, body):
+    """The JSON report of one command, the whole document encoded at once."""
+    doc = {"schema": "tree-amity/1", "command": command, **body}
+    return json.dumps(doc, indent=2) + "\n"

@@ -4,8 +4,10 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 import tree_amity
 import tree_amity.cb as cb_module
 from helpers import path, relabeled, spider, star, tri_y
+from oracles import report_text
 from tree_amity import (
     check_friendly_bijection,
     check_friendly_numbering,
@@ -24,6 +27,7 @@ from tree_amity import (
     parse_tree,
     parse_tree_labeled,
     sweep_hypothesis,
+    sweep_question_path,
 )
 from tree_amity import amity, cli
 from tree_amity.amity import NumberingPairViolation
@@ -373,6 +377,119 @@ def test_enumerate_single_vertex(capsys):
     assert capsys.readouterr().out.strip() == "."
 
 
+# -- reports -----------------------------------------------------------------------
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """Every (path, command, body) the report writer is given, in order."""
+    calls = []
+    emit = cli._emit_report
+
+    def note(path, command, body):
+        calls.append((path, command, body))
+        emit(path, command, body)
+
+    monkeypatch.setattr(cli, "_emit_report", note)
+    return calls
+
+
+SURVEYS = [
+    ["sweep", "--kind", "question-path", "-m", "6"],
+    ["sweep", "--kind", "d4", "-m", "6"],
+    ["sweep", "--kind", "odd", "-m", "7"],
+    ["sweep", "--kind", "odd", "-m", "2"],  # no tree qualifies: "records": []
+    ["sweep", "--kind", "cb", "--n1", "5", "--n2", "5", "--confirm"],  # a null witness
+    ["audit-symmetry", "-m", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", SURVEYS, ids=" ".join)
+def test_survey_reports_match_the_whole_document_encoding(tmp_path, capsys, emitted, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    ((to, command, body),) = emitted
+    assert to == str(out)
+    assert out.read_bytes() == report_text(command, body).encode("utf-8")
+
+
+def test_a_survey_writes_the_same_bytes_to_stdout_and_to_its_out_file(tmp_path, capsys):
+    argv = ["sweep", "--kind", "d4", "-m", "5", "--jobs", "1"]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def _report_inputs(tmp_path):
+    """Input files for the commands that take --report, by name."""
+    texts = {
+        "p3": format_tree(path(3)),
+        "p4": format_tree(path(4)),
+        "p5": format_tree(path(5)),
+        "p7": format_tree(path(7)),
+        "friendly": "0 1 1\n1 2 2\n2 3 3\n",
+        "unfriendly": "0 1 1\n1 2 3\n2 3 2\n",
+        "hooked": "0 1 -> 0 1\n1 2 -> 2 3\n2 3 -> 1 2\n3 4 -> 3 4\n",
+        # two 7-edge trees with no friendly bijection between them
+        "a7": "0 1\n1 2\n2 3\n3 4\n4 5\n4 6\n1 7\n",
+        "b7": "0 1\n1 2\n2 3\n3 4\n2 5\n5 6\n2 7\n",
+    }
+    return {name: write(tmp_path, f"{name}.txt", text) for name, text in texts.items()}
+
+
+REPORTED_RUNS = {
+    "check-numbering ok": (["check-numbering", "p3", "friendly"], 0, "ok"),
+    "check-numbering violation": (["check-numbering", "p3", "unfriendly"], 1, "violation"),
+    "check-bijection violation": (["check-bijection", "p4", "p4", "hooked"], 1, "violation"),
+    "number": (["number", "p3"], 0, "ok"),
+    "cb-criterion": (["cb-criterion", "--n1", "4", "--n2", "4", "p7"], 0, "ok"),
+    "cb-pair": (["cb-pair", "--n", "2", "p5"], 0, "ok"),
+    "search none": (["search", "a7", "b7", "--exhaustive"], 1, "none"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTED_RUNS))
+def test_run_reports_match_the_whole_document_encoding(tmp_path, capsys, emitted, name):
+    argv, code, outcome = REPORTED_RUNS[name]
+    files = _report_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert main([files.get(a, a) for a in argv] + ["--report", str(out)]) == code
+    capsys.readouterr()
+    ((to, command, body),) = emitted
+    assert (to, body["outcome"]) == (str(out), outcome)
+    assert out.read_bytes() == report_text(command, body).encode("utf-8")
+
+
+def test_writing_a_report_holds_no_copy_of_it(tmp_path):
+    """Encoding the whole document at once would hold 5.5 times the report."""
+    body = sweep_question_path(10, jobs=1).to_json_dict()
+    out = tmp_path / "question-path-10.json"
+    tracemalloc.start()
+    try:
+        cli._emit_report(str(out), "sweep", body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kind", "question-path", "-m", "3", "--out"],
+    ["audit-symmetry", "-m", "2", "--out"],
+    ["number", "TREE", "--report"],
+], ids=lambda argv: argv[0])
+def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    t = tree_file(tmp_path, "t.txt", path(3))
+    missing = str(tmp_path / "absent" / "report.json")
+    assert main([t if a == "TREE" else a for a in argv] + [missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+    assert err.count("\n") == 1
+
+
 # -- internal errors and entry points ------------------------------------------------
 
 SRC_DIR = str(Path(tree_amity.__file__).resolve().parents[1])
@@ -472,6 +589,8 @@ def test_run_sweeps_writes_cli_reports(tmp_path, capsys):
         "--question-edges", "4", "--d4-edges", "4", "--odd-edges", "5",
         "--cb", "2", "2", "--audit-edges", "3", "--out-dir", str(out_dir),
     ]) == 0
+    summary = re.findall(r"^(\S+): exit 0 in \d+\.\ds -> .+ \((\d+) bytes\)$",
+                         capsys.readouterr().out, re.MULTILINE)
     commands = {
         "audit-3": ["audit-symmetry", "-m", "3"],
         "cb-2-2": ["sweep", "--kind", "cb", "--n1", "2", "--n2", "2", "--confirm"],
@@ -485,6 +604,9 @@ def test_run_sweeps_writes_cli_reports(tmp_path, capsys):
         assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
         assert (out_dir / f"{name}.json").read_bytes() == out.read_bytes(), name
     capsys.readouterr()
+    assert sorted(summary) == [
+        (name, str((out_dir / f"{name}.json").stat().st_size)) for name in commands
+    ]
 
 
 def test_run_sweeps_returns_the_worst_exit_code(tmp_path, monkeypatch, capsys):
