@@ -26,6 +26,7 @@ TREE_AMITY_JOBS environment variable overrides it when set.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -141,6 +142,14 @@ def _emit_report(path: str | None, command: str, body: dict) -> None:
             fields = json.dumps(rec, separators=(",\n      ", ": "))[1:-1]
             out.write(f"{',' if i else ''}\n    {{\n      {fields}\n    }}")
         out.write("\n  ]\n}\n" if records else "]\n}\n")
+
+
+def _require_out_dir(path: str | None) -> None:
+    """Raise the error that opening ``path`` would raise when its
+    directory is missing, so that a survey fails before it runs, not
+    after.  The directory is only known to exist when this returns."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_report(args, command: str, inputs: list[dict], payload: dict) -> None:
@@ -432,6 +441,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_out_dir(args.out)
     jobs = _resolve_jobs(args.jobs)
     budget = _budget_from(args, default_exhaustive=True)
     if args.kind == "cb":
@@ -465,6 +475,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit_symmetry(args) -> int:
+    _require_out_dir(args.out)
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
     _emit_report(args.out, "audit-symmetry", report.to_json_dict())

@@ -4,7 +4,7 @@
 numbers 1..m in increasing order; ``search_bijection`` looks for a
 friendly edge bijection between two trees, assigning the source edges
 in a fixed order, and takes the first mapping of ``_friendly_mappings``,
-the walk that also yields every friendly bijection to the symmetry
+the walk that also yields the friendly bijections to the symmetry
 audit.  Each is one depth-first loop over an explicit stack, whose
 depth is bounded by memory, not by the interpreter's recursion limit;
 each depth holds a bit mask of the values it has still to try.  Every
@@ -33,9 +33,10 @@ a friendly numbering, constructing one where a construction applies and
 otherwise lifting a witness from the size below before it searches;
 ``sweep_hypothesis`` does the same over two conjectured families,
 ``sweep_cb_universal`` tests the double-star criterion over all trees
-of the matching size, and ``symmetry_audit`` walks every friendly
-bijection between small tree pairs to test that friendliness survives
-inversion.  Survey results are plain records, replayable through the
+of the matching size, and ``symmetry_audit`` counts the friendly
+bijections between small tree pairs and tests that friendliness
+survives inversion, walking one bijection per orbit of the target's
+twin swaps.  Survey results are plain records, replayable through the
 checkers and serializable to JSON.
 """
 
@@ -145,6 +146,19 @@ def _twin_frees(tree: Tree) -> tuple[int, list[int]]:
             free ^= 1 << f
             frees[g] = 1 << f
     return free, frees
+
+
+def _twin_swaps(tree: Tree) -> int:
+    """The number of ways to permute twin leaf edges among themselves,
+    the product of k! over the twin classes of k edges: an edge's rank
+    in its class is one more than its smaller twin's, and the product
+    of the ranks is that number."""
+    rank = [0] * tree.m
+    swaps = 1
+    for e, g in enumerate(_twin_before(tree)):
+        rank[e] = rank[g] + 1 if g >= 0 else 1
+        swaps *= rank[e]
+    return swaps
 
 
 def _limits(budget: SearchBudget | None, start: float) -> tuple[float, float]:
@@ -295,12 +309,14 @@ def _closing_order(source: Tree) -> tuple[list[int], list[list[tuple[int, int]]]
 def _friendly_mappings(
     source: Tree,
     target: Tree,
-    twins: bool = False,
+    target_twins: bool = False,
+    source_twins: bool = False,
     limit: float = math.inf,
     deadline: float = math.inf,
 ) -> Generator[tuple[int, list[int]], None, tuple[str, int]]:
-    """Every friendly bijection from source onto target, each once, with
-    the number of nodes tried so far.
+    """Every friendly bijection from source onto target that meets the
+    twin rules asked for, each once, with the number of nodes tried so
+    far.
 
     A depth-first walk over the assignments of source edges in
     ``_closing_order``, with an explicit stack: depth i tries the free
@@ -316,14 +332,16 @@ def _friendly_mappings(
     of each source edge, by source edge id, in one list that the walk
     goes on to change: copy it to keep it.
 
-    With ``twins`` set, twin leaf edges keep id order on both sides: a
-    target edge becomes free only when its smaller twin is placed, and a
-    source twin's candidates are cut below the image of its smaller
-    twin, placed before it.  The audit counts every bijection and walks
-    without them.  The walk returns BUDGET_EXCEEDED and the node count
-    once the count passes ``limit`` or the clock passes ``deadline``
-    (see ``_limits``), and PROVED_NONE and the count when it has tried
-    everything.
+    Each of the two twin rules keeps twin leaf edges in id order on one
+    side.  With ``target_twins`` set, a target edge becomes free only
+    when its smaller twin is placed; with ``source_twins`` set, a source
+    twin's candidates are cut below the image of its smaller twin,
+    placed before it.  The search walks with both, the audit with the
+    target rule only, which yields one bijection of each orbit under the
+    target's twin swaps.  The walk returns BUDGET_EXCEEDED and the node
+    count once the count passes ``limit`` or the clock passes
+    ``deadline`` (see ``_limits``), and PROVED_NONE and the count when
+    it has tried everything.
     """
     m = source.m
     mapping = [-1] * m
@@ -339,8 +357,9 @@ def _friendly_mappings(
     # exceed, or -1
     free, frees = (1 << m) - 1, [0] * m
     above = [-1] * m
-    if twins:
+    if target_twins:
         free, frees = _twin_frees(target)
+    if source_twins:
         twin = _twin_before(source)
         above = [twin[e] for e in order]
     # per depth: the target edges still to try, the free ones, and the
@@ -418,7 +437,7 @@ def search_bijection(
             f"edge counts differ: {source.m} versus {target.m}"
         )
     start = time.monotonic()
-    walk = _friendly_mappings(source, target, True, *_limits(budget, start))
+    walk = _friendly_mappings(source, target, True, True, *_limits(budget, start))
     try:
         nodes, mapping = next(walk)
     except StopIteration as end:
@@ -488,9 +507,12 @@ class AuditReport:
     max_edges: int
     records: list[AuditRecord]
     note: str = (
-        "Empirical audit: for every friendly bijection between the listed "
-        "tree pairs the inverse was checked directly. Zero failures here "
-        "is evidence, not a proof, that inversion preserves friendliness."
+        "Empirical audit: every friendly bijection between the listed tree "
+        "pairs is counted. The inverse was checked directly for one "
+        "bijection per orbit under swaps of the second tree's twin leaf "
+        "edges; the rest follow, since automorphisms preserve friendliness. "
+        "Zero failures here is evidence, not a proof, that inversion "
+        "preserves friendliness."
     )
 
     @property
@@ -512,20 +534,23 @@ class AuditReport:
 
 
 def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
+    """The audit record of one pair, from one friendly bijection per
+    orbit under b's twin swaps, its counts scaled by the orbit size."""
     a, b = pair
     backward = _bijection_checker(b, a)
     inverse = [0] * a.m
     friendly = 0
     failures = 0
-    for _, mapping in _friendly_mappings(a, b):
+    for _, mapping in _friendly_mappings(a, b, target_twins=True):
         friendly += 1
         for src, dst in enumerate(mapping):
             inverse[dst] = src
         if backward(inverse) is not None:
             failures += 1
+    orbit = _twin_swaps(b)
     return AuditRecord(
         a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
-        friendly, failures,
+        friendly * orbit, failures * orbit,
     )
 
 
@@ -533,14 +558,18 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
     """Check every friendly bijection between same-size trees against
     its inverse.
 
-    For every unordered pair of trees with the same edge count up to
-    ``max_edges``, the friendly bijections are walked edge by edge, each
-    vertex pair tested once, at the depth that completes its two images
+    For every unordered pair (a, b) of trees with the same edge count up
+    to ``max_edges``, the friendly bijections are walked edge by edge
     (``_friendly_mappings``), so no unfriendly one is built in full;
-    ``bijections`` still reports all m! of them.  The inverse of each
-    friendly one goes through the backward check, built once per pair,
-    with no ``EdgeBijection`` per mapping.  The cost still grows about
-    factorially with the edge count.
+    ``bijections`` still reports all m! of them.  The walk keeps b's
+    twin leaf edges in id order: one bijection φ per orbit under b's
+    twin swaps β, which give distinct bijections, and the counts are
+    scaled by the orbit size.  Each β∘φ is friendly exactly when φ is,
+    since β is an automorphism of b, and its inverse φ⁻¹∘β⁻¹ exactly
+    when φ⁻¹ is.  The inverse of each bijection walked goes through the
+    backward check, built once per pair, with no ``EdgeBijection`` per
+    mapping.  The cost still grows about factorially with the edge
+    count.
     """
 
     if max_edges < 1:

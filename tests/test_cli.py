@@ -481,7 +481,13 @@ def test_writing_a_report_holds_no_copy_of_it(tmp_path):
     ["audit-symmetry", "-m", "2", "--out"],
     ["number", "TREE", "--report"],
 ], ids=lambda argv: argv[0])
-def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
+def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a survey must fail before it runs, not after: running one exits 4
+    def ran(*args, **kwargs):
+        raise RuntimeError("the survey ran")
+
+    for survey in ("sweep_question_path", "symmetry_audit"):
+        monkeypatch.setattr(cli, survey, ran)
     t = tree_file(tmp_path, "t.txt", path(3))
     missing = str(tmp_path / "absent" / "report.json")
     assert main([t if a == "TREE" else a for a in argv] + [missing]) == 2

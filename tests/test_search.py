@@ -43,7 +43,7 @@ from tree_amity import amity
 from tree_amity.cli import main
 from tree_amity.errors import VerificationFailed
 from tree_amity.search import (
-    AuditRecord, _closing_order, _friendly_mappings, _lift, _twin_before,
+    AuditRecord, _closing_order, _friendly_mappings, _lift, _twin_before, _twin_swaps,
 )
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
@@ -333,25 +333,52 @@ def test_audit_matches_the_slow_path_pair_by_pair():
         assert rec == _slow_audit_record(trees[rec.code_a], trees[rec.code_b])
 
 
-def _twins_in_order(a, b, perm):
-    """Whether a bijection keeps both sides' twin leaf edges in order:
-    each source twin's image above its smaller twin's, and each target
-    twin's preimage placed after its smaller twin's in the walk."""
+def _every_bijection_audit_record(a, b):
+    """The audit record of one pair from every friendly bijection, each
+    inverse checked directly: the audit before it walked twin orbits."""
+    backward = amity._bijection_checker(b, a)
+    inverse = [0] * a.m
+    friendly = failures = 0
+    for _, mapping in _friendly_mappings(a, b):
+        friendly += 1
+        for src, dst in enumerate(mapping):
+            inverse[dst] = src
+        if backward(inverse) is not None:
+            failures += 1
+    return AuditRecord(
+        a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
+        friendly, failures,
+    )
+
+
+def test_audit_matches_every_bijection_pair_by_pair_at_six_edges():
+    report = symmetry_audit(6)
+    trees = {t.canonical_code(): t for m in range(1, 7) for t in enumerate_free_trees(m)}
+    assert len(report.records) == 1 + 1 + 3 + 6 + 21 + 66
+    for rec in report.records:
+        assert rec == _every_bijection_audit_record(trees[rec.code_a], trees[rec.code_b])
+
+
+def _source_twins_in_order(a, perm):
+    """Whether each source twin's image lies above its smaller twin's."""
+    return all(g < 0 or perm[g] < perm[e] for e, g in enumerate(_twin_before(a)))
+
+
+def _target_twins_in_order(a, b, perm):
+    """Whether each target twin's preimage is placed after its smaller
+    twin's in the walk."""
     rank = {e: i for i, e in enumerate(_closing_order(a)[0])}
     placed = [0] * a.m
     for e, f in enumerate(perm):
         placed[f] = rank[e]
-    return all(
-        g < 0 or perm[g] < perm[e] for e, g in enumerate(_twin_before(a))
-    ) and all(
-        g < 0 or placed[g] < placed[f] for f, g in enumerate(_twin_before(b))
-    )
+    return all(g < 0 or placed[g] < placed[f] for f, g in enumerate(_twin_before(b)))
 
 
 def test_walk_yields_exactly_the_friendly_permutations():
     # the walk against the brute force it replaced, as sets: every
-    # ordered pair of free trees with 0-5 edges, without the twin rules
-    # and with them
+    # ordered pair of free trees with 0-5 edges, without the twin rules,
+    # with the target rule the audit walks, and with both; the target
+    # rule keeps one bijection of each orbit under b's twin swaps
     for m in range(0, 6):
         trees = list(enumerate_free_trees(m))
         for a in trees:
@@ -363,22 +390,40 @@ def test_walk_yields_exactly_the_friendly_permutations():
                 }
                 assert len(walked) == len(brute), (a.edges, b.edges)
                 assert set(walked) == brute, (a.edges, b.edges)
-                ruled = [tuple(mp) for _, mp in _friendly_mappings(a, b, True)]
+                target = [tuple(mp) for _, mp in _friendly_mappings(a, b, True)]
+                assert len(target) == len(set(target)), (a.edges, b.edges)
+                assert set(target) == {
+                    perm for perm in brute if _target_twins_in_order(a, b, perm)
+                }, (a.edges, b.edges)
+                assert len(target) * _twin_swaps(b) == len(brute), (a.edges, b.edges)
+                ruled = [tuple(mp) for _, mp in _friendly_mappings(a, b, True, True)]
                 assert len(ruled) == len(set(ruled)), (a.edges, b.edges)
                 assert set(ruled) == {
-                    perm for perm in brute if _twins_in_order(a, b, perm)
+                    perm for perm in set(target) if _source_twins_in_order(a, perm)
                 }, (a.edges, b.edges)
+
+
+def _leaf_edges(tree):
+    return [1 in (tree.degrees[u], tree.degrees[v]) for u, v in tree.edges]
 
 
 def test_audit_counts_inverse_failures(monkeypatch, tmp_path):
     # friendliness has survived inversion on every pair so far, so a
-    # backward check is made to also flag the inverses that send target
-    # edge 0 back to source edge 0, and the audit must count exactly those
+    # backward check is made to also flag the inverses that send a leaf
+    # edge of b back to a non-leaf edge of a, and the audit must count
+    # exactly those.  The audit checks one inverse per orbit under b's
+    # twin swaps and relies on the real check giving every member the
+    # same answer, as it does for any automorphism of b; the stand-in
+    # must too, and leafness does
     real = search_module._bijection_checker
 
     def flagged(source, target):
         check = real(source, target)
-        return lambda mp: check(mp) or ((0, 0, "p") if mp[0] == 0 else None)
+        leaf, onto = _leaf_edges(source), _leaf_edges(target)
+        return lambda mp: check(mp) or (
+            (0, 0, "p") if any(leaf[f] and not onto[e] for f, e in enumerate(mp))
+            else None
+        )
 
     monkeypatch.setattr(search_module, "_bijection_checker", flagged)
     # the audit must run in this process, where the patch is in place
@@ -387,12 +432,15 @@ def test_audit_counts_inverse_failures(monkeypatch, tmp_path):
     trees = {t.canonical_code(): t for m in range(1, 5) for t in enumerate_free_trees(m)}
     for rec in report.records:
         a, b = trees[rec.code_a], trees[rec.code_b]
+        leaf_a, leaf_b = _leaf_edges(a), _leaf_edges(b)
         failures = 0
         for perm in itertools.permutations(range(a.m)):
             bj = EdgeBijection(a, b, perm)
             if check_friendly_bijection(bj) is None:
                 back = inverse(bj)
-                if check_friendly_bijection(back) is not None or back.mapping[0] == 0:
+                if check_friendly_bijection(back) is not None or any(
+                    leaf_b[f] and not leaf_a[e] for f, e in enumerate(back.mapping)
+                ):
                     failures += 1
         assert rec.inverse_failures == failures, rec
     assert report.total_failures > 0
