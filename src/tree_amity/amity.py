@@ -201,10 +201,6 @@ def _hook_pair(
 # -- numbering check ---------------------------------------------------------
 
 
-def _pair_offset(k: int, j: int) -> int:
-    return (j - k) // 2 if (j - k) % 2 == 0 else (j - k - 1) // 2
-
-
 def _slice_violation(nu: Numbering, k: int) -> NumberingPairViolation | None:
     t = nu.tree
     mask = t.edge_path_mask(nu.edge_of(k), nu.edge_of(k + 1))
@@ -217,7 +213,7 @@ def _slice_violation(nu: Numbering, k: int) -> NumberingPairViolation | None:
             return NumberingPairViolation(
                 k=k,
                 j=j,
-                s=_pair_offset(k, j),
+                s=(j - k) // 2,
                 path_edges=path_edges,
                 path_numbers=tuple(numbers),
             )

@@ -18,9 +18,10 @@ Reports are JSON documents tagged with ``"schema": "tree-amity/1"``.
 Every embedded witness is stored in the same text formats the parsers
 accept, together with the input trees, so a report can be re-loaded and
 re-verified without the original files.  A report is written record by
-record, with no copy of the whole document built in memory.  The
-``--jobs`` flag controls worker-pool width for sweeps and audits; the
-TREE_AMITY_JOBS environment variable overrides it when set.
+record, with no copy of the whole document built in memory, and every
+command checks that its report's directory exists before it does any
+work.  The ``--jobs`` flag controls worker-pool width for sweeps and
+audits; the TREE_AMITY_JOBS environment variable overrides it when set.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ from .amity import (
 )
 from .cb import bijection_from_pair, find_subtree_pair, make_cb, small_n_pair
 from .enumeration import enumerate_free_trees
-from .errors import PreconditionFailed, ShapeMismatch, TreeAmityError
+from .errors import EmptyTree, PreconditionFailed, ShapeMismatch, TreeAmityError
 from .parity import number_parity_center
 from .search import (
-    BUDGET_EXCEEDED,
     FOUND,
     PROVED_NONE,
     SearchBudget,
+    SearchResult,
     search_bijection,
     search_numbering,
     sweep_cb_universal,
@@ -146,15 +147,15 @@ def _emit_report(path: str | None, command: str, body: dict) -> None:
 
 def _require_out_dir(path: str | None) -> None:
     """Raise the error that opening ``path`` would raise when its
-    directory is missing, so that a survey fails before it runs, not
+    directory is missing, so that a command fails before it runs, not
     after.  The directory is only known to exist when this returns."""
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_report(args, command: str, inputs: list[dict], payload: dict) -> None:
-    if args.report:
-        _emit_report(args.report, command, {"inputs": inputs, **payload})
+    if args.out:
+        _emit_report(args.out, command, {"inputs": inputs, **payload})
 
 
 def _edge_label(tree: Tree, labels, eid: int) -> list[int]:
@@ -249,26 +250,12 @@ def cmd_check_bijection(args) -> int:
 # -- construction commands ----------------------------------------------------
 
 
-def _try_construct(tree: Tree, method: str):
-    try:
-        if method == "trunk":
-            return number_by_trunk(tree) if tree.m > 0 else None
-        if method == "parity-center":
-            return number_parity_center(tree)
-    except PreconditionFailed:
-        return None
-    return None
-
-
 def cmd_number(args) -> int:
     tree, labels, tree_entry = _load_tree(args.tree)
     budget = _budget_from(args)
     started = time.monotonic()
     tried = []
-    nu = None
-    used = None
-    search_status = None
-    nodes = 0
+    nu = res = None
     methods = [args.method] if args.method != "auto" else [
         "trunk", "parity-center", "search",
     ]
@@ -276,45 +263,33 @@ def cmd_number(args) -> int:
         if method == "search":
             res = search_numbering(tree, budget)
             tried.append(f"search:{res.status}")
-            nodes = res.nodes
-            search_status = res.status
-            if res.status == FOUND:
-                nu = res.witness
-                used = "search"
+            nu = res.witness
             break
-        got = _try_construct(tree, method)
-        tried.append(f"{method}:{'ok' if got is not None else 'inapplicable'}")
-        if got is not None:
-            nu = got
-            used = method
-            break
+        try:
+            nu = number_by_trunk(tree) if method == "trunk" else number_parity_center(tree)
+        except (PreconditionFailed, EmptyTree):
+            tried.append(f"{method}:inapplicable")
+            continue
+        tried.append(f"{method}:ok")
+        break
     elapsed = time.monotonic() - started
     witness = None
     if nu is not None:
-        verified(nu, f"{used} numbering")
+        verified(nu, f"{method} numbering")
         witness = format_numbering(nu, labels)
         sys.stdout.write(witness)
         outcome, code = "ok", EXIT_OK
-    elif search_status == PROVED_NONE:
-        print(
-            f"verified: no friendly numbering exists ({nodes} nodes searched)",
-            file=sys.stderr,
-        )
-        outcome, code = "none", EXIT_VIOLATION
-    elif search_status == BUDGET_EXCEEDED:
-        print(
-            f"search budget exhausted after {nodes} nodes", file=sys.stderr
-        )
-        outcome, code = "budget", EXIT_INAPPLICABLE
+    elif res is not None:
+        outcome, code = res.status, _search_exit(res, "numbering")
     else:
         print(f"no applicable method (tried: {', '.join(tried)})", file=sys.stderr)
         outcome, code = "inapplicable", EXIT_INAPPLICABLE
     _write_report(args, "number", [tree_entry], {
         "outcome": outcome,
-        "method": used,
+        "method": method if nu is not None else None,
         "tried": tried,
         "witness": witness,
-        "nodes": nodes,
+        "nodes": res.nodes if res is not None else 0,
         "elapsed": elapsed,
     })
     return code
@@ -400,35 +375,11 @@ def cmd_cb_pair(args) -> int:
 # -- search and surveys -------------------------------------------------------
 
 
-def cmd_search(args) -> int:
-    tree, labels, tree_entry = _load_tree(args.tree)
-    budget = _budget_from(args)
-    inputs = [tree_entry]
-    if args.target is not None:
-        target, t_labels, target_entry = _load_tree(args.target)
-        inputs.append(target_entry)
-        res = search_bijection(tree, target, budget)
-        witness_text = (
-            format_bijection(res.witness, labels, t_labels)
-            if res.witness is not None
-            else None
-        )
-        what = "bijection"
-    else:
-        res = search_numbering(tree, budget)
-        witness_text = (
-            format_numbering(res.witness, labels) if res.witness is not None else None
-        )
-        what = "numbering"
-    _write_report(args, "search", inputs, {
-        "outcome": res.status,
-        "what": what,
-        "witness": witness_text,
-        "nodes": res.nodes,
-        "elapsed": res.elapsed,
-    })
+def _search_exit(res: SearchResult, what: str) -> int:
+    """The exit code of a search for a friendly ``what`` ("numbering" or
+    "bijection"); a proof of absence or an exhausted budget is also
+    reported on stderr."""
     if res.status == FOUND:
-        sys.stdout.write(witness_text)
         return EXIT_OK
     if res.status == PROVED_NONE:
         print(
@@ -440,8 +391,34 @@ def cmd_search(args) -> int:
     return EXIT_INAPPLICABLE
 
 
+def cmd_search(args) -> int:
+    tree, labels, tree_entry = _load_tree(args.tree)
+    budget = _budget_from(args)
+    inputs = [tree_entry]
+    witness_text = None
+    if args.target is None:
+        what, res = "numbering", search_numbering(tree, budget)
+        if res.witness is not None:
+            witness_text = format_numbering(res.witness, labels)
+    else:
+        target, t_labels, target_entry = _load_tree(args.target)
+        inputs.append(target_entry)
+        what, res = "bijection", search_bijection(tree, target, budget)
+        if res.witness is not None:
+            witness_text = format_bijection(res.witness, labels, t_labels)
+    _write_report(args, "search", inputs, {
+        "outcome": res.status,
+        "what": what,
+        "witness": witness_text,
+        "nodes": res.nodes,
+        "elapsed": res.elapsed,
+    })
+    if witness_text is not None:
+        sys.stdout.write(witness_text)
+    return _search_exit(res, what)
+
+
 def cmd_sweep(args) -> int:
-    _require_out_dir(args.out)
     jobs = _resolve_jobs(args.jobs)
     budget = _budget_from(args, default_exhaustive=True)
     if args.kind == "cb":
@@ -475,7 +452,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit_symmetry(args) -> int:
-    _require_out_dir(args.out)
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
     _emit_report(args.out, "audit-symmetry", report.to_json_dict())
@@ -509,6 +485,11 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
                      help="ignore budgets and run to completion")
 
 
+def _add_report_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--report", dest="out", metavar="REPORT",
+                     help="write a JSON run report here")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tree-amity",
@@ -517,13 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
             "checkers, constructions, searches, and surveys."
         ),
     )
+    parser.set_defaults(out=None)  # --report and --out share it: main checks it
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-numbering",
                        help="verify a friendly numbering against its tree")
     p.add_argument("tree", help="tree file ('u v' edge lines)")
     p.add_argument("numbering", help="numbering file ('u v k' lines)")
-    p.add_argument("--report", help="write a JSON run report here")
+    _add_report_flag(p)
     p.set_defaults(func=cmd_check_numbering)
 
     p = sub.add_parser("check-bijection",
@@ -531,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="source tree file")
     p.add_argument("target", help="target tree file")
     p.add_argument("bijection", help="bijection file ('u1 v1 -> u2 v2' lines)")
-    p.add_argument("--report", help="write a JSON run report here")
+    _add_report_flag(p)
     p.set_defaults(func=cmd_check_bijection)
 
     p = sub.add_parser("number", help="construct or search a friendly numbering")
@@ -541,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="construction to use; auto tries trunk, then "
                         "parity-center, then search")
     _add_budget_flags(p)
-    p.add_argument("--report", help="write a JSON run report here")
+    _add_report_flag(p)
     p.set_defaults(func=cmd_number)
 
     p = sub.add_parser("cb-criterion",
@@ -550,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, required=True, help="edges at one center")
     p.add_argument("--n2", type=int, required=True, help="edges at the other")
     p.add_argument("tree", help="tree file")
-    p.add_argument("--report", help="write a JSON run report here")
+    _add_report_flag(p)
     p.set_defaults(func=cmd_cb_criterion)
 
     p = sub.add_parser("cb-pair",
@@ -559,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=[2, 3, 4], required=True,
                    help="size of the small part")
     p.add_argument("tree", help="tree file")
-    p.add_argument("--report", help="write a JSON run report here")
+    _add_report_flag(p)
     p.set_defaults(func=cmd_cb_pair)
 
     p = sub.add_parser("search",
@@ -570,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target tree file; if given, search a bijection "
                         "from the first tree onto this one")
     _add_budget_flags(p)
-    p.add_argument("--report", help="write a JSON run report here")
+    _add_report_flag(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="survey all trees of bounded size")
@@ -620,6 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_out_dir(args.out)
         return args.func(args)
     except (TreeAmityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,6 +158,7 @@ def test_violation_fields_replay(case):
     partner = flaw.partner()
     assert partner not in present
     assert partner in (flaw.j - 1, flaw.j + 1)
+    assert {flaw.k + 2 * flaw.s, flaw.k + 2 * flaw.s + 1} == {flaw.j, partner}
 
 
 # -- numbering checker vs the slice scan ------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, formats, reports."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -164,8 +165,20 @@ def test_number_auto_falls_back_to_search(tmp_path, capsys):
 
 def test_number_budget_exhaustion(tmp_path, capsys):
     t = tree_file(tmp_path, "t.txt", tri_y())
-    assert main(["number", t, "--method", "search", "--max-nodes", "10"]) == 3
-    assert "budget" in capsys.readouterr().err
+    rep = str(tmp_path / "r.json")
+    budget = ["--max-nodes", "10"]
+    assert main(["number", t, "--method", "search", *budget, "--report", rep]) == 3
+    number_err = capsys.readouterr().err
+    assert "budget" in number_err
+    # search reports the same outcome in the same words
+    assert main(["search", t, *budget]) == 3
+    assert capsys.readouterr().err == number_err
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert number_err == f"search budget exhausted after {doc['nodes']} nodes\n"
+    assert doc["nodes"] > 0
+    assert (doc["outcome"], doc["method"], doc["tried"], doc["witness"]) == (
+        "budget", None, ["search:budget"], None,
+    )
 
 
 # -- double stars ------------------------------------------------------------------
@@ -476,24 +489,62 @@ def test_writing_a_report_holds_no_copy_of_it(tmp_path):
     assert peak < out.stat().st_size / 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--kind", "question-path", "-m", "3", "--out"],
-    ["audit-symmetry", "-m", "2", "--out"],
-    ["number", "TREE", "--report"],
-], ids=lambda argv: argv[0])
-def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # a survey must fail before it runs, not after: running one exits 4
-    def ran(*args, **kwargs):
-        raise RuntimeError("the survey ran")
+_SUBCOMMANDS = next(
+    action.choices for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+# the report flag of every command that writes a report
+_REPORT_FLAG = {
+    name: flag
+    for name, sub in _SUBCOMMANDS.items()
+    for flag in ("--out", "--report") if flag in sub._option_string_actions
+}
 
-    for survey in ("sweep_question_path", "symmetry_audit"):
-        monkeypatch.setattr(cli, survey, ran)
-    t = tree_file(tmp_path, "t.txt", path(3))
+# the arguments before the report flag of every command that writes a
+# report (a command missing here fails the test); TREE is a 3-edge path
+_WORK_ARGV = {
+    "check-numbering": ["TREE", "NUMBERING"],
+    "check-bijection": ["TREE", "TREE", "BIJECTION"],
+    "number": ["TREE"],
+    "cb-criterion": ["TREE", "--n1", "2", "--n2", "2"],
+    "cb-pair": ["TREE", "--n", "2"],
+    "search": ["TREE", "TREE", "--exhaustive"],
+    "sweep": ["--kind", "question-path", "-m", "3"],
+    "audit-symmetry": ["-m", "2"],
+}
+
+# every function of the package that a command calls to do its work
+_WORK = (
+    "search_numbering", "search_bijection", "number_by_trunk",
+    "number_parity_center", "check_friendly_numbering",
+    "check_friendly_bijection", "find_subtree_pair", "small_n_pair",
+    "sweep_cb_universal", "sweep_hypothesis", "sweep_question_path",
+    "symmetry_audit",
+)
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_FLAG))
+def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    # every command must fail before it works, not after: working exits 4
+    def ran(*args, **kwargs):
+        raise RuntimeError("the command did its work")
+
+    for work in _WORK:
+        monkeypatch.setattr(cli, work, ran)
+    files = {
+        "TREE": tree_file(tmp_path, "t.txt", path(3)),
+        "NUMBERING": write(tmp_path, "n.txt", "0 1 1\n1 2 2\n2 3 3\n"),
+        "BIJECTION": write(tmp_path, "b.txt", "0 1 -> 0 1\n1 2 -> 1 2\n2 3 -> 2 3\n"),
+    }
     missing = str(tmp_path / "absent" / "report.json")
-    assert main([t if a == "TREE" else a for a in argv] + [missing]) == 2
+    argv = [command, *(files.get(a, a) for a in _WORK_ARGV[command]), _REPORT_FLAG[command]]
+    assert main(argv + [missing]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and missing in err
     assert err.count("\n") == 1
+    # with a report path it can write, the same command reaches its work
+    assert main(argv + [str(tmp_path / "r.json")]) == 4
+    assert "the command did its work" in capsys.readouterr().err
 
 
 # -- internal errors and entry points ------------------------------------------------
