@@ -17,13 +17,16 @@ A symmetry audit of small bijections rounds the set out.  Each survey
 runs through the ``tree-amity`` command, which writes its JSON report
 into the output directory and prints its summary and findings (anything
 that is not a plain "found") on stderr.  The script prints one line per
-survey on stdout: exit code, wall time, report path and report size in
-bytes.  The exit code is the worst of the surveys' exit codes.
+survey on stdout: exit code, wall time, report path, report size in
+bytes, and the script's peak resident set size so far (``ru_maxrss``), a
+running maximum over this survey and every one before it.  The exit code
+is the worst of the surveys' exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -71,7 +74,9 @@ def main(argv=None) -> int:
         code = cli.main([*command.split(), "--jobs", str(args.jobs), "--out", str(path)])
         elapsed = time.monotonic() - started
         size = f"{path.stat().st_size} bytes" if path.exists() else "no report"
-        print(f"{name}: exit {code} in {elapsed:.1f}s -> {path} ({size})")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{name}: exit {code} in {elapsed:.1f}s -> {path} ({size}; "
+              f"peak RSS so far {peak:.1f} MiB)")
         worst = max(worst, code)
     return worst
 

@@ -126,9 +126,10 @@ def _emit_report(path: str | None, command: str, body: dict) -> None:
     The bytes are those of ``json.dumps(doc, indent=2)`` and a newline,
     written record by record so that no copy of the whole document is
     held.  Everything but ``records`` is encoded at once, before the file
-    is opened.  ``records``, when present, is the body's last key, and
-    each record is a flat dict of str, int, bool and None, which the C
-    encoder writes on its own.
+    is opened.  ``records``, when present, is the body's last key, an
+    iterable drawn once, record by record, and each record is a flat
+    dict of str, int, bool and None, which the C encoder writes on its
+    own.
     """
     doc = {"schema": SCHEMA, "command": command, **body}
     records = doc.pop("records", None)
@@ -138,11 +139,13 @@ def _emit_report(path: str | None, command: str, body: dict) -> None:
             out.write(head + "\n")
             return
         out.write(head[:-2] + ',\n  "records": [')  # head ends in "\n}"
-        for i, rec in enumerate(records):
+        sep = ""
+        for rec in records:
             # the record's fields as indent=2 lays them out at depth 3
             fields = json.dumps(rec, separators=(",\n      ", ": "))[1:-1]
-            out.write(f"{',' if i else ''}\n    {{\n      {fields}\n    }}")
-        out.write("\n  ]\n}\n" if records else "]\n}\n")
+            out.write(f"{sep}\n    {{\n      {fields}\n    }}")
+            sep = ","
+        out.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
 def _require_out_dir(path: str | None) -> None:
@@ -436,7 +439,7 @@ def cmd_sweep(args) -> int:
             report = sweep_hypothesis(
                 args.max_edges, args.kind, budget=budget, jobs=jobs
             )
-    _emit_report(args.out, "sweep", report.to_json_dict())
+    _emit_report(args.out, "sweep", report.to_json_dict(stream=True))
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
     findings = report.findings
     print(
@@ -454,7 +457,7 @@ def cmd_sweep(args) -> int:
 def cmd_audit_symmetry(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
-    _emit_report(args.out, "audit-symmetry", report.to_json_dict())
+    _emit_report(args.out, "audit-symmetry", report.to_json_dict(stream=True))
     print(
         f"audit: {len(report.records)} pairs, {report.total_friendly} friendly "
         f"bijections, {report.total_failures} inverse failures",

@@ -8,26 +8,47 @@ generation of rooted trees", SIAM J. Comput. 9, 1980).
 
 A free tree is represented by the largest of its canonical level
 sequences over all roots.  That sequence starts 1, 2, ..., d + 1 for the
-diameter d, so its root is a leaf at one end of a longest path.  Free
-trees are generated directly, following Wright, Richmond, Odlyzko and
-McKay ("Constant time generation of free trees", SIAM J. Comput. 15,
-1986): the same successor rule yields the rooted trees whose root is a
-center of the tree, one per free tree, and jumps over whole runs of
-rooted trees whose root is off center.  Each centered sequence already
-holds every subtree in canonical order, so it turns into the
-representative in linear time by cutting and shifting.
+diameter d, so its root is a leaf at one end of a longest path, and the
+path's middle vertex or two, d // 2 and for odd d also d // 2 + 1, are
+the tree's centers.  Free trees are generated directly, following
+Wright, Richmond, Odlyzko and McKay ("Constant time generation of free
+trees", SIAM J. Comput. 15, 1986): the same successor rule yields the
+rooted trees whose root is a center of the tree, one per free tree, and
+jumps over whole runs of rooted trees whose root is off center.  Each
+centered sequence already holds every subtree in canonical order, so it
+turns into the representative in linear time by cutting and shifting.
+
+The centered sequence also gives the tree's canonical code, the string
+of ``Tree.canonical_code``, in linear time.  In preorder each vertex
+opens "(" and closes ")" once its subtree is done, so level l followed
+by level l' writes l - l' + 1 closings and one opening.  This orders
+codes against sequences: at the first position where two canonical
+sequences differ, the larger one opens "(" where the other closes ")",
+and "(" sorts first, so the larger sequence has the smaller code.  The
+children of a canonical sequence therefore stand in increasing order of
+code, as a code requires, and of a tree's centered sequences the
+largest gives the least code, which is the canonical one.
+
+A tree with one center has one centered sequence.  With two, the
+generator keeps the sequence rooted at one center c, with first subtree
+A rooted at the other center c' and rest R, in which A, read from its
+own root, is not larger than c with R.  Rooted at c', the subtree c with
+R is deeper than every subtree of A, so it comes first: c', then c with
+R one level down, then A's subtrees one level up.  That sequence is the
+larger one: where A's subtrees and R first differ, R is larger, since A
+is not; and if A's subtrees end first, R goes on one level down where
+the kept sequence goes back to level 2.  So the code is read from c'
+(both codes are equal when A and c with R are).
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ShapeMismatch
 from .trees import Tree
 
 __all__ = [
-    "tree_from_level_sequence",
     "enumerate_free_trees",
 ]
 
@@ -57,28 +78,18 @@ def _successor(seq: list[int], p: int | None = None) -> bool:
     return True
 
 
-def tree_from_level_sequence(seq: tuple[int, ...]) -> Tree:
-    """Tree whose vertex i sits at depth seq[i] - 1, parents by last sight.
+def _tree(levels: Sequence[int]) -> Tree:
+    """The tree whose vertex i sits at depth levels[i] - 1, its parent the
+    most recent earlier vertex one level up, so the root is 0.
 
-    Vertex ids follow the sequence positions, so the root is 0 and each
-    vertex's parent is the most recent earlier vertex one level up.
-    Levels must be integers; a well-formed sequence is a tree by
-    construction, so the tree is built without ``Tree``'s own checks.
+    The sequence is one the enumeration made, so it is a tree by
+    construction and is built without ``Tree``'s checks.
     """
-
-    n = len(seq)
-    try:
-        levels = [operator.index(x) for x in seq]
-    except TypeError:
-        raise ShapeMismatch("levels must be integers") from None
-    if n == 0 or levels[0] != 1:
-        raise ShapeMismatch("level sequence must start with 1")
+    n = len(levels)
     edges = []
     last_at = [0] * (n + 1)
     for i in range(1, n):
         lvl = levels[i]
-        if lvl < 2 or lvl > levels[i - 1] + 1:
-            raise ShapeMismatch(f"level {lvl} cannot follow level {levels[i - 1]}")
         edges.append((last_at[lvl - 1], i))
         last_at[lvl] = i
     tree = Tree.__new__(Tree)
@@ -94,30 +105,56 @@ def enumerate_free_trees(m: int) -> Iterator[Tree]:
     longest path.  Shapes come in decreasing lexicographic order of
     those sequences, which is their order of first appearance among
     the rooted trees on m + 1 vertices; the order is fully
-    deterministic.
+    deterministic.  These are the trees of ``_shapes``.
+    """
 
-    The shapes are generated once each, rooted at a center, by the rule
-    of Wright, Richmond, Odlyzko and McKay on the Beyer-Hedetniemi
-    successor (``_centered_sequences``).  A centered sequence holds every
-    subtree in canonical order, so the representative is cut and shifted
-    out of it in linear time (``_from_center``): the deepest child comes
-    first in a largest sequence, removing the smallest deepest branch
-    leaves the largest remainder, and equal branches are isomorphic, so
-    a tie never matters.  One size's sequences are held as tuples while
-    they are sorted, about 9 MB at m = 16; the trees are built one at a
-    time as they are yielded.
+    return (tree for tree, _ in _shapes(m))
+
+
+def _shapes(m: int) -> Iterator[tuple[Tree, str]]:
+    """Every free tree with m edges, in the order of
+    ``enumerate_free_trees``, with its canonical code and its centers set.
+
+    Each shape is generated once, as a centered sequence
+    (``_centered_sequences``), which is cut and shifted into the
+    representative in linear time (``_from_center``); the code is read
+    off the centered sequence, or with two centers off the other
+    center's (``_code``), as the module docstring argues.  One size's
+    representatives are held as tuples with their codes while they are
+    sorted, a peak of about 16 MB at m = 16 (9 MB without the codes);
+    the trees are built one at a time as they are yielded.
     """
 
     if m < 0:
         raise ShapeMismatch("edge count must be nonnegative")
-    reps = sorted(map(_from_center, _centered_sequences(m + 1)), reverse=True)
-    for seq in reps:
-        yield tree_from_level_sequence(seq)
+    shapes = []
+    for seq, r, two in _centered_sequences(m + 1):
+        if two:  # rooted at A's root: c with R, then A's subtrees
+            code = _code([1, 2] + [x + 1 for x in seq[r:]] + [x - 1 for x in seq[2:r]])
+        else:
+            code = _code(seq)
+        shapes.append((_from_center(seq), code))
+    shapes.sort(reverse=True)
+    for rep, code in shapes:
+        tree = _tree(rep)
+        d = max(rep) - 1
+        tree._centers = (d // 2,) if d % 2 == 0 else (d // 2, d // 2 + 1)
+        yield tree, code
 
 
-def _centered_sequences(n: int) -> Iterator[list[int]]:
+def _code(seq: list[int]) -> str:
+    """The code (``Tree.canonical_code``'s form) of the rooted tree that
+    the canonical level sequence seq describes: level l followed by
+    level l' closes l - l' + 1 vertices and opens one."""
+
+    steps = [")" * (a - b + 1) + "(" for a, b in zip(seq, seq[1:])]
+    return "(" + "".join(steps) + ")" * seq[-1]
+
+
+def _centered_sequences(n: int) -> Iterator[tuple[list[int], int, bool]]:
     """One canonical level sequence per free tree on n vertices, rooted
-    at a center; each yielded list is reused by the next step.
+    at a center, with the end r of its first subtree and whether the
+    tree has two centers; each yielded list is reused by the next step.
 
     Write a sequence as its root, its first subtree A (the deepest, d1
     levels below the root) and the rest R (d2 levels deep, d2 <= d1).
@@ -142,7 +179,7 @@ def _centered_sequences(n: int) -> Iterator[list[int]]:
         if d2 == d1 or (
             d2 == d1 - 1 and [x - 1 for x in seq[1:r]] <= [1] + seq[r:]
         ):
-            yield seq
+            yield seq, r, d2 < d1
             if not _successor(seq):
                 return
         else:

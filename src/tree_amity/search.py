@@ -36,8 +36,11 @@ otherwise lifting a witness from the size below before it searches;
 of the matching size, and ``symmetry_audit`` counts the friendly
 bijections between small tree pairs and tests that friendliness
 survives inversion, walking one bijection per orbit of the target's
-twin swaps.  Survey results are plain records, replayable through the
-checkers and serializable to JSON.
+twin swaps.  The surveys walk the enumeration's trees with their
+canonical codes (``enumeration._shapes``), so no tree is coded twice.
+Survey results are plain records, replayable through the checkers and
+serializable to JSON, each record made into a dict only as it is
+written.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .amity import (
     verified,
 )
 from .cb import CBShape, bijection_from_pair, find_subtree_pair, make_cb
-from .enumeration import enumerate_free_trees
+from .enumeration import _shapes
 from .errors import ShapeMismatch, SizeMismatch
 from .parity import check_precondition, number_parity_center
 from .trees import Tree, _iter_bits, format_tree
@@ -523,20 +526,24 @@ class AuditReport:
     def total_failures(self) -> int:
         return sum(r.inverse_failures for r in self.records)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, stream: bool = False) -> dict:
+        """The JSON body, its records last: a list of dicts, or with
+        ``stream`` an iterator that makes each dict as it is drawn."""
+        records = map(_fields, self.records)
         return {
             "max_edges": self.max_edges,
             "note": self.note,
             "total_friendly": self.total_friendly,
             "total_failures": self.total_failures,
-            "records": [_fields(r) for r in self.records],
+            "records": records if stream else list(records),
         }
 
 
-def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
-    """The audit record of one pair, from one friendly bijection per
-    orbit under b's twin swaps, its counts scaled by the orbit size."""
-    a, b = pair
+def _audit_worker(pair: tuple[tuple[Tree, str], tuple[Tree, str]]) -> AuditRecord:
+    """The audit record of one pair of trees with their codes, from one
+    friendly bijection per orbit under b's twin swaps, its counts scaled
+    by the orbit size."""
+    (a, code_a), (b, code_b) = pair
     backward = _bijection_checker(b, a)
     inverse = [0] * a.m
     friendly = 0
@@ -549,7 +556,7 @@ def _audit_worker(pair: tuple[Tree, Tree]) -> AuditRecord:
             failures += 1
     orbit = _twin_swaps(b)
     return AuditRecord(
-        a.canonical_code(), b.canonical_code(), a.m, math.factorial(a.m),
+        code_a, code_b, a.m, math.factorial(a.m),
         friendly * orbit, failures * orbit,
     )
 
@@ -576,8 +583,8 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
         raise ShapeMismatch("max_edges must be at least 1")
     pairs = []
     for m in range(1, max_edges + 1):
-        trees = list(enumerate_free_trees(m))
-        pairs.extend((a, b) for i, a in enumerate(trees) for b in trees[i:])
+        shapes = list(_shapes(m))
+        pairs.extend((a, b) for i, a in enumerate(shapes) for b in shapes[i:])
     records = _run_jobs(_audit_worker, pairs, jobs)
     records.sort(key=lambda r: (r.edges, r.code_a, r.code_b))
     return AuditReport(max_edges, records)
@@ -630,19 +637,23 @@ class SweepReport:
         """Records that are research findings: verified negative or open."""
         return [r for r in self.records if r.outcome != FOUND]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, stream: bool = False) -> dict:
+        """The JSON body, its records last: a list of dicts, or with
+        ``stream`` an iterator that makes each dict as it is drawn."""
+        records = map(_fields, self.records)
         return {
             "kind": self.kind,
             "max_edges": self.max_edges,
             "params": self.params,
             "note": self.note,
             "counts": self.counts(),
-            "records": [_fields(r) for r in self.records],
+            "records": records if stream else list(records),
         }
 
 
 def _record(
     tree: Tree,
+    code: str,
     trunk: tuple[int, ...] | None,
     parity: bool,
     method: str,
@@ -651,10 +662,10 @@ def _record(
     nodes: int = 0,
     detail: str | None = None,
 ) -> SweepRecord:
-    """The survey record of one tree; ``parity`` is its readiness for the
-    parity-center construction."""
+    """The survey record of one tree with its canonical code; ``parity``
+    is its readiness for the parity-center construction."""
     return SweepRecord(
-        tree.canonical_code(), format_tree(tree), tree.m, tree.diameter(),
+        code, format_tree(tree), tree.m, tree.diameter(),
         trunk is not None, parity, method, outcome, witness, nodes, detail,
     )
 
@@ -733,15 +744,17 @@ def _lift(
 
 
 def _numbering_worker(
-    tree: Tree,
+    shape: tuple[Tree, str],
     budget: SearchBudget,
     below: dict[str, str],
     parents: dict[str, tuple],
 ) -> SweepRecord:
-    """The record of a numbering survey: the tree numbered along its
-    trunk, by the parity construction, by a lift from ``below``, the
-    witnesses one edge smaller by canonical code, or by search, the first
-    that applies.  ``parents`` keeps the witnesses ``_lift`` has read."""
+    """The record of a numbering survey on a tree with its code: the tree
+    numbered along its trunk, by the parity construction, by a lift from
+    ``below``, the witnesses one edge smaller by canonical code, or by
+    search, the first that applies.  ``parents`` keeps the witnesses
+    ``_lift`` has read."""
+    tree, code = shape
     trunk = find_trunk(tree)
     parity = check_precondition(tree) is not None
     if trunk is not None:
@@ -753,13 +766,13 @@ def _numbering_worker(
         if lifted is not None:
             nu, detail = lifted
             return _record(
-                tree, trunk, parity, "lift", FOUND, format_numbering(nu), 0, detail
+                tree, code, trunk, parity, "lift", FOUND, format_numbering(nu), 0, detail
             )
         res = search_numbering(tree, budget)
         witness = format_numbering(res.witness) if res.witness is not None else None
-        return _record(tree, trunk, parity, "search", res.status, witness, res.nodes)
+        return _record(tree, code, trunk, parity, "search", res.status, witness, res.nodes)
     verified(nu, f"{method} numbering")
-    return _record(tree, trunk, parity, method, FOUND, format_numbering(nu))
+    return _record(tree, code, trunk, parity, method, FOUND, format_numbering(nu))
 
 
 def _sweep_numberings(
@@ -777,9 +790,11 @@ def _sweep_numberings(
     records: list[SweepRecord] = []
     below: dict[str, str] = {}
     for m in range(1, max_edges + 1):
-        trees = enumerate_free_trees(m)
+        shapes = _shapes(m)
+        if keep:
+            shapes = (shape for shape in shapes if keep(shape[0]))
         worker = partial(_numbering_worker, budget=budget, below=below, parents={})
-        size = _run_jobs(worker, filter(keep, trees) if keep else trees, jobs)
+        size = _run_jobs(worker, shapes, jobs)
         below = {r.code: r.witness for r in size if r.outcome == FOUND}
         records += size
     return records
@@ -853,9 +868,12 @@ def sweep_hypothesis(
     return _survey(which, max_edges, {"which": which}, note, records)
 
 
-def _cb_worker(tree: Tree, cb: CBShape, confirm: bool, budget: SearchBudget) -> SweepRecord:
+def _cb_worker(
+    shape: tuple[Tree, str], cb: CBShape, confirm: bool, budget: SearchBudget
+) -> SweepRecord:
+    tree, code = shape
     record = partial(
-        _record, tree, find_trunk(tree), check_precondition(tree) is not None,
+        _record, tree, code, find_trunk(tree), check_precondition(tree) is not None,
         "criterion",
     )
     pair = find_subtree_pair(tree, cb.n1, cb.n2)
@@ -908,5 +926,5 @@ def sweep_cb_universal(
         "from the subtree pair; 'none' records admit no such pair."
     )
     params = {"n1": n1, "n2": n2, "confirm": confirm}
-    records = _run_jobs(worker, enumerate_free_trees(m), jobs)
+    records = _run_jobs(worker, _shapes(m), jobs)
     return _survey("cb", m, params, note, records)

@@ -16,20 +16,22 @@ ids, and ``edge_path_mask`` gives the path between two edges as one.
 
 Trees are immutable after construction and keep one adjacency: per
 vertex, its neighbors with the edge ids, in edge-id order.  One
-leaf-stripping pass finds the one or two centers, and every query runs
-on one rooted copy of the tree: a single traversal from the first center
-stores each vertex's parent, the edge up to it and its depth, and the
-order it reached the vertices in, four lists of length n built on the
-first such query and never in the constructor, so trees that are built
-and never queried pay nothing for it.  A path query climbs both
-endpoints to their meeting point, which costs the length of the path.
-The whole-tree questions read the rooting: the diameter is twice the
-largest depth, less one with two centers, and an equidistant center is a
-lone center whose leaves all share one depth; one pass codes every
-subtree for the canonical code and order, then turns to the second
-center, if any.  A tree keeps only its centers and its rooting; every
-other answer is computed from them on each call, and a caller that asks
-for the same one again keeps it itself.
+leaf-stripping pass finds the one or two centers; a tree from
+``enumerate_free_trees`` arrives with them already set, read off its
+longest path.  Every query runs on one rooted copy of the tree: a single
+traversal from the first center stores each vertex's parent, the edge up
+to it and its depth, and the order it reached the vertices in, four
+lists of length n built on the first such query and never in the
+constructor, so trees that are built and never queried pay nothing for
+it.  A path query climbs both endpoints to their meeting point, which
+costs the length of the path.  The whole-tree questions read the
+rooting: the diameter is twice the largest depth, less one with two
+centers, and an equidistant center is a lone center whose leaves all
+share one depth; one pass codes every subtree for the canonical code and
+order, then turns to the second center, if any, keeping at any time only
+the codes of disjoint subtrees.  A tree keeps only its centers and its
+rooting; every other answer is computed from them on each call, and a
+caller that asks for the same one again keeps it itself.
 """
 
 from __future__ import annotations
@@ -107,9 +109,8 @@ class Tree:
     def _build(self, edge_list: list[tuple[int, int]], n: int) -> None:
         """Fill in a tree from int edges that are known to form one.
 
-        ``__init__`` runs it after its checks; ``tree_from_level_sequence``
-        runs it alone, since a valid level sequence is a tree by
-        construction.
+        ``__init__`` runs it after its checks; the enumeration and the
+        lift run it alone, since their edges form a tree by construction.
         """
         self.n = n
         self.m = len(edge_list)
@@ -271,32 +272,49 @@ class Tree:
 
     # -- isomorphism -------------------------------------------------------
 
-    def _codes(self) -> tuple[list[str], int]:
-        """Every vertex's rooted code, the tree rooted at the center of
-        least code, and that center; ties go to the first center, c0.
+    def _codes(self) -> tuple[str, int, list[tuple[int, ...]]]:
+        """The tree's code rooted at the center of least code, that
+        center, and per vertex its children there, by decreasing code;
+        ties go to the first center, c0, and among equal children to the
+        later edge.
 
-        A subtree's code is its children's codes, sorted, in parentheses.
-        Rooted at a second center c1, a child of c0, only two codes
-        change: c0's becomes its half, its code without c1, and c1's
-        takes that half among its children's.
+        A subtree's code is its children's codes, sorted, in parentheses;
+        a leaf's is "()".  Each child's string is dropped once its
+        parent's is built, so the strings kept at any time code disjoint
+        subtrees: O(n) characters in all.  Rooted at a second center c1,
+        a child of c0, only two codes change: c0's becomes its half, its
+        code without c1, and c1's takes that half among its children's.
+        So c0's and c1's children keep their strings for the turn.
         """
         parent, _, _, order = self._rooted()
-        adj = self.adj
-        codes = [""] * self.n
-        for v in reversed(order):
-            up = parent[v]
-            codes[v] = "(" + "".join(sorted([codes[w] for w, _ in adj[v] if w != up])) + ")"
+        adj, degrees = self.adj, self.degrees
+        codes: list = ["()"] * self.n
+        kids: list = [()] * self.n
         root = order[0]
-        centers = self.centers()
-        if len(centers) == 2:
-            c1 = centers[1]
-            half = "(" + "".join(sorted([codes[w] for w, _ in adj[root] if w != c1])) + ")"
-            turned = "(" + "".join(sorted(
-                [half] + [codes[w] for w, _ in adj[c1] if w != root]
-            )) + ")"
-            if turned < codes[root]:
-                codes[root], codes[c1], root = half, turned, c1
-        return codes, root
+        c1 = self.centers()[-1]
+        for v in reversed(order):
+            if degrees[v] == 1 and v != root:
+                continue
+            up = parent[v]
+            ch = [w for w, _ in adj[v] if w != up]
+            ch.sort(key=codes.__getitem__, reverse=True)
+            codes[v] = "(" + "".join([codes[w] for w in reversed(ch)]) + ")"
+            kids[v] = tuple(ch)
+            if v != root and v != c1:
+                for w in ch:
+                    codes[w] = None
+        code = codes[root]
+        if c1 != root:
+            half = [codes[w] for w in reversed(kids[root]) if w != c1]
+            codes[root] = "(" + "".join(half) + ")"
+            turn = [w for w, _ in adj[c1]]
+            turn.sort(key=codes.__getitem__, reverse=True)
+            turned = "(" + "".join([codes[w] for w in reversed(turn)]) + ")"
+            if turned < code:
+                kids[root] = tuple(w for w in kids[root] if w != c1)
+                kids[c1] = tuple(turn)
+                code, root = turned, c1
+        return code, root, kids
 
     def canonical_code(self) -> str:
         """A string equal for two trees exactly when they are isomorphic:
@@ -306,8 +324,7 @@ class Tree:
         Isomorphic trees agree because an isomorphism maps centers onto
         centers, and a rooted code determines the rooted tree.
         """
-        codes, root = self._codes()
-        return codes[root]
+        return self._codes()[0]
 
     def canonical_order(self) -> tuple[str, list[int]]:
         """The canonical code and every vertex in canonical order.
@@ -321,16 +338,14 @@ class Tree:
         with equal codes head isomorphic subtrees, so the order among
         them does not matter.
         """
-        codes, root = self._codes()
+        code, root, kids = self._codes()
         order = []
-        stack = [(root, -1)]
+        stack = [root]
         while stack:
-            v, up = stack.pop()
+            v = stack.pop()
             order.append(v)
-            stack.extend((w, v) for w in sorted(
-                (w for w, _ in self.adj[v] if w != up), key=codes.__getitem__, reverse=True,
-            ))
-        return codes[root], order
+            stack.extend(kids[v])
+        return code, order
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(n={self.n}, edges={list(self.edges)})"

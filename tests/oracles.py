@@ -7,7 +7,8 @@ numberings and for bijections, the first friendly numbering and
 bijection in the searches' scan order, found by trying every
 assignment, Pruefer coding, brute force isomorphism
 and automorphism tests, the canonical code string coded afresh from
-each center, counting oracles for unlabeled trees, and
+each center, the canonical order with every vertex's code held at
+once, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
 large for the brute-force ones, the trunk numbering's edge order, the
 parity-center numbering built the slow way, on a tower of pruned trees,
@@ -343,21 +344,12 @@ def shape_key(plain_adj, n, table):
     return min(r1, r2)
 
 
-def canonical_code_reference(edges, n):
-    """The canonical code string, coded afresh from every center.
-
-    Centers come from leaf stripping; from each, the tree is traversed
-    on plain neighbor lists and each subtree coded as its children's
-    codes, sorted, in one pair of parentheses.  The code is the least
-    of the one or two root codes.
-    """
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+def _plain_centers(adj):
+    """The one or two centers of a tree on plain neighbor lists, left
+    by stripping leaf layers, in increasing order."""
     deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
+    layer = [v for v in range(len(adj)) if deg[v] <= 1]
+    remaining = len(adj)
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
@@ -369,22 +361,74 @@ def canonical_code_reference(edges, n):
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    best = None
-    for root in layer:
-        parent = [-1] * n
-        parent[root] = root
-        order = [root]
-        for x in order:
-            for y in adj[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    order.append(y)
-        codes = [""] * n
-        for v in reversed(order):
-            codes[v] = "(" + "".join(sorted(codes[w] for w in adj[v] if w != parent[v])) + ")"
-        if best is None or codes[root] < best:
-            best = codes[root]
-    return best
+    return sorted(layer)
+
+
+def _every_code(adj, root):
+    """Every vertex's code with the tree rooted at root: its children's
+    codes, sorted, in one pair of parentheses."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    codes = [""] * len(adj)
+    for v in reversed(order):
+        codes[v] = "(" + "".join(sorted(codes[w] for w in adj[v] if w != parent[v])) + ")"
+    return codes
+
+
+def center_codes(edges, n):
+    """The tree's code rooted at each of its centers, in center order,
+    coded afresh from each on plain neighbor lists."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [_every_code(adj, c)[c] for c in _plain_centers(adj)]
+
+
+def canonical_code_reference(edges, n):
+    """The canonical code string: the least of the one or two root
+    codes over the centers."""
+    return min(center_codes(edges, n))
+
+
+def canonical_order_holding_every_code(edges, n):
+    """The canonical code and canonical order, with every vertex's code
+    held at once.
+
+    The tree is rooted at its first center c0 and every subtree coded;
+    with a second center c1, c0 takes its code without c1 and c1 is
+    coded again with that among its children, and c1 becomes the root
+    when its code is smaller.  The order is depth first from the root,
+    children by increasing code, equal ones the later edge first, on
+    neighbor lists in edge order.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    centers = _plain_centers(adj)
+    root = centers[0]
+    codes = _every_code(adj, root)
+    if len(centers) == 2:
+        c1 = centers[1]
+        half = "(" + "".join(sorted(codes[w] for w in adj[root] if w != c1)) + ")"
+        turned = "(" + "".join(sorted([half] + [codes[w] for w in adj[c1] if w != root])) + ")"
+        if turned < codes[root]:
+            codes[root], codes[c1], root = half, turned, c1
+    order = []
+    stack = [(root, -1)]
+    while stack:
+        v, up = stack.pop()
+        order.append(v)
+        kids = sorted((w for w in adj[v] if w != up), key=codes.__getitem__, reverse=True)
+        stack.extend((w, v) for w in kids)
+    return codes[root], order
 
 
 def _count_vectors(total, most, labels):

@@ -16,6 +16,7 @@ from tree_amity import (
     PROVED_NONE,
     Numbering,
     SearchBudget,
+    Tree,
     bijection_from_pair,
     check_friendly_bijection,
     check_friendly_numbering,
@@ -32,6 +33,7 @@ from tree_amity import (
     search_numbering,
     small_n_pair,
     sweep_cb_universal,
+    sweep_hypothesis,
     sweep_question_path,
     symmetry_audit,
 )
@@ -223,7 +225,11 @@ def test_criterion_09_pruning_never_changes_the_answer():
 def test_criterion_10_every_small_tree_is_numberable():
     """The full survey to eight edges classifies every tree, finds a
     friendly numbering for each, and every recorded witness re-verifies
-    from the record text alone."""
+    from the record text alone.  Every record's code, read off the
+    enumeration's level sequence, is the canonical code of the tree
+    re-parsed from the record, in this survey and in the d4, odd and
+    double-star ones, and the audit's codes are those of the trees
+    enumerated again and built afresh."""
 
     report = sweep_question_path(8)
     assert len(report.records) == 94
@@ -234,4 +240,17 @@ def test_criterion_10_every_small_tree_is_numberable():
         assert t.canonical_code() == rec.code
         nu = parse_numbering(rec.witness, t, labels)
         assert check_friendly_numbering(nu) is None, rec.code
-    _verdict("10 numberability survey", "94 trees found and replayed")
+    others = [sweep_hypothesis(8, "d4"), sweep_hypothesis(9, "odd"), sweep_cb_universal(5, 5)]
+    for rec in (rec for other in others for rec in other.records):
+        assert parse_tree_labeled(rec.tree)[0].canonical_code() == rec.code, rec.tree
+    audit = symmetry_audit(5)
+    want = []
+    for m in range(1, 6):
+        codes = [Tree(t.edges, t.n).canonical_code() for t in all_trees(m)]
+        want += [(m, a, b) for i, a in enumerate(codes) for b in codes[i:]]
+    assert sorted(want) == [(r.edges, r.code_a, r.code_b) for r in audit.records]
+    replayed = sum(len(other.records) for other in others) + len(audit.records)
+    _verdict(
+        "10 numberability survey",
+        f"94 trees found and replayed, {replayed} more codes re-derived",
+    )

@@ -395,12 +395,23 @@ def test_enumerate_single_vertex(capsys):
 
 @pytest.fixture
 def emitted(monkeypatch):
-    """Every (path, command, body) the report writer is given, in order."""
+    """Every (path, command, body) the report writer is given, in order.
+
+    A survey's records come as an iterator that makes each dict as it is
+    drawn; the body kept here holds them drawn into a list, and the
+    writer gets a fresh iterator over that list."""
     calls = []
     emit = cli._emit_report
 
     def note(path, command, body):
-        calls.append((path, command, body))
+        if "records" in body:
+            records = body["records"]
+            assert iter(records) is records, "records handed over as a whole list"
+            body = {**body, "records": list(records)}
+            calls.append((path, command, body))
+            body = {**body, "records": iter(body["records"])}
+        else:
+            calls.append((path, command, body))
         emit(path, command, body)
 
     monkeypatch.setattr(cli, "_emit_report", note)
@@ -646,8 +657,13 @@ def test_run_sweeps_writes_cli_reports(tmp_path, capsys):
         "--question-edges", "4", "--d4-edges", "4", "--odd-edges", "5",
         "--cb", "2", "2", "--audit-edges", "3", "--out-dir", str(out_dir),
     ]) == 0
-    summary = re.findall(r"^(\S+): exit 0 in \d+\.\ds -> .+ \((\d+) bytes\)$",
-                         capsys.readouterr().out, re.MULTILINE)
+    lines = re.findall(
+        r"^(\S+): exit 0 in \d+\.\ds -> .+ \((\d+) bytes; peak RSS so far (\d+\.\d) MiB\)$",
+        capsys.readouterr().out, re.MULTILINE,
+    )
+    summary = [(name, size) for name, size, _ in lines]
+    peaks = [float(peak) for _, _, peak in lines]
+    assert peaks == sorted(peaks) and peaks[0] > 0  # a running maximum
     commands = {
         "audit-3": ["audit-symmetry", "-m", "3"],
         "cb-2-2": ["sweep", "--kind", "cb", "--n1", "2", "--n2", "2", "--confirm"],

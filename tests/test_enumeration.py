@@ -7,12 +7,16 @@ import pytest
 import oracles
 from helpers import all_trees
 from tree_amity import ShapeMismatch, Tree, enumerate_free_trees
-from tree_amity.enumeration import _successor, tree_from_level_sequence
+from tree_amity.enumeration import _shapes, _successor, _tree
 
 # Known values, small enough to state outright: rooted shapes on n
 # vertices for n = 1.., and free shapes with m edges for m = 0..
 ROOTED = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 FREE = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+# shapes with 1 to 12 edges that have two centers (the bicentered trees on
+# 2..13 vertices), and those among them whose two center codes differ:
+# all but the 37 made of two copies of one rooted tree on 1..6 vertices
+TWO_CENTERS, DIFFERING = 1086, 1049
 
 
 def level_sequences(n):
@@ -40,26 +44,16 @@ def test_level_sequences_are_well_formed():
 
 
 def test_sequence_to_tree_round_trips_the_shape():
-    for n in range(2, 8):
+    """Vertex i of the built tree sits at depth seq[i] - 1, and read from
+    vertex 0 the tree gives the sequence back."""
+    for n in range(1, 8):
         for seq in level_sequences(n):
-            t = tree_from_level_sequence(seq)
+            t = _tree(seq)
             assert t.n == n
             assert t.m == n - 1
-
-
-def test_bad_level_sequences_are_rejected():
-    with pytest.raises(ShapeMismatch):
-        tree_from_level_sequence([])
-    with pytest.raises(ShapeMismatch):
-        tree_from_level_sequence([2, 3])
-    with pytest.raises(ShapeMismatch):
-        tree_from_level_sequence([1, 3])
-    with pytest.raises(ShapeMismatch):
-        tree_from_level_sequence([1, 2, 4])
-    with pytest.raises(ShapeMismatch):
-        tree_from_level_sequence([1, 2, 2.5])
-    with pytest.raises(ShapeMismatch):
-        tree_from_level_sequence((1, "2"))
+            adj = oracles.adjacency(t.edges, t.n)
+            assert oracles.bfs_distances(adj, 0) == [x - 1 for x in seq]
+            assert oracles._canonical_levels(adj, 0) == seq
 
 
 def test_level_sequence_trees_equal_checked_trees():
@@ -98,12 +92,41 @@ def test_enumeration_matches_the_rerooting_oracle():
         assert got == oracles.free_trees_by_rerooting(m)
 
 
-def test_enumeration_computes_no_canonical_code(monkeypatch):
+def test_enumeration_never_calls_tree_canonical_code(monkeypatch):
+    """The codes come from the level sequences, not from ``Tree``."""
+
     def refuse(self):
-        raise AssertionError("enumeration asked for a canonical code")
+        raise AssertionError("enumeration asked a tree for its canonical code")
 
     monkeypatch.setattr(Tree, "canonical_code", refuse)
+    monkeypatch.setattr(Tree, "_codes", refuse)
     assert sum(1 for _ in enumerate_free_trees(9)) == FREE[9]
+    assert sum(1 for _ in _shapes(9)) == FREE[9]
+
+
+def test_shapes_codes_and_centers_match_fresh_trees():
+    """The fast path against the slow one, for every shape with 1 to 12
+    edges: the code read off the level sequence is the one
+    ``Tree.canonical_code`` computes on a fresh copy of the tree, the
+    least of its center codes, and the centers each tree arrives with
+    are those leaf stripping finds on that copy.  Two-center trees whose
+    halves differ, where the code must come from the right center, are
+    among them."""
+
+    two_centers = differing = 0
+    for m in range(1, 13):
+        shapes = list(_shapes(m))
+        assert [t.edges for t, _ in shapes] == [t.edges for t in all_trees(m)]
+        for tree, code in shapes:
+            preset = tree._centers
+            fresh = Tree(tree.edges, tree.n)
+            assert code == fresh.canonical_code(), tree.edges
+            assert preset == fresh.centers(), tree.edges
+            at_centers = oracles.center_codes(tree.edges, tree.n)
+            assert code == min(at_centers), tree.edges
+            two_centers += len(at_centers) == 2
+            differing += len(set(at_centers)) == 2
+    assert (two_centers, differing) == (TWO_CENTERS, DIFFERING)
 
 
 def test_enumerated_shapes_are_distinct():

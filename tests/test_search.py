@@ -627,14 +627,18 @@ def test_question_sweep_runs_one_pool_per_size(monkeypatch, jobs, cores, workers
 
 @pytest.fixture(scope="module")
 def survey_calls():
-    """Tree builds, rootings and trunk searches made by the question-path
-    survey to 12 edges and the diameter-4 survey to 10 edges, with their
-    record count and the two reports.  Builds are counted at
-    ``Tree._build``, which checked and level-sequence trees both run, and
-    rootings at the ``Tree._rooted`` calls that make the rooting."""
-    counts = {"builds": 0, "rootings": 0, "trunks": 0}
+    """Tree builds, rootings, leaf strippings, canonical codes and trunk
+    searches made by the question-path survey to 12 edges and the
+    diameter-4 survey to 10 edges, with their record count and the two
+    reports.  Builds are counted at ``Tree._build``, which checked and
+    level-sequence trees both run, rootings at the ``Tree._rooted``
+    calls that make the rooting, and leaf strippings at the
+    ``Tree.centers`` calls that find the centers."""
+    counts = {"builds": 0, "rootings": 0, "strippings": 0, "codes": 0, "trunks": 0}
     build = Tree._build
     rooted = Tree._rooted
+    centers = Tree.centers
+    code = Tree.canonical_code
     find = trunk_module.find_trunk
 
     def counted_build(self, *args, **kwargs):
@@ -645,6 +649,14 @@ def survey_calls():
         counts["rootings"] += self._rooting is None
         return rooted(self)
 
+    def counted_centers(self):
+        counts["strippings"] += self._centers is None
+        return centers(self)
+
+    def counted_code(self):
+        counts["codes"] += 1
+        return code(self)
+
     def counted_find(tree):
         counts["trunks"] += 1
         return find(tree)
@@ -652,6 +664,8 @@ def survey_calls():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tree, "_build", counted_build)
         mp.setattr(Tree, "_rooted", counted_rooted)
+        mp.setattr(Tree, "centers", counted_centers)
+        mp.setattr(Tree, "canonical_code", counted_code)
         mp.setattr(trunk_module, "find_trunk", counted_find)
         mp.setattr(search_module, "find_trunk", counted_find)
         question_path = sweep_question_path(12)
@@ -660,17 +674,37 @@ def survey_calls():
     return counts, records, question_path, d4
 
 
+# the question-path lifts' 181 trees minus a leaf and 81 parents read from
+# their witnesses, and the d4 lifts' 3 and 3
+LIFT_BUILDS = 181 + 81 + 3 + 3
+
+
 def test_surveys_build_each_enumerated_tree_once(survey_calls):
     counts = survey_calls[0]
-    # 2,287 free trees with 1..12 edges and 435 with 1..10; the
-    # question-path lifts' 181 trees minus a leaf and 81 parents read from
-    # their witnesses, and the d4 lifts' 3 and 3
-    assert counts["builds"] == 2287 + 435 + 181 + 81 + 3 + 3
+    # 2,287 free trees with 1..12 edges and 435 with 1..10
+    assert counts["builds"] == 2287 + 435 + LIFT_BUILDS
 
 
 def test_surveys_root_each_built_tree_once(survey_calls):
     counts = survey_calls[0]
     assert counts["rootings"] == counts["builds"]
+
+
+def test_surveys_take_codes_and_centers_from_the_enumeration(survey_calls):
+    """Enumerated trees arrive with their codes and centers: only the
+    lifts' own trees strip leaves, and no tree is asked for its code."""
+    counts = survey_calls[0]
+    assert counts["strippings"] == LIFT_BUILDS
+    assert counts["codes"] == 0
+
+
+def test_cb_sweep_and_audit_never_call_tree_canonical_code(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a survey asked a tree for its canonical code")
+
+    monkeypatch.setattr(Tree, "canonical_code", refuse)
+    assert sweep_cb_universal(4, 4, confirm=True).counts() == {FOUND: 23}
+    assert len(symmetry_audit(4).records) == 1 + 1 + 3 + 6
 
 
 def test_surveys_find_each_trunk_once(survey_calls):

@@ -270,6 +270,22 @@ def test_a_tree_keeps_nothing_beyond_its_rooting():
         assert _held_after(tree, asked) < 1024 * 1024
 
 
+def test_canonical_code_of_a_long_path_in_linear_memory():
+    """Holding every vertex's code at once takes O(n·height) characters:
+    48 MiB on this path, whose half has 5,000 vertices."""
+    tree = shuffled(path(10_000), random.Random(2))
+    tree._rooted()
+    tracemalloc.start()
+    try:
+        code = tree.canonical_code()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half = "(" * 5000 + ")" * 5000
+    assert code == "(" + half + half + ")"
+    assert peak < 1024 * 1024
+
+
 def test_numbering_ten_thousand_edges_in_linear_memory():
     tree = random_trunk_tree(10_000, random.Random(1))
     tracemalloc.start()

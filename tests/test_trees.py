@@ -282,6 +282,19 @@ def test_codes_and_orders_match_the_reference_under_relabeling():
         assert t.canonical_order()[1][0] == t.centers()[0]
 
 
+def test_codes_and_orders_match_the_held_code_oracle():
+    """Dropping each child's code once its parent's is built changes
+    nothing: the code and the whole canonical order, vertex by vertex,
+    are the oracle's, which holds every vertex's code at once, on every
+    tree with 1 to 9 edges, as enumerated and under three seeded
+    relabelings with the edges reordered."""
+    rng = random.Random(27)
+    for tree in trees_up_to(9):
+        for t in [tree] + [shuffled(tree, rng) for _ in range(3)]:
+            want = oracles.canonical_order_holding_every_code(t.edges, t.n)
+            assert t.canonical_order() == want, t.edges
+
+
 def test_canonical_order_matches_copies_isomorphically():
     """On every tree up to nine edges and three relabeled copies of it,
     with edges reordered, pairing the two canonical orders position by
