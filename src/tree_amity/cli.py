@@ -439,7 +439,7 @@ def cmd_sweep(args) -> int:
             report = sweep_hypothesis(
                 args.max_edges, args.kind, budget=budget, jobs=jobs
             )
-    _emit_report(args.out, "sweep", report.to_json_dict(stream=True))
+    _emit_report(args.out, "sweep", report.to_json_dict())
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
     findings = report.findings
     print(
@@ -457,7 +457,7 @@ def cmd_sweep(args) -> int:
 def cmd_audit_symmetry(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
-    _emit_report(args.out, "audit-symmetry", report.to_json_dict(stream=True))
+    _emit_report(args.out, "audit-symmetry", report.to_json_dict())
     print(
         f"audit: {len(report.records)} pairs, {report.total_friendly} friendly "
         f"bijections, {report.total_failures} inverse failures",

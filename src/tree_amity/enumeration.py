@@ -19,26 +19,18 @@ centered sequence already holds every subtree in canonical order, so it
 turns into the representative in linear time by cutting and shifting.
 
 The centered sequence also gives the tree's canonical code, the string
-of ``Tree.canonical_code``, in linear time.  In preorder each vertex
-opens "(" and closes ")" once its subtree is done, so level l followed
-by level l' writes l - l' + 1 closings and one opening.  This orders
-codes against sequences: at the first position where two canonical
-sequences differ, the larger one opens "(" where the other closes ")",
-and "(" sorts first, so the larger sequence has the smaller code.  The
-children of a canonical sequence therefore stand in increasing order of
-code, as a code requires, and of a tree's centered sequences the
-largest gives the least code, which is the canonical one.
-
-A tree with one center has one centered sequence.  With two, the
-generator keeps the sequence rooted at one center c, with first subtree
-A rooted at the other center c' and rest R, in which A, read from its
-own root, is not larger than c with R.  Rooted at c', the subtree c with
-R is deeper than every subtree of A, so it comes first: c', then c with
-R one level down, then A's subtrees one level up.  That sequence is the
-larger one: where A's subtrees and R first differ, R is larger, since A
-is not; and if A's subtrees end first, R goes on one level down where
-the kept sequence goes back to level 2.  So the code is read from c'
-(both codes are equal when A and c with R are).
+of ``Tree.canonical_code``, in linear time (``trees._level_code``, whose
+docstring shows that of a tree's centered sequences the largest has the
+least code).  A tree with one center has one centered sequence.  With
+two, the generator keeps the sequence rooted at one center c, with
+first subtree A rooted at the other center c' and rest R, in which A,
+read from its own root, is not larger than c with R.  Rooted at c', the
+subtree c with R is deeper than every subtree of A, so it comes first:
+c', then c with R one level down, then A's subtrees one level up.  That
+sequence is the larger one: where A's subtrees and R first differ, R is
+larger, since A is not; and if A's subtrees end first, R goes on one
+level down where the kept sequence goes back to level 2.  So the code is
+read from c' (both codes are equal when A and c with R are).
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import ShapeMismatch
-from .trees import Tree
+from .trees import Tree, _level_code
 
 __all__ = [
     "enumerate_free_trees",
@@ -97,6 +89,16 @@ def _tree(levels: Sequence[int]) -> Tree:
     return tree
 
 
+def _representative(rep: tuple[int, ...]) -> Tree:
+    """The tree of a representative sequence, with its centers set: the
+    sequence starts 1, 2, ..., d + 1, so they are the middle of the path
+    0..d."""
+    tree = _tree(rep)
+    d = max(rep) - 1
+    tree._centers = (d // 2,) if d % 2 == 0 else (d // 2, d // 2 + 1)
+    return tree
+
+
 def enumerate_free_trees(m: int) -> Iterator[Tree]:
     """All unlabeled trees with m edges, one representative per shape.
 
@@ -105,50 +107,48 @@ def enumerate_free_trees(m: int) -> Iterator[Tree]:
     longest path.  Shapes come in decreasing lexicographic order of
     those sequences, which is their order of first appearance among
     the rooted trees on m + 1 vertices; the order is fully
-    deterministic.  These are the trees of ``_shapes``.
+    deterministic.
+
+    The shapes are generated once each, rooted at a center
+    (``_centered_sequences``), and cut and shifted into their
+    representatives in linear time (``_from_center``).  One size's
+    representatives are held as tuples while they are sorted, about
+    9 MB at m = 16; the trees are built one at a time as they are
+    yielded.
     """
 
-    return (tree for tree, _ in _shapes(m))
+    reps = sorted(
+        (_from_center(seq) for seq, _, _ in _centered_sequences(m + 1)), reverse=True
+    )
+    for rep in reps:
+        yield _representative(rep)
 
 
 def _shapes(m: int) -> Iterator[tuple[Tree, str]]:
-    """Every free tree with m edges, in the order of
-    ``enumerate_free_trees``, with its canonical code and its centers set.
+    """The trees of ``enumerate_free_trees``, each with its canonical
+    code, in the order they are generated.
 
-    Each shape is generated once, as a centered sequence
-    (``_centered_sequences``), which is cut and shifted into the
-    representative in linear time (``_from_center``); the code is read
-    off the centered sequence, or with two centers off the other
-    center's (``_code``), as the module docstring argues.  One size's
-    representatives are held as tuples with their codes while they are
-    sorted, a peak of about 16 MB at m = 16 (9 MB without the codes);
-    the trees are built one at a time as they are yielded.
+    The code is read off the centered sequence, or with two centers off
+    the other center's, as the module docstring argues.  The order is
+    not that of ``enumerate_free_trees``, which is the decreasing order
+    of the trees' ``edges``: vertex i's parent is the most recent vertex
+    one level up, so at the first vertex where two representatives
+    differ, the one with the deeper vertex has the later parent.
+
+    One size's representatives and codes are made in one pass and held,
+    about 16 MB at m = 16, and the trees are built one at a time as they
+    are yielded: made one by one between a survey's records instead, the
+    same work ran ``sweep_question_path(12)`` about 10% slower (2-core VM).
     """
 
-    if m < 0:
-        raise ShapeMismatch("edge count must be nonnegative")
     shapes = []
     for seq, r, two in _centered_sequences(m + 1):
+        rep = _from_center(seq)
         if two:  # rooted at A's root: c with R, then A's subtrees
-            code = _code([1, 2] + [x + 1 for x in seq[r:]] + [x - 1 for x in seq[2:r]])
-        else:
-            code = _code(seq)
-        shapes.append((_from_center(seq), code))
-    shapes.sort(reverse=True)
+            seq = [1, 2] + [x + 1 for x in seq[r:]] + [x - 1 for x in seq[2:r]]
+        shapes.append((rep, _level_code(seq)))
     for rep, code in shapes:
-        tree = _tree(rep)
-        d = max(rep) - 1
-        tree._centers = (d // 2,) if d % 2 == 0 else (d // 2, d // 2 + 1)
-        yield tree, code
-
-
-def _code(seq: list[int]) -> str:
-    """The code (``Tree.canonical_code``'s form) of the rooted tree that
-    the canonical level sequence seq describes: level l followed by
-    level l' closes l - l' + 1 vertices and opens one."""
-
-    steps = [")" * (a - b + 1) + "(" for a, b in zip(seq, seq[1:])]
-    return "(" + "".join(steps) + ")" * seq[-1]
+        yield _representative(rep), code
 
 
 def _centered_sequences(n: int) -> Iterator[tuple[list[int], int, bool]]:
@@ -168,6 +168,8 @@ def _centered_sequences(n: int) -> Iterator[tuple[list[int], int, bool]]:
     over (``_skip``).  The walk is otherwise the Beyer-Hedetniemi order.
     """
 
+    if n < 1:
+        raise ShapeMismatch("edge count must be nonnegative")
     seq = list(range(1, n + 1))
     while True:
         try:

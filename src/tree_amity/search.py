@@ -460,8 +460,8 @@ def _run_jobs(worker: Callable, payloads: Iterable, jobs: int) -> list:
     of them than there are payloads or cores; with one left, the work
     runs in this process and draws the payloads one at a time, so a tree
     and the caches its record filled are freed before the next is made.
-    Payloads (trees, or pairs of trees) cross a process boundary pickled
-    as they are.
+    Payloads (trees with their codes, or pairs of them) cross a process
+    boundary pickled as they are.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
@@ -526,16 +526,15 @@ class AuditReport:
     def total_failures(self) -> int:
         return sum(r.inverse_failures for r in self.records)
 
-    def to_json_dict(self, stream: bool = False) -> dict:
-        """The JSON body, its records last: a list of dicts, or with
-        ``stream`` an iterator that makes each dict as it is drawn."""
-        records = map(_fields, self.records)
+    def to_json_dict(self) -> dict:
+        """The JSON body, its records last, as an iterator that makes
+        each record's dict as it is drawn."""
         return {
             "max_edges": self.max_edges,
             "note": self.note,
             "total_friendly": self.total_friendly,
             "total_failures": self.total_failures,
-            "records": records if stream else list(records),
+            "records": map(_fields, self.records),
         }
 
 
@@ -583,7 +582,8 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
         raise ShapeMismatch("max_edges must be at least 1")
     pairs = []
     for m in range(1, max_edges + 1):
-        shapes = list(_shapes(m))
+        # in the order of enumerate_free_trees, which orients each pair
+        shapes = sorted(_shapes(m), key=lambda shape: shape[0].edges, reverse=True)
         pairs.extend((a, b) for i, a in enumerate(shapes) for b in shapes[i:])
     records = _run_jobs(_audit_worker, pairs, jobs)
     records.sort(key=lambda r: (r.edges, r.code_a, r.code_b))
@@ -637,17 +637,16 @@ class SweepReport:
         """Records that are research findings: verified negative or open."""
         return [r for r in self.records if r.outcome != FOUND]
 
-    def to_json_dict(self, stream: bool = False) -> dict:
-        """The JSON body, its records last: a list of dicts, or with
-        ``stream`` an iterator that makes each dict as it is drawn."""
-        records = map(_fields, self.records)
+    def to_json_dict(self) -> dict:
+        """The JSON body, its records last, as an iterator that makes
+        each record's dict as it is drawn."""
         return {
             "kind": self.kind,
             "max_edges": self.max_edges,
             "params": self.params,
             "note": self.note,
             "counts": self.counts(),
-            "records": records if stream else list(records),
+            "records": map(_fields, self.records),
         }
 
 

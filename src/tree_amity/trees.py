@@ -29,9 +29,12 @@ rooting: the diameter is twice the largest depth, less one with two
 centers, and an equidistant center is a lone center whose leaves all
 share one depth; one pass codes every subtree for the canonical code and
 order, then turns to the second center, if any, keeping at any time only
-the codes of disjoint subtrees.  A tree keeps only its centers and its
-rooting; every other answer is computed from them on each call, and a
-caller that asks for the same one again keeps it itself.
+the codes of disjoint subtrees.  The code of a rooted tree given as a
+canonical level sequence is read off the sequence (``_level_code``), so
+the enumeration codes its trees without building a rooting.  A tree
+keeps only its centers and its rooting; every other answer is computed
+from them on each call, and a caller that asks for the same one again
+keeps it itself.
 """
 
 from __future__ import annotations
@@ -349,6 +352,25 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tree(n={self.n}, edges={list(self.edges)})"
+
+
+def _level_code(levels: list[int]) -> str:
+    """The code, in ``Tree._codes``' form, of the rooted tree that the
+    canonical level sequence ``levels`` describes (root first, preorder,
+    children so that the sequence is lexicographically largest).
+
+    In preorder each vertex opens "(" and closes ")" once its subtree is
+    done, so level l followed by level l' writes l - l' + 1 closings and
+    one opening.  This orders codes against sequences: at the first
+    position where two canonical sequences differ, the larger one opens
+    "(" where the other closes ")", and "(" sorts first, so the larger
+    sequence has the smaller code.  The children of a canonical sequence
+    therefore stand in increasing order of code, as a code requires, and
+    of a free tree's sequences rooted at its centers, the largest gives
+    the least code, which is the canonical one.
+    """
+    steps = [")" * (a - b + 1) + "(" for a, b in zip(levels, levels[1:])]
+    return "(" + "".join(steps) + ")" * levels[-1]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

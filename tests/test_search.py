@@ -461,7 +461,7 @@ def test_audit_rejects_nonsense():
 def test_audit_parallel_run_matches_serial():
     serial = symmetry_audit(4, jobs=1)
     parallel = symmetry_audit(4, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
+    assert serial == parallel
 
 
 # -- sweeps ---------------------------------------------------------------------------
@@ -567,7 +567,7 @@ def test_sweep_parallel_run_matches_serial():
     for max_edges in (4, 10):
         serial = sweep_question_path(max_edges, jobs=1)
         parallel = sweep_question_path(max_edges, jobs=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
+        assert serial == parallel
 
 
 def _fake_pools(monkeypatch, cores):
@@ -605,9 +605,9 @@ def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, wor
     per size; each size with more than one gets a pool that never has more
     workers than its trees, the cores or the jobs, and none at all when
     that leaves one."""
-    serial = sweep_hypothesis(5, "d4").to_json_dict()
+    serial = sweep_hypothesis(5, "d4")
     sizes = _fake_pools(monkeypatch, cores)
-    assert sweep_hypothesis(5, "d4", jobs=jobs).to_json_dict() == serial
+    assert sweep_hypothesis(5, "d4", jobs=jobs) == serial
     assert sizes == (workers or [])
 
 
@@ -619,9 +619,9 @@ def test_worker_pool_is_bounded_by_trees_and_cores(monkeypatch, jobs, cores, wor
 def test_question_sweep_runs_one_pool_per_size(monkeypatch, jobs, cores, workers):
     """Trees with up to 4 edges are 1, 1, 2 and 3 per size; each size with
     more than one tree gets a pool bounded by its trees and the cores."""
-    serial = sweep_question_path(4).to_json_dict()
+    serial = sweep_question_path(4)
     sizes = _fake_pools(monkeypatch, cores)
-    assert sweep_question_path(4, jobs=jobs).to_json_dict() == serial
+    assert sweep_question_path(4, jobs=jobs) == serial
     assert sizes == workers
 
 
