@@ -16,19 +16,20 @@ Exit codes are a stable contract:
 
 Reports are JSON documents tagged with ``"schema": "tree-amity/1"``.
 Every embedded witness is stored in the same text formats the parsers
-accept, together with the input trees, so a report can be re-loaded and
-re-verified without the original files.  A report is written record by
-record, with no copy of the whole document built in memory, and every
-command checks that its report's directory exists before it does any
-work.  The ``--jobs`` flag controls worker-pool width for sweeps and
-audits; the TREE_AMITY_JOBS environment variable overrides it when set.
+accept, together with the input files' text and sha256, so a report can
+be re-loaded and re-verified without the original files.  The digest is
+computed, and ``hashlib`` imported, only when a report is written.  A
+report is written record by record, with no copy of the whole document
+built in memory, and every command checks that its report's directory
+exists before it does any work.  The ``--jobs`` flag controls
+worker-pool width for sweeps and audits; the TREE_AMITY_JOBS environment
+variable overrides it when set.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -81,33 +82,34 @@ __all__ = ["main", "main_entry", "build_parser", "SCHEMA"]
 # -- small helpers ------------------------------------------------------------
 
 
-def _read_file(path: str) -> tuple[str, dict]:
-    data = Path(path).read_bytes()
-    text = data.decode("utf-8")
-    entry = {
-        "path": path,
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "text": text,
-    }
-    return text, entry
+def _read_file(path: str) -> str:
+    """The text of an input file, decoded as strict UTF-8 with no
+    newline translation, so that it encodes back to the file's bytes."""
+    return Path(path).read_bytes().decode("utf-8")
 
 
 def _load_tree(path: str):
-    text, entry = _read_file(path)
+    text = _read_file(path)
     tree, labels = parse_tree_labeled(text)
-    return tree, labels, entry
+    return tree, labels, text
 
 
 def _resolve_jobs(flag: int | None) -> int:
+    """The worker count: TREE_AMITY_JOBS when set, else ``--jobs``, else
+    the core count; a bad value is reported under the name it came by."""
     env = os.environ.get("TREE_AMITY_JOBS")
     if env is not None:
-        jobs = int(env)
+        source = "TREE_AMITY_JOBS"
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be a whole number, got {env!r}") from None
     elif flag is not None:
-        jobs = flag
+        source, jobs = "--jobs", flag
     else:
-        jobs = os.cpu_count() or 1
+        return os.cpu_count() or 1
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise ValueError(f"{source} must be at least 1, got {jobs}")
     return jobs
 
 
@@ -156,9 +158,22 @@ def _require_out_dir(path: str | None) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def _write_report(args, command: str, inputs: list[dict], payload: dict) -> None:
+def _write_report(args, command: str, inputs: list[tuple[str, str]], payload: dict) -> None:
+    """Write the report of a command that read ``inputs``, its (path,
+    text) pairs, when one was asked for.  Only then is each input's
+    sha256 computed, of its text encoded back to the file's bytes."""
     if args.out:
-        _emit_report(args.out, command, {"inputs": inputs, **payload})
+        import hashlib
+
+        entries = [
+            {
+                "path": path,
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "text": text,
+            }
+            for path, text in inputs
+        ]
+        _emit_report(args.out, command, {"inputs": entries, **payload})
 
 
 def _edge_label(tree: Tree, labels, eid: int) -> list[int]:
@@ -193,8 +208,8 @@ def _hook_violation_dict(flaw: HookViolation, source: Tree, s_labels, target: Tr
 
 
 def cmd_check_numbering(args) -> int:
-    tree, labels, tree_entry = _load_tree(args.tree)
-    text, num_entry = _read_file(args.numbering)
+    tree, labels, tree_text = _load_tree(args.tree)
+    text = _read_file(args.numbering)
     nu = parse_numbering(text, tree, labels)
     started = time.monotonic()
     flaw = check_friendly_numbering(nu)
@@ -211,7 +226,8 @@ def cmd_check_numbering(args) -> int:
         )
         outcome, code = "violation", EXIT_VIOLATION
         witness = _numbering_violation_dict(flaw, tree, labels)
-    _write_report(args, "check-numbering", [tree_entry, num_entry], {
+    inputs = [(args.tree, tree_text), (args.numbering, text)]
+    _write_report(args, "check-numbering", inputs, {
         "outcome": outcome,
         "witness": witness,
         "elapsed": elapsed,
@@ -220,9 +236,9 @@ def cmd_check_numbering(args) -> int:
 
 
 def cmd_check_bijection(args) -> int:
-    source, s_labels, src_entry = _load_tree(args.source)
-    target, t_labels, dst_entry = _load_tree(args.target)
-    text, bij_entry = _read_file(args.bijection)
+    source, s_labels, src_text = _load_tree(args.source)
+    target, t_labels, dst_text = _load_tree(args.target)
+    text = _read_file(args.bijection)
     bj = parse_bijection(text, source, target, s_labels, t_labels)
     started = time.monotonic()
     flaw = check_friendly_bijection(bj)
@@ -242,7 +258,8 @@ def cmd_check_bijection(args) -> int:
         )
         outcome, code = "violation", EXIT_VIOLATION
         witness = _hook_violation_dict(flaw, source, s_labels, target, t_labels)
-    _write_report(args, "check-bijection", [src_entry, dst_entry, bij_entry], {
+    inputs = [(args.source, src_text), (args.target, dst_text), (args.bijection, text)]
+    _write_report(args, "check-bijection", inputs, {
         "outcome": outcome,
         "witness": witness,
         "elapsed": elapsed,
@@ -254,7 +271,7 @@ def cmd_check_bijection(args) -> int:
 
 
 def cmd_number(args) -> int:
-    tree, labels, tree_entry = _load_tree(args.tree)
+    tree, labels, tree_text = _load_tree(args.tree)
     budget = _budget_from(args)
     started = time.monotonic()
     tried = []
@@ -287,7 +304,7 @@ def cmd_number(args) -> int:
     else:
         print(f"no applicable method (tried: {', '.join(tried)})", file=sys.stderr)
         outcome, code = "inapplicable", EXIT_INAPPLICABLE
-    _write_report(args, "number", [tree_entry], {
+    _write_report(args, "number", [(args.tree, tree_text)], {
         "outcome": outcome,
         "method": method if nu is not None else None,
         "tried": tried,
@@ -318,7 +335,7 @@ def _pair_dict(tree: Tree, labels, pair) -> dict:
 
 
 def cmd_cb_criterion(args) -> int:
-    tree, labels, tree_entry = _load_tree(args.tree)
+    tree, labels, tree_text = _load_tree(args.tree)
     n1, n2 = args.n1, args.n2
     if n1 < 1 or n2 < 1:
         # bad input, not a size mismatch; checked without building the
@@ -353,19 +370,19 @@ def cmd_cb_criterion(args) -> int:
             "witness": witness,
             "double_star": format_tree(cb.tree),
         }
-    _write_report(args, "cb-criterion", [tree_entry], {**result, "elapsed": elapsed})
+    _write_report(args, "cb-criterion", [(args.tree, tree_text)], {**result, "elapsed": elapsed})
     return EXIT_OK if result["outcome"] == "ok" else EXIT_VIOLATION
 
 
 def cmd_cb_pair(args) -> int:
-    tree, labels, tree_entry = _load_tree(args.tree)
+    tree, labels, tree_text = _load_tree(args.tree)
     started = time.monotonic()
     pair = small_n_pair(tree, args.n)
     cb = make_cb(tree.m - args.n + 1, args.n)
     bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
     elapsed = time.monotonic() - started
     _print_pair(tree, labels, pair)
-    _write_report(args, "cb-pair", [tree_entry], {
+    _write_report(args, "cb-pair", [(args.tree, tree_text)], {
         "outcome": "ok",
         "pair": _pair_dict(tree, labels, pair),
         "witness": format_bijection(bj, target_labels=labels),
@@ -395,17 +412,17 @@ def _search_exit(res: SearchResult, what: str) -> int:
 
 
 def cmd_search(args) -> int:
-    tree, labels, tree_entry = _load_tree(args.tree)
+    tree, labels, tree_text = _load_tree(args.tree)
     budget = _budget_from(args)
-    inputs = [tree_entry]
+    inputs = [(args.tree, tree_text)]
     witness_text = None
     if args.target is None:
         what, res = "numbering", search_numbering(tree, budget)
         if res.witness is not None:
             witness_text = format_numbering(res.witness, labels)
     else:
-        target, t_labels, target_entry = _load_tree(args.target)
-        inputs.append(target_entry)
+        target, t_labels, target_text = _load_tree(args.target)
+        inputs.append((args.target, target_text))
         what, res = "bijection", search_bijection(tree, target, budget)
         if res.witness is not None:
             witness_text = format_bijection(res.witness, labels, t_labels)

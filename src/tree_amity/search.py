@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, Iterable
@@ -461,7 +460,8 @@ def _run_jobs(worker: Callable, payloads: Iterable, jobs: int) -> list:
     runs in this process and draws the payloads one at a time, so a tree
     and the caches its record filled are freed before the next is made.
     Payloads (trees with their codes, or pairs of them) cross a process
-    boundary pickled as they are.
+    boundary pickled as they are.  The pool, and the multiprocessing
+    machinery under it, is imported only when one starts.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
@@ -469,6 +469,8 @@ def _run_jobs(worker: Callable, payloads: Iterable, jobs: int) -> list:
         workers = min(workers, len(payloads))
     if workers <= 1:
         return [worker(x) for x in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads, chunksize=chunk))
@@ -480,13 +482,13 @@ def _run_jobs(worker: Callable, payloads: Iterable, jobs: int) -> list:
 def _fields(record: AuditRecord | SweepRecord) -> dict:
     """A flat record's fields by name, in field order.
 
-    Not ``asdict``, which deep-copies every scalar, nor ``vars``, which
-    would give each record a ``__dict__`` to hold for its lifetime.
+    Not ``asdict``, which deep-copies every scalar; a record has slots
+    and no ``__dict__`` that ``vars`` could read.
     """
     return {name: getattr(record, name) for name in record.__dataclass_fields__}
 
 
-@dataclass
+@dataclass(slots=True)
 class AuditRecord:
     """Inverse-friendliness tally for one pair of same-size trees."""
 
@@ -593,7 +595,7 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
 # -- sweep records ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRecord:
     """Outcome for one tree in a survey, replayable from its own fields.
 

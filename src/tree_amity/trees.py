@@ -385,8 +385,10 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 def _clean_lines(text: str) -> Iterator[tuple[int, str]]:
     """The numbered lines of a text format with comments and blanks gone:
-    '#' starts a comment, and a line with nothing else is skipped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    '#' starts a comment, and a line with nothing else is skipped.  A
+    byte-order mark that opens the text, as some editors save UTF-8, is
+    skipped too."""
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

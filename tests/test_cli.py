@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, formats, reports."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -365,7 +366,29 @@ def test_sweep_env_overrides_jobs(tmp_path, capsys, monkeypatch):
 def test_jobs_must_be_positive(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TREE_AMITY_JOBS", "0")
     assert main(["sweep", "--kind", "question-path", "-m", "2"]) == 2
-    assert "jobs" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: TREE_AMITY_JOBS must be at least 1, got 0\n"
+    monkeypatch.delenv("TREE_AMITY_JOBS")
+    assert main(["audit-symmetry", "-m", "2", "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 1, got 0\n"
+
+
+def test_jobs_from_the_environment_must_be_a_number(capsys, monkeypatch):
+    monkeypatch.setenv("TREE_AMITY_JOBS", "two")
+    assert main(["sweep", "--kind", "question-path", "-m", "2", "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: TREE_AMITY_JOBS must be a whole number, got 'two'\n"
+    )
+
+
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TREE_AMITY_JOBS", raising=False)
+    for argv in (["sweep", "--kind", "question-path", "-m", "9"],
+                 ["audit-symmetry", "-m", "4"]):
+        outs = [tmp_path / f"jobs{jobs}.json" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert main([*argv, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
 
 
 def test_audit_symmetry_cli(tmp_path, capsys):
@@ -570,6 +593,47 @@ def _run_python(*args, timeout=120):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_commands_load_only_what_they_run(tmp_path, monkeypatch):
+    """A survey and an audit with one worker and a check without a report
+    load neither the digest nor the process pool; a check with a report
+    loads the digest, of each input file's bytes.  Run in a fresh
+    interpreter, since the test runner loads hashlib itself."""
+    tree = tmp_path / "t.txt"
+    tree.write_bytes("\ufeff# chemin à trois arêtes\n0 1\n1 2\n2 3\n".encode("utf-8"))
+    numbering = tmp_path / "n.txt"
+    numbering.write_bytes(b"0 1 1\n1 2 2\n2 3 3\n")
+    script = (
+        "import json, sys\n"
+        "import tree_amity\n"
+        "from tree_amity.cli import main\n"
+        "t, nb, d = sys.argv[1:]\n"
+        "heavy = ('hashlib', '_hashlib', 'concurrent.futures', 'multiprocessing')\n"
+        "codes = [\n"
+        "    main(['sweep', '--kind', 'question-path', '-m', '6', '--jobs', '1',\n"
+        "          '--out', d + '/sweep.json']),\n"
+        "    main(['audit-symmetry', '-m', '4', '--jobs', '1', '--out', d + '/audit.json']),\n"
+        "    main(['check-numbering', t, nb]),\n"
+        "]\n"
+        "before = [m for m in heavy if m in sys.modules]\n"
+        "codes.append(main(['check-numbering', t, nb, '--report', d + '/r.json']))\n"
+        "after = [m for m in heavy if m in sys.modules]\n"
+        "print(json.dumps([codes, before, after]))\n"
+    )
+    monkeypatch.delenv("TREE_AMITY_JOBS", raising=False)
+    proc = _run_python("-c", script, str(tree), str(numbering), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert before == []
+    assert after == ["hashlib", "_hashlib"]
+    doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert [list(entry) for entry in doc["inputs"]] == [["path", "sha256", "text"]] * 2
+    for entry, file in zip(doc["inputs"], (tree, numbering)):
+        assert entry["path"] == str(file)
+        assert entry["sha256"] == hashlib.sha256(file.read_bytes()).hexdigest()
+        assert entry["text"].encode("utf-8") == file.read_bytes()
 
 
 def _fake_violation(nu):

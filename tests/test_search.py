@@ -1,7 +1,10 @@
 """Backtracking searches, the symmetry audit, and the sweep drivers."""
 
+import concurrent.futures
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -43,7 +46,8 @@ from tree_amity import amity
 from tree_amity.cli import main
 from tree_amity.errors import VerificationFailed
 from tree_amity.search import (
-    AuditRecord, _closing_order, _friendly_mappings, _lift, _twin_before, _twin_swaps,
+    AuditRecord, _closing_order, _fields, _friendly_mappings, _lift, _twin_before,
+    _twin_swaps,
 )
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
@@ -570,6 +574,16 @@ def test_sweep_parallel_run_matches_serial():
         assert serial == parallel
 
 
+def test_records_have_slots_and_cross_processes():
+    """Survey records hold no per-instance dict, pickle as the pool sends
+    them, and ``_fields`` gives their fields in declaration order."""
+    for rec in (sweep_question_path(4).records[-1], symmetry_audit(3).records[-1]):
+        assert not hasattr(rec, "__dict__")
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert list(_fields(rec)) == [f.name for f in dataclasses.fields(rec)]
+        assert _fields(rec) == dataclasses.asdict(rec)
+
+
 def _fake_pools(monkeypatch, cores):
     """Pretend to have ``cores`` cores and swap the process pool for one
     that runs the work here, starting no process; returns the pool sizes
@@ -589,7 +603,7 @@ def _fake_pools(monkeypatch, cores):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: cores)
     return sizes
 

@@ -80,6 +80,13 @@ def test_parse_basic():
     assert sorted(labels) == [1, 2, 3, 4]
 
 
+def test_parse_skips_a_leading_byte_order_mark():
+    t, labels = parse_tree_labeled("\ufeff# arête\n1 2\n2 3\n")
+    assert t.m == 2 and labels == (1, 2, 3)
+    with pytest.raises(MalformedLine, match="line 2"):
+        parse_tree("0 1\n\ufeff1 2\n")
+
+
 def test_parse_single_vertex_dot():
     t = parse_tree(".")
     assert t.n == 1 and t.m == 0
