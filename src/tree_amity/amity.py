@@ -77,7 +77,7 @@ from .errors import (
     SizeMismatch,
     VerificationFailed,
 )
-from .trees import Tree, _clean_lines, _iter_bits
+from .trees import Tree, _clean_lines, _iter_bits, _relabeled
 
 
 class Numbering:
@@ -90,9 +90,10 @@ class Numbering:
             nums = tuple(map(index, numbers))
         except TypeError:
             raise InvalidNumbering("numbers must be integers") from None
-        if sorted(nums) != list(range(1, tree.m + 1)):
+        if len(nums) != tree.m or set(nums) != set(range(1, tree.m + 1)):
             raise InvalidNumbering(
-                f"numbers must be a bijection onto 1..{tree.m}, got {nums}"
+                f"numbers must be a bijection onto 1..{tree.m}, "
+                + _bijection_fault(nums, 1, tree.m)
             )
         self.tree = tree
         self.numbers = nums
@@ -127,14 +128,31 @@ class EdgeBijection:
             mp = tuple(map(index, mapping))
         except TypeError:
             raise InvalidBijection("mapping entries must be integers") from None
-        if sorted(mp) != list(range(target.m)):
-            raise InvalidBijection(f"mapping is not a bijection: {mp}")
+        if len(mp) != target.m or set(mp) != set(range(target.m)):
+            raise InvalidBijection(
+                f"mapping must be a bijection onto the {target.m} target edges, "
+                + _bijection_fault(mp, 0, target.m)
+            )
         self.source = source
         self.target = target
         self.mapping = mp
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"EdgeBijection({self.mapping})"
+
+
+def _bijection_fault(values: tuple[int, ...], first: int, count: int) -> str:
+    """Why ``values`` is not a bijection onto first..first+count-1, in a
+    few words whatever its length: the count when it differs, else the
+    first value that repeats, else the least one missing."""
+    if len(values) != count:
+        return f"but it has {len(values)} entries for {count} edges"
+    seen = set()
+    for x in values:
+        if x in seen:
+            return f"but {x} repeats"
+        seen.add(x)
+    return f"but {min(set(range(first, first + count)) - seen)} is missing"
 
 
 # -- violations ------------------------------------------------------------
@@ -428,12 +446,8 @@ def parse_numbering(
 
 
 def format_numbering(nu: Numbering, labels: tuple[int, ...] | None = None) -> str:
-    if labels is None:
-        labels = tuple(range(nu.tree.n))
-    return "".join(
-        f"{labels[u]} {labels[v]} {nu.numbers[eid]}\n"
-        for eid, (u, v) in enumerate(nu.tree.edges)
-    )
+    edges = _relabeled(nu.tree.edges, labels)
+    return "".join([f"{u} {v} {k}\n" for (u, v), k in zip(edges, nu.numbers)])
 
 
 def parse_bijection(
@@ -475,16 +489,9 @@ def format_bijection(
     source_labels: tuple[int, ...] | None = None,
     target_labels: tuple[int, ...] | None = None,
 ) -> str:
-    if source_labels is None:
-        source_labels = tuple(range(b.source.n))
-    if target_labels is None:
-        target_labels = tuple(range(b.target.n))
-    out = []
-    for src, dst in enumerate(b.mapping):
-        u1, v1 = b.source.edges[src]
-        u2, v2 = b.target.edges[dst]
-        out.append(
-            f"{source_labels[u1]} {source_labels[v1]} -> "
-            f"{target_labels[u2]} {target_labels[v2]}\n"
-        )
-    return "".join(out)
+    src = _relabeled(b.source.edges, source_labels)
+    dst = _relabeled(b.target.edges, target_labels)
+    return "".join([
+        f"{u1} {v1} -> {u2} {v2}\n"
+        for (u1, v1), (u2, v2) in zip(src, map(dst.__getitem__, b.mapping))
+    ])

@@ -16,17 +16,21 @@ ids, and ``edge_path_mask`` gives the path between two edges as one.
 
 Trees are immutable after construction and keep one adjacency: per
 vertex, its neighbors with the edge ids, in edge-id order.  One
-leaf-stripping pass finds the one or two centers; a tree from
-``enumerate_free_trees`` arrives with them already set, read off its
-longest path.  Every query runs on one rooted copy of the tree: a single
-traversal from the first center stores each vertex's parent, the edge up
-to it and its depth, and the order it reached the vertices in, four
-lists of length n built on the first such query and never in the
-constructor, so trees that are built and never queried pay nothing for
-it.  A path query climbs both endpoints to their meeting point, which
-costs the length of the path.  The whole-tree questions read the
-rooting: the diameter is twice the largest depth, less one with two
-centers, and an equidistant center is a lone center whose leaves all
+leaf-stripping pass finds the one or two centers, and the constructor
+runs it to check its input as well: n - 1 edges with ids in 0..n-1 form
+a tree exactly when the pass strips every vertex but its last layer.  A
+per-edge scan runs only on input that fails, to name the fault.  A tree
+that the lift builds unchecked strips its leaves when first asked for
+its centers; one from ``enumerate_free_trees`` arrives with them already
+set, read off its longest path.  Every query runs on one rooted copy of
+the tree: a single traversal from the first center stores each vertex's
+parent, the edge up to it and its depth, and the order it reached the
+vertices in, four lists of length n built on the first such query and
+never in the constructor, so trees that are built and never queried pay
+nothing for it.  A path query climbs both endpoints to their meeting
+point, which costs the length of the path.  The whole-tree questions
+read the rooting: the diameter is twice the largest depth, less one with
+two centers, and an equidistant center is a lone center whose leaves all
 share one depth; one pass codes every subtree for the canonical code and
 order, then turns to the second center, if any, keeping at any time only
 the codes of disjoint subtrees.  The code of a rooted tree given as a
@@ -39,8 +43,9 @@ keeps it itself.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     CycleDetected,
@@ -66,10 +71,17 @@ class Tree:
     )
 
     def __init__(self, edges: Iterable[tuple[int, int]], vertex_count: int | None = None):
+        """The tree on ``edges`` with ``vertex_count`` vertices, by default
+        one more than the largest id.
+
+        The edges are checked by their count, their id range and the
+        leaf stripping that finds the centers (``_peel``); only edges
+        that fail are scanned one by one, to name the fault.
+        """
         try:
             edge_list = [(index(u), index(v)) for u, v in edges]
             n = (
-                max((max(u, v) for u, v in edge_list), default=0) + 1
+                max(chain.from_iterable(edge_list), default=0) + 1
                 if vertex_count is None else index(vertex_count)
             )
         except TypeError:
@@ -78,42 +90,23 @@ class Tree:
             ) from None
         if n < 1:
             raise MalformedLine("a tree needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edge_list:
-            if not (0 <= u < n and 0 <= v < n):
-                raise MalformedLine(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise SelfLoop(f"edge ({u}, {v}) joins a vertex to itself")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdge(f"edge ({u}, {v}) repeats an earlier edge")
-            seen.add(key)
-        if len(edge_list) >= n:
-            raise CycleDetected(f"{len(edge_list)} edges on {n} vertices form a cycle")
-        # union-find, small and sufficient at this scale
-        root = list(range(n))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for u, v in edge_list:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
-            root[ru] = rv
-        # acyclic, so n - 1 edges on n vertices make one component
-        if len(edge_list) != n - 1:
-            raise Disconnected(f"{len(edge_list)} edges leave {n} vertices disconnected")
-        self._build(edge_list, n)
+        if (
+            len(edge_list) == n - 1
+            and min(chain.from_iterable(edge_list), default=0) >= 0
+            and max(chain.from_iterable(edge_list), default=0) < n
+        ):
+            self._build(edge_list, n)
+            if self._peel():
+                return
+        _name_the_fault(edge_list, n)
 
     def _build(self, edge_list: list[tuple[int, int]], n: int) -> None:
-        """Fill in a tree from int edges that are known to form one.
+        """Fill in a tree from int edges with ids in 0..n-1.
 
-        ``__init__`` runs it after its checks; the enumeration and the
-        lift run it alone, since their edges form a tree by construction.
+        ``__init__`` runs it on every count and range it accepts, and
+        peels after it to find whether the edges form a tree; the
+        enumeration and the lift run it alone, since their edges form a
+        tree by construction, and peel only when asked for the centers.
         """
         self.n = n
         self.m = len(edge_list)
@@ -122,8 +115,8 @@ class Tree:
         for eid, (u, v) in enumerate(edge_list):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(tuple(a) for a in adj)
-        self.degrees: tuple[int, ...] = tuple(len(a) for a in adj)
+        self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, adj))
+        self.degrees: tuple[int, ...] = tuple(map(len, adj))
         self._centers: tuple[int, ...] | None = None
         self._rooting: tuple[list[int], list[int], list[int], list[int]] | None = None
 
@@ -237,23 +230,42 @@ class Tree:
         found on the first call and kept.  The lone vertex of the
         one-vertex tree, of degree 0, is its center."""
         if self._centers is None:
-            n = self.n
-            deg = list(self.degrees)
-            layer = [v for v in range(n) if deg[v] <= 1]
-            remaining = n
-            while remaining > 2:
-                remaining -= len(layer)
-                nxt = []
-                for v in layer:
-                    deg[v] = 0
-                    for w, _ in self.adj[v]:
-                        if deg[w] > 0:
-                            deg[w] -= 1
-                            if deg[w] == 1:
-                                nxt.append(w)
-                layer = nxt
-            self._centers = tuple(sorted(layer))
+            self._peel()
         return self._centers
+
+    def _peel(self) -> bool:
+        """Strip leaves layer by layer and keep the last layer as the
+        centers; False, keeping nothing, when the edges are no tree.
+
+        A layer holds the vertices whose degree has just dropped to one,
+        so every vertex joins at most one layer, and a vertex on a cycle,
+        a self-loop or a repeated edge never does.  So n - 1 edges with
+        ids in 0..n-1 form a tree exactly when no layer comes up empty
+        while more than two vertices remain and the last layer is all
+        that remains: n - 1 edges without a cycle are connected.  With
+        fewer edges a forest may pass.
+        """
+        adj = self.adj
+        deg = list(self.degrees)
+        layer = [v for v, d in enumerate(deg) if d <= 1]
+        remaining = self.n
+        while remaining > 2:
+            if not layer:
+                return False
+            remaining -= len(layer)
+            nxt = []
+            for v in layer:
+                deg[v] = 0
+                for w, _ in adj[v]:
+                    if deg[w] > 0:
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+            layer = nxt
+        if len(layer) != remaining:
+            return False
+        self._centers = tuple(sorted(layer))
+        return True
 
     def equidistant_center(self) -> tuple[int, int] | None:
         """The vertex equally distant from every leaf, with that distance,
@@ -354,6 +366,41 @@ class Tree:
         return f"Tree(n={self.n}, edges={list(self.edges)})"
 
 
+def _name_the_fault(edge_list: list[tuple[int, int]], n: int) -> NoReturn:
+    """Raise the error that names why ``edge_list`` on n vertices is no
+    tree: the first edge out of range, a self-loop or a repeat, in edge
+    order, then too many edges, the first edge that closes a cycle, or
+    too few edges."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise MalformedLine(f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            raise SelfLoop(f"edge ({u}, {v}) joins a vertex to itself")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"edge ({u}, {v}) repeats an earlier edge")
+        seen.add(key)
+    if len(edge_list) >= n:
+        raise CycleDetected(f"{len(edge_list)} edges on {n} vertices form a cycle")
+    # union-find, small and sufficient at this scale
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in edge_list:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
+        root[ru] = rv
+    # acyclic, and not n - 1 edges, which the peel accepts as a tree
+    raise Disconnected(f"{len(edge_list)} edges leave {n} vertices disconnected")
+
+
 def _level_code(levels: list[int]) -> str:
     """The code, in ``Tree._codes``' form, of the rooted tree that the
     canonical level sequence ``levels`` describes (root first, preorder,
@@ -448,5 +495,14 @@ def format_tree(tree: Tree, labels: tuple[int, ...] | None = None) -> str:
     """Inverse of parse_tree: edge lines in edge order, '.' when edgeless."""
     if tree.m == 0:
         return ".\n"
-    name = (lambda v: labels[v]) if labels is not None else (lambda v: v)
-    return "".join(f"{name(u)} {name(v)}\n" for u, v in tree.edges)
+    return "".join([f"{u} {v}\n" for u, v in _relabeled(tree.edges, labels)])
+
+
+def _relabeled(
+    edges: tuple[tuple[int, int], ...], labels: tuple[int, ...] | None
+) -> Sequence[tuple[int, int]]:
+    """The edges with their ends renamed by ``labels``, or the edges
+    themselves when there are none, for the text formats to print."""
+    if labels is None:
+        return edges
+    return [(labels[u], labels[v]) for u, v in edges]

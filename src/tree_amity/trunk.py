@@ -99,9 +99,13 @@ def _number_along(tree: Tree, trunk: tuple[int, ...]) -> Numbering:
                 branch = [eid]
                 back, cur = v, w
                 while tree.degrees[cur] == 2:
-                    step = next(s for s in tree.adj[cur] if s[0] != back)
-                    branch.append(step[1])
-                    back, cur = cur, step[0]
+                    (a, ea), (b, eb) = tree.adj[cur]
+                    if a == back:
+                        back, cur = cur, b
+                        branch.append(eb)
+                    else:
+                        back, cur = cur, a
+                        branch.append(ea)
                 if len(branch) % 2:
                     for e in branch:
                         numbers[e] = k

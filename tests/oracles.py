@@ -13,8 +13,9 @@ linear-time references (diameter, leaf distances, trunks) for trees too
 large for the brute-force ones, the trunk numbering's edge order, the
 parity-center numbering built the slow way, on a tower of pruned trees,
 the first double-star subtree pair found by trying every edge set,
-one free tree per shape found by re-rooting every rooted tree, and a
-command's JSON report encoded as one document.
+one free tree per shape found by re-rooting every rooted tree, a
+command's JSON report encoded as one document, and the tree
+constructor's edge-by-edge validation, which names the error it raises.
 """
 
 from __future__ import annotations
@@ -22,6 +23,61 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
+from operator import index
+
+
+# -- tree validation ----------------------------------------------------------
+
+
+def tree_fault(edges, vertex_count=None):
+    """The error a tree constructor raises on ``edges`` as its class name
+    and message, or None when they form a tree on ``vertex_count``
+    vertices (one more than the largest id when omitted).
+
+    The checks run edge by edge: the first edge with an id out of range,
+    that joins a vertex to itself or that repeats an earlier edge, in
+    edge order; then n or more edges; then the first edge that closes a
+    cycle, found by union-find; then too few edges to connect n vertices.
+    """
+    try:
+        edge_list = [(index(u), index(v)) for u, v in edges]
+        n = (
+            max((max(u, v) for u, v in edge_list), default=0) + 1
+            if vertex_count is None else index(vertex_count)
+        )
+    except TypeError:
+        return ("MalformedLine",
+                "edges must be pairs of integer ids, and the vertex count an integer")
+    if n < 1:
+        return ("MalformedLine", "a tree needs at least one vertex")
+    seen = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            return ("MalformedLine", f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            return ("SelfLoop", f"edge ({u}, {v}) joins a vertex to itself")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return ("DuplicateEdge", f"edge ({u}, {v}) repeats an earlier edge")
+        seen.add(key)
+    if len(edge_list) >= n:
+        return ("CycleDetected", f"{len(edge_list)} edges on {n} vertices form a cycle")
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in edge_list:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return ("CycleDetected", f"edge ({u}, {v}) closes a cycle")
+        root[ru] = rv
+    if len(edge_list) != n - 1:
+        return ("Disconnected", f"{len(edge_list)} edges leave {n} vertices disconnected")
+    return None
 
 
 # -- plain graph helpers ------------------------------------------------------

@@ -72,6 +72,27 @@ def test_check_numbering_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_bad_numbering_or_mapping_is_named_in_one_short_line(tmp_path, capsys):
+    """A repeated number on a 2,000-edge path, or a repeated target edge,
+    is named by its value, not by printing every entry."""
+    t = tree_file(tmp_path, "t.txt", path(2000))
+    numbers = list(range(1, 2001))
+    numbers[5] = 5
+    nb = write(tmp_path, "n.txt", "".join(f"{i} {i + 1} {k}\n" for i, k in enumerate(numbers)))
+    assert main(["check-numbering", t, nb]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: numbers must be a bijection onto 1..2000, but 5 repeats\n"
+    targets = list(range(2000))
+    targets[5] = 4
+    mp = write(tmp_path, "b.txt", "".join(
+        f"{i} {i + 1} -> {j} {j + 1}\n" for i, j in enumerate(targets)
+    ))
+    assert main(["check-bijection", t, t, mp]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert "4 repeats" in err
+
+
 def test_check_numbering_report(tmp_path, capsys):
     t = tree_file(tmp_path, "t.txt", path(3))
     nb = write(tmp_path, "n.txt", "0 1 1\n1 2 2\n2 3 3\n")

@@ -646,12 +646,13 @@ def survey_calls():
     diameter-4 survey to 10 edges, with their record count and the two
     reports.  Builds are counted at ``Tree._build``, which checked and
     level-sequence trees both run, rootings at the ``Tree._rooted``
-    calls that make the rooting, and leaf strippings at the
-    ``Tree.centers`` calls that find the centers."""
+    calls that make the rooting, and leaf strippings at ``Tree._peel``,
+    which a checked tree runs in its constructor and a tree built
+    unchecked when first asked for its centers."""
     counts = {"builds": 0, "rootings": 0, "strippings": 0, "codes": 0, "trunks": 0}
     build = Tree._build
     rooted = Tree._rooted
-    centers = Tree.centers
+    peel = Tree._peel
     code = Tree.canonical_code
     find = trunk_module.find_trunk
 
@@ -663,9 +664,9 @@ def survey_calls():
         counts["rootings"] += self._rooting is None
         return rooted(self)
 
-    def counted_centers(self):
-        counts["strippings"] += self._centers is None
-        return centers(self)
+    def counted_peel(self):
+        counts["strippings"] += 1
+        return peel(self)
 
     def counted_code(self):
         counts["codes"] += 1
@@ -678,7 +679,7 @@ def survey_calls():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tree, "_build", counted_build)
         mp.setattr(Tree, "_rooted", counted_rooted)
-        mp.setattr(Tree, "centers", counted_centers)
+        mp.setattr(Tree, "_peel", counted_peel)
         mp.setattr(Tree, "canonical_code", counted_code)
         mp.setattr(trunk_module, "find_trunk", counted_find)
         mp.setattr(search_module, "find_trunk", counted_find)
@@ -710,6 +711,22 @@ def test_surveys_take_codes_and_centers_from_the_enumeration(survey_calls):
     counts = survey_calls[0]
     assert counts["strippings"] == LIFT_BUILDS
     assert counts["codes"] == 0
+
+
+def test_a_checked_tree_strips_its_leaves_once(monkeypatch):
+    """The constructor's check is the leaf stripping that finds the
+    centers, so asking for them afterwards strips nothing again."""
+    peels = []
+    peel = Tree._peel
+
+    def counted_peel(self):
+        peels.append(self)
+        return peel(self)
+
+    monkeypatch.setattr(Tree, "_peel", counted_peel)
+    tree = Tree([(0, 1), (1, 2), (2, 3)])
+    assert tree.centers() == (1, 2)
+    assert len(peels) == 1
 
 
 def test_cb_sweep_and_audit_never_call_tree_canonical_code(monkeypatch):

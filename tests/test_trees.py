@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
-    all_trees, caterpillar, path, random_trees, shuffled, spider, star, tri_y, trees_up_to,
+    all_trees,
+    caterpillar,
+    path,
+    random_caterpillar,
+    random_trees,
+    shuffled,
+    spider,
+    star,
+    tri_y,
+    trees_up_to,
 )
 from tree_amity import (
     CycleDetected,
@@ -18,6 +27,7 @@ from tree_amity import (
     MalformedLine,
     SelfLoop,
     Tree,
+    TreeAmityError,
     format_tree,
     parse_tree,
     parse_tree_labeled,
@@ -62,6 +72,75 @@ def test_rejects_non_integer_ids():
     for edges, count in (([(0, 1.9)], None), ([(0, "1")], None), ([(0, 1)], 2.5)):
         with pytest.raises(MalformedLine):
             Tree(edges, count)
+
+
+def _assert_tree_matches_the_oracle(edges, count):
+    """``Tree(edges, count)`` raises the error that the edge-by-edge
+    checks name, class and message, or builds the tree they accept: its
+    edges, adjacency and degrees built from scratch, and as centers the
+    middle of a longest path, as a tree built unchecked finds them too."""
+    want = oracles.tree_fault(edges, count)
+    try:
+        tree = Tree(edges, count)
+    except TreeAmityError as err:
+        assert (type(err).__name__, str(err)) == want, (edges, count)
+        return
+    assert want is None, (edges, count)
+    n = count if count is not None else max(itertools.chain((0,), *edges)) + 1
+    assert tree.n == n
+    assert tree.edges == tuple(edges)
+    adj = oracles.adjacency(edges, n)
+    assert tree.adj == tuple(map(tuple, adj))
+    assert tree.degrees == tuple(map(len, adj))
+    far = oracles.bfs_distances(adj, 0)
+    a = far.index(max(far))
+    far = oracles.bfs_distances(adj, a)
+    b = far.index(max(far))
+    longest = oracles.vertex_path(adj, a, b)
+    d = len(longest) - 1
+    assert tree.centers() == tuple(sorted(longest[d // 2:(d + 3) // 2]))
+    unchecked = Tree.__new__(Tree)
+    unchecked._build(list(edges), n)
+    assert unchecked.centers() == tree.centers()
+
+
+def test_construction_matches_the_edge_by_edge_checks_exhaustively_small():
+    """Every list of up to three edges over ids -1..4, with the vertex
+    count a tree needs and with none: about 48,000 lists, which reach
+    every fault the per-edge scan names, and some trees."""
+    pairs = list(itertools.product(range(-1, 5), repeat=2))
+    for k in range(4):
+        for edges in itertools.product(pairs, repeat=k):
+            for count in (None, k + 1):
+                _assert_tree_matches_the_oracle(list(edges), count)
+
+
+def test_construction_matches_the_edge_by_edge_checks_at_size():
+    """Trees of 1,000 to 2,000 edges, whole and with one edge redirected,
+    repeated, turned into a self-loop or sent out of range."""
+    rng = random.Random(30)
+    for m in (1000, 1500, 2000):
+        tree = random_caterpillar(m, rng)
+        n = tree.n
+        _assert_tree_matches_the_oracle(list(tree.edges), n)
+        for _ in range(6):
+            i, j = rng.sample(range(m), 2)
+            u, v = tree.edges[i]
+            for bad in (
+                (u, rng.randrange(n)),
+                tree.edges[j],
+                tree.edges[j][::-1],
+                (u, u),
+                (u, n),
+                (-1, v),
+            ):
+                edges = list(tree.edges)
+                edges[i] = bad
+                for count in (n, None):
+                    _assert_tree_matches_the_oracle(edges, count)
+            extra = list(tree.edges)
+            extra.insert(j, tree.edges[i])
+            _assert_tree_matches_the_oracle(extra, n)
 
 
 def test_degrees_and_adjacency():
