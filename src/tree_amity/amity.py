@@ -38,30 +38,41 @@ between the edges numbered k and k+1.  With A the numbers of k's parity
 in 1..m, slice k is self-standing exactly when ``(N & A) << 1`` equals
 ``N & ~A``: every number of k's parity has its successor there, and
 every other number its predecessor.  Partners 0 and m+1 fail on their
-own, as bit 0 is never shifted in and bit m+1 is never in N.  The bit
-sets tell only which slice fails first, so that slice alone is then
-read edge by edge, and the violation record names the same number,
-pair offset and path as a scan of every slice would.
+own, as bit 0 is never shifted in and bit m+1 is never in N.  The
+record is read off N itself: its bits are the path's numbers, and j is
+the least of them whose partner bit is missing, the number, pair
+offset and path that a scan of every slice, edge by edge, would name.
 
-The hook test costs O(1) per vertex pair, not one edge path per pair
-of edges.  With the tree rooted there too, the *odd side* of an edge
-set q is the set of edges whose path from the root to their far endpoint
-crosses q an odd number of times, the XOR over q of each edge's mask of
-the edges under it.  The path between two edges off q crosses q an
-odd number of times exactly when one of them is on q's odd side and
-the other is not, so a disjoint p hooks onto q exactly when p meets
-q's odd side without lying inside it.  A scan of p's edge pairs in id
-order would stop at the lowest edge of p and the lowest edge of p on
-the other side from it, so that is the pair a violation names, and
-one edge path gives its crossing count.
+With the tree rooted there too, the *odd side* of an edge set q is the
+set of edges whose path from the root to their far endpoint crosses q
+an odd number of times, the XOR over q of each edge's mask of the edges
+under it.  The path between two edges off q crosses q an odd number of
+times exactly when one of them is on q's odd side and the other is not,
+so a disjoint p hooks onto q exactly when p meets q's odd side without
+lying inside it.  The bijection search tests this row form, one odd
+side per vertex.  A scan of p's edge pairs in id order would stop at the
+lowest edge of p and the lowest edge of p on the other side from it, so
+that is the pair a violation names, and one edge path gives its
+crossing count.
+
+The bijection checker reads the same rule by columns.  The column C_f
+of a target edge f is the bit set of the source vertices whose image
+crosses the root path of f, f included, an odd number of times, so q
+is in C_f exactly when f is on the odd side of q's image.  One walk
+down the target gives every column, m XORs in all: C_f is the column
+of the edge above f XOR the two source endpoints of the edge mapped
+onto f.  A vertex p then hooks onto a vertex q of its parity class
+exactly when bit q is not the same in the columns of all of p's image,
+so each source vertex compares the columns of its image, masked to the
+other vertices of its class, and no vertex pair is visited.  Only on
+failure are pairs ordered: each vertex makes a pair with the least
+vertex its image hooks onto, and the least of these pairs, "p" before
+"q", is the first of the scan order.
 
 The bijection check is built once per pair of trees, from the source's
-depth-parity classes and the target's masks of the edges under each
-edge, and then applied to each mapping between them: a caller that
-checks many mappings between one pair reads both trees once.  It
-reports only the first failing vertex pair and which side hooks; the
-public checker alone reads that pair's two images again to build the
-violation record.
+depth-parity classes and the target's rooting, and then applied to
+each mapping between them: a caller that checks many mappings between
+one pair reads both trees once.
 """
 
 from __future__ import annotations
@@ -101,9 +112,6 @@ class Numbering:
         for eid, k in enumerate(nums):
             edge_of[k] = eid
         self._edge_of = tuple(edge_of)
-
-    def number_of(self, eid: int) -> int:
-        return self.numbers[eid]
 
     def edge_of(self, number: int) -> int:
         if not 1 <= number <= self.tree.m:
@@ -193,58 +201,18 @@ class HookViolation:
     crossing: int
 
 
-# -- hook test ---------------------------------------------------------------
-
-
-def _hook_pair(
-    tree: Tree, p_mask: int, q_mask: int, q_odd: int
-) -> tuple[int, int, int] | None:
-    """The first pair of p edges, in id order, whose path crosses the
-    disjoint q oddly, with that crossing count; or None.
-
-    ``q_odd`` is q's odd side.  Such a pair has one edge on the odd side
-    and one off it, so the first pair is the lowest p edge and the
-    lowest p edge on the other side from it.
-    """
-    x = p_mask & q_odd
-    if not x or x == p_mask:
-        return None
-    low = p_mask & -p_mask
-    other = p_mask ^ x if low & x else x
-    a = low.bit_length() - 1
-    b = (other & -other).bit_length() - 1
-    return (a, b, (tree.edge_path_mask(a, b) & q_mask).bit_count())
-
-
 # -- numbering check ---------------------------------------------------------
 
 
-def _slice_violation(nu: Numbering, k: int) -> NumberingPairViolation | None:
-    t = nu.tree
-    mask = t.edge_path_mask(nu.edge_of(k), nu.edge_of(k + 1))
-    path_edges = tuple(sorted(_iter_bits(mask)))
-    numbers = sorted(nu.number_of(e) for e in path_edges)
-    present = set(numbers)
-    for j in numbers:
-        partner = j + 1 if (j - k) % 2 == 0 else j - 1
-        if partner not in present:
-            return NumberingPairViolation(
-                k=k,
-                j=j,
-                s=(j - k) // 2,
-                path_edges=path_edges,
-                path_numbers=tuple(numbers),
-            )
-    return None
-
-
-def _numbering_checker(tree: Tree) -> Callable[[Sequence[int]], int | None]:
+def _numbering_checker(
+    tree: Tree,
+) -> Callable[[Sequence[int]], tuple[int, int] | None]:
     """The numbering check on one tree, built once for the tree.
 
     ``check(numbers)`` takes the number of each edge, by edge id, and
-    returns the first k whose slice is not self-standing, or None when
-    the numbering is friendly, by the number-space test of the module
-    docstring.
+    returns None when the numbering is friendly, else the first k whose
+    slice is not self-standing and the bit set N of the numbers on its
+    path, by the number-space test of the module docstring.
     """
     parent, up_edge, _, order = tree._rooted()
     m = tree.m
@@ -254,7 +222,7 @@ def _numbering_checker(tree: Tree) -> Callable[[Sequence[int]], int | None]:
     every_other = int("01" * (m // 2 + 1), 2)
     parity = (every_other & full, (every_other << 1) & full)
 
-    def check(numbers: Sequence[int]) -> int | None:
+    def check(numbers: Sequence[int]) -> tuple[int, int] | None:
         root_path = [0] * (m + 1)
         far = [0] * (m + 1)
         for v, p, e in steps:
@@ -265,7 +233,7 @@ def _numbering_checker(tree: Tree) -> Callable[[Sequence[int]], int | None]:
             between = (root_path[far[k]] ^ root_path[far[k + 1]]) & ~(3 << k)
             aligned = between & parity[k & 1]
             if aligned << 1 != between ^ aligned:
-                return k
+                return k, between
         return None
 
     return check
@@ -276,11 +244,26 @@ def check_friendly_numbering(nu: Numbering) -> NumberingPairViolation | None:
 
     The slices are tested in number space by ``_numbering_checker``, in
     O(m) big-int operations on an O(n·m)-bit table that lives only
-    during the call; the first slice that fails is then read edge by
-    edge to build the record, the one a scan of every slice finds.
+    during the call, and the record is read off the first failing
+    slice's bit set: the path numbers are its bits, and j is the least
+    of them whose partner bit is missing.
     """
-    k = _numbering_checker(nu.tree)(nu.numbers)
-    return None if k is None else _slice_violation(nu, k)
+    flaw = _numbering_checker(nu.tree)(nu.numbers)
+    if flaw is None:
+        return None
+    k, between = flaw
+    numbers = tuple(_iter_bits(between))
+    j = next(
+        j for j in numbers
+        if not between >> (j + 1 if (j - k) % 2 == 0 else j - 1) & 1
+    )
+    return NumberingPairViolation(
+        k=k,
+        j=j,
+        s=(j - k) // 2,
+        path_edges=tuple(sorted(nu._edge_of[i] for i in numbers)),
+        path_numbers=numbers,
+    )
 
 
 # -- bijection check ---------------------------------------------------------
@@ -288,53 +271,64 @@ def check_friendly_numbering(nu: Numbering) -> NumberingPairViolation | None:
 
 def _bijection_checker(
     source: Tree, target: Tree
-) -> Callable[[Sequence[int]], tuple[int, int, str] | None]:
+) -> Callable[[Sequence[int]], HookViolation | None]:
     """The bijection check between two trees, built once for the pair.
 
     ``check(mapping)`` takes the target edge id of each source edge, by
-    source edge id, and returns None when the mapping is friendly, or
-    the first failing vertex pair and its hooking side,
-    ``(p_vertex, q_vertex, hooking)``, the three fields that
-    ``check_friendly_bijection``'s record starts with.  Each call builds
-    every source vertex's image and its odd side in one pass over the
-    source edges, then scans the vertex pairs in the checker's order.
+    source edge id, and returns None when the mapping is friendly, else
+    the first violation, by the column test of the module docstring.
     """
-    under = target._under_masks()
-    edges = source.edges
-    n = source.n
+    parent, up_edge, _, order = target._rooted()
+    steps = [(v, parent[v], up_edge[v]) for v in order[1:]]
+    far = [0] * target.m
+    for v, _, f in steps:
+        far[f] = v
+    ends = [1 << u | 1 << v for u, v in source.edges]
     side = source.bipartition()
-    classes = ([], [])
-    for v in range(n):
-        classes[side[v]].append(v)
-    # per vertex, the later vertices of its class: a slice made per call,
-    # since the slices kept for all vertices would fill O(n^2) memory
-    scan = sorted(
-        (p_v, cls, i + 1) for cls in classes for i, p_v in enumerate(cls[:-1])
-    )
+    classes = [0, 0]
+    for v, c in enumerate(side):
+        classes[c] |= 1 << v
+    # each source vertex, each two consecutive edges of its coboundary,
+    # and the other vertices of its class
+    links = [
+        (v, row[i - 1][1], row[i][1], classes[side[v]] ^ 1 << v)
+        for v, row in enumerate(source.adj) for i in range(1, len(row))
+    ]
 
-    def check(mapping: Sequence[int]) -> tuple[int, int, str] | None:
-        masks = [0] * n
-        odds = [0] * n
-        for e, (u, v) in enumerate(edges):
-            f = mapping[e]
-            bit = 1 << f
-            masks[u] |= bit
-            masks[v] |= bit
-            odd = under[f]
-            odds[u] ^= odd
-            odds[v] ^= odd
-        for p_v, cls, start in scan:
-            p_mask = masks[p_v]
-            p_odd = odds[p_v]
-            for q_v in cls[start:]:
-                q_mask = masks[q_v]
-                x = p_mask & odds[q_v]
-                if x and x != p_mask:
-                    return p_v, q_v, "p"
-                x = q_mask & p_odd
-                if x and x != q_mask:
-                    return p_v, q_v, "q"
-        return None
+    def check(mapping: Sequence[int]) -> HookViolation | None:
+        onto = [0] * target.m
+        for e, f in enumerate(mapping):
+            onto[f] = ends[e]
+        column = [0] * target.n
+        for v, p, f in steps:
+            column[v] = column[p] ^ onto[f]
+        # the column of each source edge's image
+        col = [column[far[f]] for f in mapping]
+        # per source vertex, the vertices its image hooks onto, if any
+        hooks: dict[int, int] = {}
+        for v, e, g, mask in links:
+            x = (col[e] ^ col[g]) & mask
+            if x:
+                hooks[v] = hooks.get(v, 0) | x
+        if not hooks:
+            return None
+        # each vertex v makes a hooked pair with the least vertex, low, that
+        # it hooks onto, "p" when v is the smaller and "q" when low is; the
+        # least of these pairs is the first of all
+        hooked = []
+        for v, x in hooks.items():
+            low = (x & -x).bit_length() - 1
+            hooked.append((low, v, "q") if low < v else (v, low, "p"))
+        p_v, q_v, hooking = min(hooked)
+        hook, other = (p_v, q_v) if hooking == "p" else (q_v, p_v)
+        # the hooking image by edge id, with the side of the other's image
+        # that each of its edges lies on
+        image = sorted((mapping[e], col[e] >> other & 1) for _, e in source.adj[hook])
+        a, a_side = image[0]
+        c = next(f for f, f_side in image if f_side != a_side)
+        other_mask = sum(1 << mapping[e] for _, e in source.adj[other])
+        crossing = (target.edge_path_mask(a, c) & other_mask).bit_count()
+        return HookViolation(p_v, q_v, hooking, (a, c), crossing)
 
     return check
 
@@ -344,29 +338,9 @@ def check_friendly_bijection(b: EdgeBijection) -> HookViolation | None:
 
     Vertices are scanned by id; for each even-distance pair the image
     of the smaller vertex's coboundary is tested as hooking side "p"
-    first, then the other direction.  ``_bijection_checker`` finds the
-    pair; only then are the pair's two images and the odd side of the
-    one hooked onto rebuilt, for ``_hook_pair`` to name the edge pair
-    and its crossing count.
+    first, then the other direction.
     """
-    flaw = _bijection_checker(b.source, b.target)(b.mapping)
-    if flaw is None:
-        return None
-    under = b.target._under_masks()
-
-    def image(v: int) -> tuple[int, int]:
-        mask = odd = 0
-        for _, e in b.source.adj[v]:
-            f = b.mapping[e]
-            mask |= 1 << f
-            odd ^= under[f]
-        return mask, odd
-
-    p_v, q_v, hooking = flaw
-    hook_mask, _ = image(p_v if hooking == "p" else q_v)
-    other_mask, other_odd = image(q_v if hooking == "p" else p_v)
-    a, c, crossing = _hook_pair(b.target, hook_mask, other_mask, other_odd)
-    return HookViolation(p_v, q_v, hooking, (a, c), crossing)
+    return _bijection_checker(b.source, b.target)(b.mapping)
 
 
 Witness = TypeVar("Witness", Numbering, EdgeBijection)

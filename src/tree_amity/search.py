@@ -326,13 +326,14 @@ def _friendly_mappings(
     Placing target edge f on source edge e adds f's bit to the images of
     both ends of e, and f's mask of the edges under it to their odd
     sides, on top of what the two held when depth i opened; depth i then
-    tests only the vertex pairs in ``closing[i]``, by the checker's hook
-    test both ways (even-distance vertices have disjoint coboundaries,
-    so this is exactly the reference checker's test).  Every pair is
-    decided at one depth on every path, so each complete assignment is
-    friendly and none is built to be rejected.  Yields the target edge
-    of each source edge, by source edge id, in one list that the walk
-    goes on to change: copy it to keep it.
+    tests only the vertex pairs in ``closing[i]``, both ways, by the row
+    form of the hook rule, which the reference checker reads by columns
+    (even-distance vertices have disjoint coboundaries, so the row form
+    is exact on them).  Every pair is decided at one depth on every
+    path, so each complete assignment is friendly and none is built to
+    be rejected.  Yields the target edge of each source edge, by source
+    edge id, in one list that the walk goes on to change: copy it to
+    keep it.
 
     Each of the two twin rules keeps twin leaf edges in id order on one
     side.  With ``target_twins`` set, a target edge becomes free only

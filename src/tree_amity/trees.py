@@ -383,10 +383,11 @@ def _name_the_fault(edge_list: list[tuple[int, int]], n: int) -> NoReturn:
         seen.add(key)
     if len(edge_list) >= n:
         raise CycleDetected(f"{len(edge_list)} edges on {n} vertices form a cycle")
-    # union-find, small and sufficient at this scale
-    root = list(range(n))
+    # union-find over the ids the edges name, whatever n is
+    root: dict[int, int] = {}
 
     def find(x: int) -> int:
+        root.setdefault(x, x)
         while root[x] != x:
             root[x] = root[root[x]]
             x = root[x]

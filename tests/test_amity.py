@@ -45,9 +45,7 @@ from tree_amity import (
 )
 from tree_amity.amity import (
     _bijection_checker,
-    _hook_pair,
     _numbering_checker,
-    _slice_violation,
     path_tree,
 )
 
@@ -80,7 +78,7 @@ def test_containers_reject_non_integer_entries():
 def test_numbering_lookups():
     t = path(3)
     nu = Numbering(t, (2, 3, 1))
-    assert nu.number_of(0) == 2
+    assert nu.numbers[0] == 2
     assert nu.edge_of(3) == 1
     assert [nu.edge_of(k) for k in (1, 2, 3)] == [2, 0, 1]
 
@@ -164,6 +162,25 @@ def test_violation_fields_replay(case):
 # -- numbering checker vs the slice scan ------------------------------------------
 
 
+def _slice_violation(nu, k):
+    """Slice k's violation, read edge by edge off its edge path, or None."""
+    mask = nu.tree.edge_path_mask(nu.edge_of(k), nu.edge_of(k + 1))
+    path_edges = tuple(e for e in range(nu.tree.m) if mask >> e & 1)
+    numbers = sorted(nu.numbers[e] for e in path_edges)
+    present = set(numbers)
+    for j in numbers:
+        partner = j + 1 if (j - k) % 2 == 0 else j - 1
+        if partner not in present:
+            return NumberingPairViolation(
+                k=k,
+                j=j,
+                s=(j - k) // 2,
+                path_edges=path_edges,
+                path_numbers=tuple(numbers),
+            )
+    return None
+
+
 def _slice_scan(nu):
     """The first violation found slice by slice, edge by edge."""
     for k in range(1, nu.tree.m):
@@ -207,6 +224,27 @@ def test_checker_matches_the_slice_scan_at_size(nu):
     assert check_friendly_numbering(nu) == _slice_scan(nu)
 
 
+def test_checker_reads_the_record_off_its_bit_sets(monkeypatch):
+    """The record comes from the failing slice's bit set, with no edge
+    path climbed."""
+    rng = random.Random(31)
+    cases = [Numbering(path(3), (1, 3, 2))]
+    for m in (8, 40, 120):
+        t = random_trunk_tree(m, rng)
+        numbers = list(number_by_trunk(t).numbers)
+        a, b = rng.sample(range(m), 2)
+        numbers[a], numbers[b] = numbers[b], numbers[a]
+        cases += [Numbering(t, numbers), Numbering(t, rng.sample(range(1, m + 1), m))]
+    want = [_slice_scan(nu) for nu in cases]
+    assert want[0] == NumberingPairViolation(1, 3, 1, (1,), (3,))
+
+    def refuse(tree, e1, e2):
+        raise AssertionError("the numbering checker climbed an edge path")
+
+    monkeypatch.setattr(Tree, "edge_path_mask", refuse)
+    assert [check_friendly_numbering(nu) for nu in cases] == want
+
+
 @pytest.mark.parametrize("m", range(3, 10))
 def test_checker_finds_partners_outside_one_to_m(m):
     """Number m on a path of its own parity lacks partner m+1, and number
@@ -218,7 +256,7 @@ def test_checker_finds_partners_outside_one_to_m(m):
     for numbers, k, j, partner in ((high, m - 2, m, m + 1), (low, 2, 1, 0)):
         for t in (path(m), relabeled(path(m), random.Random(m))):
             nu = Numbering(t, numbers)
-            assert _numbering_checker(t)(numbers) == k
+            assert _numbering_checker(t)(numbers)[0] == k
             flaw = check_friendly_numbering(nu)
             assert flaw == _slice_scan(nu)
             assert (flaw.k, flaw.j, flaw.partner()) == (k, j, partner)
@@ -230,15 +268,21 @@ def test_checker_finds_partners_outside_one_to_m(m):
 
 
 def _hook(t, p, q):
-    """The checker's hook test of disjoint edge sets p onto q, on masks
-    and an odd side built here from the tree's masks of the edges under
-    each edge."""
+    """The first pair of p edges whose path crosses the disjoint q oddly,
+    by ``_scan_hook_pair``, after the row form of the hook test that the
+    bijection walk runs has agreed that there is one: p meets q's odd
+    side, built from the tree's masks of the edges under each edge,
+    without lying inside it."""
     under = t._under_masks()
+    p_mask = sum(1 << e for e in p)
     q_mask = q_odd = 0
     for e in q:
         q_mask |= 1 << e
         q_odd ^= under[e]
-    return _hook_pair(t, sum(1 << e for e in p), q_mask, q_odd)
+    x = p_mask & q_odd
+    pair = _scan_hook_pair(_edge_pairs(t, sorted(p)), q_mask)
+    assert (pair is not None) == bool(x and x != p_mask), (t.edges, p, q)
+    return pair
 
 
 def test_hook_basics_on_a_path():
@@ -346,14 +390,19 @@ def test_bijection_checker_matches_oracle_random(s, data):
 # -- the hook test against the quadratic scan it replaced ---------------------------
 
 
-def _scan_hook_pair(tree, p_edges, q_mask):
-    """The first pair of p edges, in id order, whose path crosses q an
-    odd number of times, found by trying every pair."""
-    for i, a in enumerate(p_edges):
-        for b in p_edges[i + 1 :]:
-            crossing = (tree.edge_path_mask(a, b) & q_mask).bit_count()
-            if crossing % 2:
-                return (a, b, crossing)
+def _edge_pairs(tree, p_edges):
+    """Every pair of p edges, in id order, with the path between them."""
+    return [(a, b, tree.edge_path_mask(a, b)) for a, b in itertools.combinations(p_edges, 2)]
+
+
+def _scan_hook_pair(pairs, q_mask):
+    """The first of p's edge pairs from ``_edge_pairs`` whose path crosses
+    q an odd number of times, with that count, found by trying every
+    pair."""
+    for a, b, path in pairs:
+        crossing = (path & q_mask).bit_count()
+        if crossing % 2:
+            return (a, b, crossing)
     return None
 
 
@@ -363,12 +412,13 @@ def _scan_check(b):
     side = g1.bipartition()
     images = [sorted(b.mapping[e] for _, e in g1.adj[v]) for v in range(g1.n)]
     masks = [sum(1 << f for f in image) for image in images]
+    pairs = [_edge_pairs(g2, image) for image in images]
     for p_v in range(g1.n):
         for q_v in range(p_v + 1, g1.n):
             if side[q_v] != side[p_v]:
                 continue
             for hooking, a, c in (("p", p_v, q_v), ("q", q_v, p_v)):
-                hit = _scan_hook_pair(g2, images[a], masks[c])
+                hit = _scan_hook_pair(pairs[a], masks[c])
                 if hit is not None:
                     return HookViolation(p_v, q_v, hooking, hit[:2], hit[2])
     return None
@@ -411,21 +461,64 @@ def test_bijection_checker_matches_the_scan_random(b):
         _assert_real_hook(b, flaw)
 
 
+def test_bijection_checker_matches_the_scan_on_a_sample_at_six_edges():
+    # every mapping at six edges takes seconds to scan, so a seeded sample
+    # of them, between the trees as enumerated and relabelled
+    rng = random.Random(6)
+    shapes = all_trees(6)
+    shapes += tuple(relabeled(t, rng) for t in shapes)
+    for _ in range(3000):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        b = EdgeBijection(rng.choice(shapes), rng.choice(shapes), perm)
+        assert check_friendly_bijection(b) == _scan_check(b), (b.source.edges, b.target.edges, perm)
+
+
+@pytest.mark.parametrize("m", [1000, 2000])
+def test_bijection_checker_matches_the_scan_on_large_path_views(m):
+    """A trunk numbering's path view is friendly and is scanned to its
+    last vertex pair; with two images swapped it fails deep in the scan."""
+    rng = random.Random(m)
+    b = numbering_to_path_bijection(number_by_trunk(random_trunk_tree(m, rng)))
+    mapping = list(b.mapping)
+    i, j = rng.sample(range(m), 2)
+    mapping[i], mapping[j] = mapping[j], mapping[i]
+    swapped = EdgeBijection(b.source, b.target, mapping)
+    assert check_friendly_bijection(b) is None and _scan_check(b) is None
+    flaw = check_friendly_bijection(swapped)
+    assert flaw is not None and flaw == _scan_check(swapped)
+
+
+def test_bijection_checker_reads_no_odd_sides(monkeypatch):
+    """The checker's columns come from one walk down the target, not from
+    the masks of the edges under each edge that the search's rows use."""
+    rng = random.Random(31)
+    cases = [EdgeBijection(path(3), path(3), (1, 0, 2)), EdgeBijection(path(3), path(3), (0, 1, 2))]
+    for m in (8, 40, 120):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        cases.append(EdgeBijection(random_prufer_tree(m, rng), random_prufer_tree(m, rng), perm))
+        cases.append(numbering_to_path_bijection(number_by_trunk(random_trunk_tree(m, rng))))
+    want = [_scan_check(b) for b in cases]
+    assert None in want and want[0] == HookViolation(0, 2, "q", (0, 2), 1)
+
+    def refuse(tree):
+        raise AssertionError("the bijection checker read the odd sides")
+
+    monkeypatch.setattr(Tree, "_under_masks", refuse)
+    assert [check_friendly_bijection(b) for b in cases] == want
+
+
 def test_one_checker_per_pair_matches_a_fresh_check_on_every_mapping():
     # one checker runs every permutation in turn, so a state that leaked
-    # from one call into the next would show as a different pair; it
-    # reports the first three fields of the fresh record
+    # from one call into the next would show as a different record
     for m in range(1, 6):
         for s in all_trees(m):
             for t in all_trees(m):
                 check = _bijection_checker(s, t)
                 for perm in itertools.permutations(range(m)):
                     fresh = check_friendly_bijection(EdgeBijection(s, t, perm))
-                    want = (
-                        None if fresh is None
-                        else (fresh.p_vertex, fresh.q_vertex, fresh.hooking)
-                    )
-                    assert check(perm) == want, (s.edges, t.edges, perm)
+                    assert check(perm) == fresh, (s.edges, t.edges, perm)
 
 
 def test_hook_violation_replays():
@@ -457,7 +550,7 @@ def test_numbering_to_path_bijection_sends_position_to_number():
     b = numbering_to_path_bijection(nu)
     assert b.source.m == t.m
     for i in range(t.m):
-        assert nu.number_of(b.mapping[i]) == i + 1
+        assert nu.numbers[b.mapping[i]] == i + 1
 
 
 @settings(max_examples=120)

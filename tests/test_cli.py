@@ -672,18 +672,24 @@ def test_failed_reverification_exits_internal(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_reverification_exits_internal_under_optimize(tmp_path):
+    """A numbering witness and a bijection witness that fail their
+    re-check stop the command under -O too."""
     t = tree_file(tmp_path, "t.txt", path(3))
-    script = (
-        "import sys\n"
-        "from tree_amity import amity\n"
-        "from tree_amity.cli import main\n"
-        "amity.check_friendly_numbering = lambda nu: 'fake violation'\n"
-        "raise SystemExit(main(sys.argv[1:]))\n"
-    )
-    proc = _run_python("-O", "-c", script, "number", t)
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error: VerificationFailed")
+    for checker, command in (
+        ("check_friendly_numbering", ["number", t]),
+        ("check_friendly_bijection", ["search", t, t]),
+    ):
+        script = (
+            "import sys\n"
+            "from tree_amity import amity\n"
+            "from tree_amity.cli import main\n"
+            f"amity.{checker} = lambda witness: 'fake violation'\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        proc = _run_python("-O", "-c", script, *command)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal error: VerificationFailed")
 
 
 def test_cb_pair_without_a_split_exits_internal(tmp_path, capsys, monkeypatch):

@@ -67,6 +67,13 @@ def test_rejects_disconnected():
         Tree([(0, 1), (1, 2)], 4)
 
 
+def test_rejects_huge_ids_as_disconnected():
+    # the fault is named in time and memory linear in the edges, not n
+    for edges, count in (([(0, 10**20)], None), ([], 10**20), ([], 2**62), ([(0, 2**62)], None)):
+        with pytest.raises(Disconnected):
+            Tree(edges, count)
+
+
 def test_rejects_non_integer_ids():
     """Ids and the vertex count must be integers; none is truncated."""
     for edges, count in (([(0, 1.9)], None), ([(0, "1")], None), ([(0, 1)], 2.5)):
