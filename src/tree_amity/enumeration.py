@@ -125,20 +125,17 @@ def enumerate_free_trees(m: int) -> Iterator[Tree]:
 
 
 def _shapes(m: int) -> Iterator[tuple[Tree, str]]:
-    """The trees of ``enumerate_free_trees``, each with its canonical
-    code, in the order they are generated.
+    """The trees of ``enumerate_free_trees``, in its order, each with its
+    canonical code.
 
     The code is read off the centered sequence, or with two centers off
-    the other center's, as the module docstring argues.  The order is
-    not that of ``enumerate_free_trees``, which is the decreasing order
-    of the trees' ``edges``: vertex i's parent is the most recent vertex
-    one level up, so at the first vertex where two representatives
-    differ, the one with the deeper vertex has the later parent.
+    the other center's, as the module docstring argues.
 
     One size's representatives and codes are made in one pass and held,
-    about 16 MB at m = 16, and the trees are built one at a time as they
-    are yielded: made one by one between a survey's records instead, the
-    same work ran ``sweep_question_path(12)`` about 10% slower (2-core VM).
+    about 16 MB at m = 16, while they are sorted, and the trees are built
+    one at a time as they are yielded: made one by one between a survey's
+    records instead, the same work ran ``sweep_question_path(12)`` about
+    10% slower (2-core VM).
     """
 
     shapes = []
@@ -147,6 +144,7 @@ def _shapes(m: int) -> Iterator[tuple[Tree, str]]:
         if two:  # rooted at A's root: c with R, then A's subtrees
             seq = [1, 2] + [x + 1 for x in seq[r:]] + [x - 1 for x in seq[2:r]]
         shapes.append((rep, _level_code(seq)))
+    shapes.sort(reverse=True)  # representatives are distinct
     for rep, code in shapes:
         yield _representative(rep), code
 

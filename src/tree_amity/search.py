@@ -121,10 +121,24 @@ class SearchResult:
     elapsed: float
 
 
-def _twin_before(tree: Tree) -> list[int]:
-    """For each edge, the next smaller leaf edge on the same vertex, or -1."""
+def _twins(tree: Tree) -> tuple[list[int], int, list[int], int]:
+    """The twin rule that both searches and the audit read: twin leaf
+    edges, which hang from the same vertex, go in id order.
+
+    Returns, from one pass over the edges: per edge the next smaller
+    twin, or -1; the edges with no smaller twin, free to place first, as
+    a mask; per edge the next larger twin, which placing it frees, as a
+    bit; and the number of ways to permute twins among themselves, the
+    product of k! over the twin classes of k edges, which is the product
+    of each edge's rank in its class.
+    """
     before = [-1] * tree.m
+    free = (1 << tree.m) - 1
+    frees = [0] * tree.m
+    swaps = 1
+    # per vertex, its last leaf edge so far and how many it has had
     last = [-1] * tree.n
+    rank = [0] * tree.n
     for e, (u, v) in enumerate(tree.edges):
         if tree.degrees[u] == 1:
             hub = v
@@ -132,35 +146,15 @@ def _twin_before(tree: Tree) -> list[int]:
             hub = u
         else:
             continue
-        before[e] = last[hub]
-        last[hub] = e
-    return before
-
-
-def _twin_frees(tree: Tree) -> tuple[int, list[int]]:
-    """The edges free to place first when twin leaf edges go in id
-    order, as a mask, and per edge the next twin that placing it frees,
-    as a bit."""
-    free = (1 << tree.m) - 1
-    frees = [0] * tree.m
-    for f, g in enumerate(_twin_before(tree)):
+        g = last[hub]
         if g >= 0:
-            free ^= 1 << f
-            frees[g] = 1 << f
-    return free, frees
-
-
-def _twin_swaps(tree: Tree) -> int:
-    """The number of ways to permute twin leaf edges among themselves,
-    the product of k! over the twin classes of k edges: an edge's rank
-    in its class is one more than its smaller twin's, and the product
-    of the ranks is that number."""
-    rank = [0] * tree.m
-    swaps = 1
-    for e, g in enumerate(_twin_before(tree)):
-        rank[e] = rank[g] + 1 if g >= 0 else 1
-        swaps *= rank[e]
-    return swaps
+            before[e] = g
+            free ^= 1 << e
+            frees[g] = 1 << e
+        last[hub] = e
+        rank[hub] += 1
+        swaps *= rank[hub]
+    return before, free, frees, swaps
 
 
 def _limits(budget: SearchBudget | None, start: float) -> tuple[float, float]:
@@ -205,11 +199,11 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     partner m + 1 would be, needs no test: the path's other numbers then
     pair up, so m would make its length odd.  Twin leaf edges are
     numbered in increasing id order (an edge is a candidate only once
-    its smaller twin is numbered); the first friendly numbering in scan
-    order always does, so it is the witness.  The paths it asks for are
-    kept in a dict keyed by the edge pair, which lives only as long as
-    the call.  Every witness is re-verified through the reference
-    checker before being returned.
+    its smaller twin is numbered, by the masks of ``_twins``); the first
+    friendly numbering in scan order always does, so it is the witness.
+    The paths it asks for are kept in a dict keyed by the edge pair,
+    which lives only as long as the call.  Every witness is re-verified
+    through the reference checker before being returned.
     """
 
     start = time.monotonic()
@@ -224,7 +218,7 @@ def search_numbering(tree: Tree, budget: SearchBudget | None = None) -> SearchRe
     # the bits k of each parity
     parity = [sum(1 << k for k in range(j, m, 2)) for j in (0, 1)]
     path_masks: dict[tuple[int, int], int] = {}
-    free, frees = _twin_frees(tree)
+    _, free, frees, _ = _twins(tree)
     # per depth: the edges still to try, and the free ones
     todo = [0] * (m + 1)
     free_at = [0] * (m + 1)
@@ -335,11 +329,11 @@ def _friendly_mappings(
     edge id, in one list that the walk goes on to change: copy it to
     keep it.
 
-    Each of the two twin rules keeps twin leaf edges in id order on one
-    side.  With ``target_twins`` set, a target edge becomes free only
-    when its smaller twin is placed; with ``source_twins`` set, a source
-    twin's candidates are cut below the image of its smaller twin,
-    placed before it.  The search walks with both, the audit with the
+    Each of the two twin rules keeps twin leaf edges, as ``_twins`` finds
+    them, in id order on one side.  With ``target_twins`` set, a target
+    edge becomes free only when its smaller twin is placed; with
+    ``source_twins`` set, a source twin's candidates are cut below the
+    image of its smaller twin, placed before it.  The search walks with both, the audit with the
     target rule only, which yields one bijection of each orbit under the
     target's twin swaps.  The walk returns BUDGET_EXCEEDED and the node
     count once the count passes ``limit`` or the clock passes
@@ -361,9 +355,9 @@ def _friendly_mappings(
     free, frees = (1 << m) - 1, [0] * m
     above = [-1] * m
     if target_twins:
-        free, frees = _twin_frees(target)
+        _, free, frees, _ = _twins(target)
     if source_twins:
-        twin = _twin_before(source)
+        twin = _twins(source)[0]
         above = [twin[e] for e in order]
     # per depth: the target edges still to try, the free ones, and the
     # images and odd sides of the two endpoints before it places
@@ -544,7 +538,8 @@ class AuditReport:
 def _audit_worker(pair: tuple[tuple[Tree, str], tuple[Tree, str]]) -> AuditRecord:
     """The audit record of one pair of trees with their codes, from one
     friendly bijection per orbit under b's twin swaps, its counts scaled
-    by the orbit size."""
+    by the orbit size; ``_twins`` gives both the walk's rule and the
+    size."""
     (a, code_a), (b, code_b) = pair
     backward = _bijection_checker(b, a)
     inverse = [0] * a.m
@@ -556,7 +551,7 @@ def _audit_worker(pair: tuple[tuple[Tree, str], tuple[Tree, str]]) -> AuditRecor
             inverse[dst] = src
         if backward(inverse) is not None:
             failures += 1
-    orbit = _twin_swaps(b)
+    orbit = _twins(b)[3]
     return AuditRecord(
         code_a, code_b, a.m, math.factorial(a.m),
         friendly * orbit, failures * orbit,
@@ -585,8 +580,7 @@ def symmetry_audit(max_edges: int, jobs: int = 1) -> AuditReport:
         raise ShapeMismatch("max_edges must be at least 1")
     pairs = []
     for m in range(1, max_edges + 1):
-        # in the order of enumerate_free_trees, which orients each pair
-        shapes = sorted(_shapes(m), key=lambda shape: shape[0].edges, reverse=True)
+        shapes = list(_shapes(m))
         pairs.extend((a, b) for i, a in enumerate(shapes) for b in shapes[i:])
     records = _run_jobs(_audit_worker, pairs, jobs)
     records.sort(key=lambda r: (r.edges, r.code_a, r.code_b))
@@ -683,7 +677,7 @@ def _survey(
 def _lift(
     tree: Tree,
     below: dict[str, str],
-    parents: dict[str, tuple] | None = None,
+    parents: dict[str, tuple],
 ) -> tuple[Numbering, str] | None:
     """A friendly numbering of ``tree`` lifted from a witness one edge
     smaller, with the detail that replays it, or None.
@@ -703,8 +697,6 @@ def _lift(
     each witness once.
     """
     m = tree.m
-    if parents is None:
-        parents = {}
     check = _numbering_checker(tree)
     for leaf, (u, v) in enumerate(tree.edges):
         x = v if tree.degrees[v] == 1 else u

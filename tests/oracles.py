@@ -6,7 +6,8 @@ first search distances and paths, a naive friendliness checker for
 numberings and for bijections, the first friendly numbering and
 bijection in the searches' scan order, found by trying every
 assignment, Pruefer coding, brute force isomorphism
-and automorphism tests, the canonical code string coded afresh from
+and automorphism tests, twin leaf edges and how many ways they can
+be swapped, the canonical code string coded afresh from
 each center, the canonical order with every vertex's code held at
 once, counting oracles for unlabeled trees, and
 linear-time references (diameter, leaf distances, trunks) for trees too
@@ -735,6 +736,32 @@ def is_automorphism(edges, perm):
     """True when relabeling every vertex v as perm[v] keeps the edge set."""
     want = {frozenset(e) for e in edges}
     return {frozenset((perm[u], perm[v])) for u, v in edges} == want
+
+
+def twin_classes(edges, n):
+    """The leaf edges of a tree grouped by the vertex they hang from, the
+    end that is not a leaf, each group as a sorted list of edge ids.  The
+    one edge of a two-vertex tree is a group of its own."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    groups = {}
+    for e, (u, v) in enumerate(edges):
+        if degree[u] == 1 or degree[v] == 1:
+            groups.setdefault(u if degree[v] == 1 else v, []).append(e)
+    return sorted(groups.values())
+
+
+def twin_swap_count(edges, n):
+    """How many ways the leaf edges hanging from each vertex can be
+    permuted among themselves: the product of k! over the groups of
+    ``twin_classes``, k edges each."""
+    count = 1
+    for group in twin_classes(edges, n):
+        for k in range(2, len(group) + 1):
+            count *= k
+    return count
 
 
 def edges_connected(edges, eids):

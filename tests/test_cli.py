@@ -412,6 +412,34 @@ def test_reports_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+# sha256 of each report at --jobs 1, and of the enumerate output: a
+# change to any record, its order or its layout shows here
+REPORT_DIGESTS = {
+    ("sweep", "--kind", "question-path", "-m", "9"):
+        "6cec976975579fa45bd0c985c149e19264ad3cf9e828703ffd8ef97944edeca3",
+    ("sweep", "--kind", "d4", "-m", "8"):
+        "9e7c45303ef51b0a7fe8bfdff97d7052f522e87adb251837eee26fc63e7f26e4",
+    ("sweep", "--kind", "odd", "-m", "9"):
+        "4233c52a5e3e9b2605ebb3e517f356cb3e26b9f073a0a3c05f20e38ff859d4f6",
+    ("sweep", "--kind", "cb", "--n1", "5", "--n2", "5", "--confirm"):
+        "dd651e3eb80cc57157ede871bf7d55da56dad6164ea167d2b539d7c9623685c4",
+    ("audit-symmetry", "-m", "5"):
+        "acd7942ad2875d2169d145178a9545004dd9a6659dc90f54f4d8489b084105c4",
+}
+ENUMERATE_6_DIGEST = "33005f596241c7ac6a20e14b542c2339e0d3013aa504d8de70b45c54b8c6f489"
+
+
+def test_reports_match_their_pinned_digests(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv, want in REPORT_DIGESTS.items():
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, argv
+    capsys.readouterr()
+    assert main(["enumerate", "-m", "6"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_6_DIGEST
+
+
 def test_audit_symmetry_cli(tmp_path, capsys):
     out = str(tmp_path / "audit.json")
     assert main(["audit-symmetry", "-m", "3", "--out", out]) == 0

@@ -105,8 +105,9 @@ def test_enumeration_never_calls_tree_canonical_code(monkeypatch):
 
 
 def test_shapes_codes_and_centers_match_fresh_trees():
-    """The fast path against the slow one, for every shape with 1 to 12
-    edges: the code read off the level sequence is the one
+    """The fast path against the slow one, for every shape with 0 to 12
+    edges: the trees are those of ``enumerate_free_trees`` in its order,
+    the code read off the level sequence is the one
     ``Tree.canonical_code`` computes on a fresh copy of the tree, the
     least of its center codes, and the centers each tree arrives with
     are those leaf stripping finds on that copy.  Two-center trees whose
@@ -114,11 +115,10 @@ def test_shapes_codes_and_centers_match_fresh_trees():
     among them."""
 
     two_centers = differing = 0
-    for m in range(1, 13):
+    for m in range(0, 13):
         shapes = list(_shapes(m))
-        # the trees of enumerate_free_trees, which orders them by edges
-        want = [t.edges for t in all_trees(m)]
-        assert sorted([t.edges for t, _ in shapes], reverse=True) == want
+        want = [(t.edges, t.n) for t in all_trees(m)]
+        assert [(t.edges, t.n) for t, _ in shapes] == want
         for tree, code in shapes:
             preset = tree._centers
             fresh = Tree(tree.edges, tree.n)

@@ -46,8 +46,7 @@ from tree_amity import amity
 from tree_amity.cli import main
 from tree_amity.errors import VerificationFailed
 from tree_amity.search import (
-    AuditRecord, _closing_order, _fields, _friendly_mappings, _lift, _twin_before,
-    _twin_swaps,
+    AuditRecord, _closing_order, _fields, _friendly_mappings, _lift, _twins,
 )
 
 EXHAUSTIVE = SearchBudget(exhaustive=True)
@@ -127,7 +126,7 @@ def test_pruning_keeps_the_numbering_witness():
 
 def test_twins_are_swapped_by_an_automorphism():
     for t in trees_up_to(8):
-        before = _twin_before(t)
+        before = _twins(t)[0]
         for e, (u, v) in enumerate(t.edges):
             twins = []
             for f in range(e):
@@ -141,6 +140,26 @@ def test_twins_are_swapped_by_an_automorphism():
                 if oracles.is_automorphism(t.edges, perm):
                     twins.append(f)
             assert before[e] == max(twins, default=-1), (t.edges, e)
+
+
+def test_twins_agree_with_the_twin_classes_up_to_9_edges():
+    # every tree with 1 to 9 edges as enumerated and under three seeded
+    # relabellings of its vertices, edge order and edge ends: the smaller
+    # twins, the masks and the swap count all follow the oracle's classes
+    rng = random.Random(9)
+    for t in trees_up_to(9):
+        for tree in (t, *(shuffled(t, rng) for _ in range(3))):
+            before, free, frees, swaps = _twins(tree)
+            want = [-1] * tree.m
+            for twins in oracles.twin_classes(tree.edges, tree.n):
+                for g, e in zip(twins, twins[1:]):
+                    want[e] = g
+            assert before == want, tree.edges
+            assert free == sum(1 << e for e, g in enumerate(before) if g < 0), tree.edges
+            assert frees == [
+                sum(1 << e for e, g in enumerate(before) if g == f) for f in range(tree.m)
+            ], tree.edges
+            assert swaps == oracles.twin_swap_count(tree.edges, tree.n), tree.edges
 
 
 def test_numbering_search_runs_1500_deep():
@@ -365,7 +384,7 @@ def test_audit_matches_every_bijection_pair_by_pair_at_six_edges():
 
 def _source_twins_in_order(a, perm):
     """Whether each source twin's image lies above its smaller twin's."""
-    return all(g < 0 or perm[g] < perm[e] for e, g in enumerate(_twin_before(a)))
+    return all(g < 0 or perm[g] < perm[e] for e, g in enumerate(_twins(a)[0]))
 
 
 def _target_twins_in_order(a, b, perm):
@@ -375,7 +394,7 @@ def _target_twins_in_order(a, b, perm):
     placed = [0] * a.m
     for e, f in enumerate(perm):
         placed[f] = rank[e]
-    return all(g < 0 or placed[g] < placed[f] for f, g in enumerate(_twin_before(b)))
+    return all(g < 0 or placed[g] < placed[f] for f, g in enumerate(_twins(b)[0]))
 
 
 def test_walk_yields_exactly_the_friendly_permutations():
@@ -399,7 +418,7 @@ def test_walk_yields_exactly_the_friendly_permutations():
                 assert set(target) == {
                     perm for perm in brute if _target_twins_in_order(a, b, perm)
                 }, (a.edges, b.edges)
-                assert len(target) * _twin_swaps(b) == len(brute), (a.edges, b.edges)
+                assert len(target) * _twins(b)[3] == len(brute), (a.edges, b.edges)
                 ruled = [tuple(mp) for _, mp in _friendly_mappings(a, b, True, True)]
                 assert len(ruled) == len(set(ruled)), (a.edges, b.edges)
                 assert set(ruled) == {
@@ -823,9 +842,10 @@ def test_lift_or_search_agrees_with_search_up_to_11_edges(survey_calls):
     lifted = 0
     for m in range(2, 12):
         below = {r.code: r.witness for r in report.records if r.edges == m - 1}
+        parents = {}
         for t in all_trees(m):
             want = search_numbering(t, EXHAUSTIVE).status
-            got = _lift(t, below)
+            got = _lift(t, below, parents)
             if got is None:
                 continue  # the fallback is the very search above
             nu, _ = got
