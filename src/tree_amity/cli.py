@@ -21,9 +21,9 @@ be re-loaded and re-verified without the original files.  The digest is
 computed, and ``hashlib`` imported, only when a report is written.  A
 report is written record by record, with no copy of the whole document
 built in memory, and every command checks that its report's directory
-exists before it does any work.  The ``--jobs`` flag controls
-worker-pool width for sweeps and audits; the TREE_AMITY_JOBS environment
-variable overrides it when set.
+exists, and that its path is not a directory, before it does any
+work.  The ``--jobs`` flag sets the worker-pool width for sweeps and
+audits.
 """
 
 from __future__ import annotations
@@ -95,22 +95,12 @@ def _load_tree(path: str):
 
 
 def _resolve_jobs(flag: int | None) -> int:
-    """The worker count: TREE_AMITY_JOBS when set, else ``--jobs``, else
-    the core count; a bad value is reported under the name it came by."""
-    env = os.environ.get("TREE_AMITY_JOBS")
-    if env is not None:
-        source = "TREE_AMITY_JOBS"
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be a whole number, got {env!r}") from None
-    elif flag is not None:
-        source, jobs = "--jobs", flag
-    else:
+    """The worker count: ``--jobs`` when given, else the core count."""
+    if flag is None:
         return os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"{source} must be at least 1, got {jobs}")
-    return jobs
+    if flag < 1:
+        raise ValueError(f"--jobs must be at least 1, got {flag}")
+    return flag
 
 
 def _budget_from(args, default_exhaustive: bool = False) -> SearchBudget:
@@ -151,17 +141,23 @@ def _emit_report(path: str | None, command: str, body: dict) -> None:
 
 
 def _require_out_dir(path: str | None) -> None:
-    """Raise the error that opening ``path`` would raise when its
-    directory is missing, so that a command fails before it runs, not
-    after.  The directory is only known to exist when this returns."""
-    if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Raise the error that opening ``path`` would raise when it names a
+    directory or its directory is missing, so that a command fails
+    before it runs, not after.  The directory is only known to exist
+    when this returns."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def _write_report(args, command: str, inputs: list[tuple[str, str]], payload: dict) -> None:
-    """Write the report of a command that read ``inputs``, its (path,
-    text) pairs, when one was asked for.  Only then is each input's
-    sha256 computed, of its text encoded back to the file's bytes."""
+def _write_report(args, inputs: list[tuple[str, str]], payload: dict) -> None:
+    """Write the report of the command ``args`` ran, which read
+    ``inputs``, its (path, text) pairs, when one was asked for.  Only
+    then is each input's sha256 computed, of its text encoded back to
+    the file's bytes."""
     if args.out:
         import hashlib
 
@@ -173,7 +169,7 @@ def _write_report(args, command: str, inputs: list[tuple[str, str]], payload: di
             }
             for path, text in inputs
         ]
-        _emit_report(args.out, command, {"inputs": entries, **payload})
+        _emit_report(args.out, args.command, {"inputs": entries, **payload})
 
 
 def _edge_label(tree: Tree, labels, eid: int) -> list[int]:
@@ -227,7 +223,7 @@ def cmd_check_numbering(args) -> int:
         outcome, code = "violation", EXIT_VIOLATION
         witness = _numbering_violation_dict(flaw, tree, labels)
     inputs = [(args.tree, tree_text), (args.numbering, text)]
-    _write_report(args, "check-numbering", inputs, {
+    _write_report(args, inputs, {
         "outcome": outcome,
         "witness": witness,
         "elapsed": elapsed,
@@ -259,7 +255,7 @@ def cmd_check_bijection(args) -> int:
         outcome, code = "violation", EXIT_VIOLATION
         witness = _hook_violation_dict(flaw, source, s_labels, target, t_labels)
     inputs = [(args.source, src_text), (args.target, dst_text), (args.bijection, text)]
-    _write_report(args, "check-bijection", inputs, {
+    _write_report(args, inputs, {
         "outcome": outcome,
         "witness": witness,
         "elapsed": elapsed,
@@ -304,7 +300,7 @@ def cmd_number(args) -> int:
     else:
         print(f"no applicable method (tried: {', '.join(tried)})", file=sys.stderr)
         outcome, code = "inapplicable", EXIT_INAPPLICABLE
-    _write_report(args, "number", [(args.tree, tree_text)], {
+    _write_report(args, [(args.tree, tree_text)], {
         "outcome": outcome,
         "method": method if nu is not None else None,
         "tried": tried,
@@ -315,22 +311,28 @@ def cmd_number(args) -> int:
     return code
 
 
-def _print_pair(tree: Tree, labels, pair) -> None:
-    u, v = tree.edges[pair.shared]
-    print(f"shared edge: {labels[u]} {labels[v]}")
-    for name, part in (("part 1", pair.e1), ("part 2", pair.e2)):
-        rendered = " ".join(
-            f"({labels[tree.edges[e][0]]},{labels[tree.edges[e][1]]})"
-            for e in sorted(part)
-        )
+def _split(tree: Tree, labels, pair, cb, claim: bool) -> dict:
+    """Verify the bijection onto ``tree`` that ``pair`` induces from the
+    double star ``cb``, print the split (under the verdict and above the
+    witness when ``claim``), and return the report's fields."""
+    bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
+    witness = format_bijection(bj, target_labels=labels)
+    shared = _edge_label(tree, labels, pair.shared)
+    e1, e2 = ([_edge_label(tree, labels, e) for e in sorted(part)]
+              for part in (pair.e1, pair.e2))
+    if claim:
+        print(f"friendly to the ({cb.n1},{cb.n2}) double star")
+    print(f"shared edge: {shared[0]} {shared[1]}")
+    for name, part in (("part 1", e1), ("part 2", e2)):
+        rendered = " ".join(f"({u},{v})" for u, v in part)
         print(f"{name} ({len(part)} edges): {rendered}")
-
-
-def _pair_dict(tree: Tree, labels, pair) -> dict:
+    if claim:
+        sys.stdout.write(witness)
     return {
-        "shared": _edge_label(tree, labels, pair.shared),
-        "e1": [_edge_label(tree, labels, e) for e in sorted(pair.e1)],
-        "e2": [_edge_label(tree, labels, e) for e in sorted(pair.e2)],
+        "outcome": "ok",
+        "pair": {"shared": shared, "e1": e1, "e2": e2},
+        "witness": witness,
+        "double_star": format_tree(cb.tree),
     }
 
 
@@ -358,19 +360,8 @@ def cmd_cb_criterion(args) -> int:
         )
         result = {"outcome": "no-pair", "witness": None}
     else:
-        cb = make_cb(n1, n2)
-        bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
-        witness = format_bijection(bj, target_labels=labels)
-        print(f"friendly to the ({n1},{n2}) double star")
-        _print_pair(tree, labels, pair)
-        sys.stdout.write(witness)
-        result = {
-            "outcome": "ok",
-            "pair": _pair_dict(tree, labels, pair),
-            "witness": witness,
-            "double_star": format_tree(cb.tree),
-        }
-    _write_report(args, "cb-criterion", [(args.tree, tree_text)], {**result, "elapsed": elapsed})
+        result = _split(tree, labels, pair, make_cb(n1, n2), claim=True)
+    _write_report(args, [(args.tree, tree_text)], {**result, "elapsed": elapsed})
     return EXIT_OK if result["outcome"] == "ok" else EXIT_VIOLATION
 
 
@@ -378,17 +369,9 @@ def cmd_cb_pair(args) -> int:
     tree, labels, tree_text = _load_tree(args.tree)
     started = time.monotonic()
     pair = small_n_pair(tree, args.n)
-    cb = make_cb(tree.m - args.n + 1, args.n)
-    bj = verified(bijection_from_pair(tree, pair, cb), "pair-induced bijection")
     elapsed = time.monotonic() - started
-    _print_pair(tree, labels, pair)
-    _write_report(args, "cb-pair", [(args.tree, tree_text)], {
-        "outcome": "ok",
-        "pair": _pair_dict(tree, labels, pair),
-        "witness": format_bijection(bj, target_labels=labels),
-        "double_star": format_tree(cb.tree),
-        "elapsed": elapsed,
-    })
+    result = _split(tree, labels, pair, make_cb(tree.m - args.n + 1, args.n), claim=False)
+    _write_report(args, [(args.tree, tree_text)], {**result, "elapsed": elapsed})
     return EXIT_OK
 
 
@@ -426,7 +409,7 @@ def cmd_search(args) -> int:
         what, res = "bijection", search_bijection(tree, target, budget)
         if res.witness is not None:
             witness_text = format_bijection(res.witness, labels, t_labels)
-    _write_report(args, "search", inputs, {
+    _write_report(args, inputs, {
         "outcome": res.status,
         "what": what,
         "witness": witness_text,
@@ -456,7 +439,7 @@ def cmd_sweep(args) -> int:
             report = sweep_hypothesis(
                 args.max_edges, args.kind, budget=budget, jobs=jobs
             )
-    _emit_report(args.out, "sweep", report.to_json_dict())
+    _emit_report(args.out, args.command, report.to_json_dict())
     counts = ", ".join(f"{k}={v}" for k, v in report.counts().items()) or "empty"
     findings = report.findings
     print(
@@ -474,7 +457,7 @@ def cmd_sweep(args) -> int:
 def cmd_audit_symmetry(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     report = symmetry_audit(args.max_edges, jobs=jobs)
-    _emit_report(args.out, "audit-symmetry", report.to_json_dict())
+    _emit_report(args.out, args.command, report.to_json_dict())
     print(
         f"audit: {len(report.records)} pairs, {report.total_friendly} friendly "
         f"bijections, {report.total_failures} inverse failures",
@@ -508,6 +491,12 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
 def _add_report_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--report", dest="out", metavar="REPORT",
                      help="write a JSON run report here")
+
+
+def _add_survey_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--jobs", type=int, default=None,
+                     help="worker processes (default: all cores)")
+    sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,10 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="for --kind cb: double-check criterion failures by "
                         "exhaustive bijection search")
     _add_budget_flags(p)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores; "
-                        "TREE_AMITY_JOBS overrides)")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    _add_survey_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("audit-symmetry",
@@ -602,10 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--max-edges", type=int, required=True,
                    help="size bound in edges (factorial cost; 7 is "
                         "a reasonable maximum)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores; "
-                        "TREE_AMITY_JOBS overrides)")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    _add_survey_flags(p)
     p.set_defaults(func=cmd_audit_symmetry)
 
     p = sub.add_parser("enumerate",

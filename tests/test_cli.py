@@ -268,6 +268,31 @@ def test_cb_pair_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+# stdout of cb-criterion --n1 4 --n2 2 and cb-pair --n 2 on SPLIT_TREE, by sha256
+SPLIT_TREE = "0 1\n1 2\n2 3\n3 4\n2 5\n"
+SPLIT_DIGESTS = {
+    ("cb-criterion", "--n1", "4", "--n2", "2"):
+        "ebaf3ae081d7617ee78d77fd82e3c0943fa5a69563d549b8fb38b78afc244187",
+    ("cb-pair", "--n", "2"):
+        "2ccfd72bffb26ba88aa2c10ca34d4de5576a104513012c2aded8222e32051ff4",
+}
+
+
+def test_both_double_star_commands_report_one_split(tmp_path, capsys):
+    t = write(tmp_path, "t.txt", SPLIT_TREE)
+    docs = []
+    for argv, want in SPLIT_DIGESTS.items():
+        rep = tmp_path / "r.json"
+        assert main([*argv, t, "--report", str(rep)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+        doc = json.loads(rep.read_text())
+        assert doc.pop("command") == argv[0]
+        del doc["elapsed"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 # -- searching ---------------------------------------------------------------------
 
 
@@ -372,37 +397,23 @@ def test_sweep_rejects_sizes_below_one(tmp_path, capsys, kind):
     assert "max_edges must be at least 1" in capsys.readouterr().err
 
 
-def test_sweep_env_overrides_jobs(tmp_path, capsys, monkeypatch):
-    one = str(tmp_path / "one.json")
-    two = str(tmp_path / "two.json")
-    assert main(["sweep", "--kind", "question-path", "-m", "3",
-                 "--jobs", "1", "--out", one]) == 0
-    monkeypatch.setenv("TREE_AMITY_JOBS", "2")
-    assert main(["sweep", "--kind", "question-path", "-m", "3",
-                 "--jobs", "1", "--out", two]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "one.json").read_text() == (tmp_path / "two.json").read_text()
-
-
-def test_jobs_must_be_positive(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TREE_AMITY_JOBS", "0")
-    assert main(["sweep", "--kind", "question-path", "-m", "2"]) == 2
-    assert capsys.readouterr().err == "error: TREE_AMITY_JOBS must be at least 1, got 0\n"
-    monkeypatch.delenv("TREE_AMITY_JOBS")
+def test_jobs_must_be_positive(capsys):
     assert main(["audit-symmetry", "-m", "2", "--jobs", "0"]) == 2
     assert capsys.readouterr().err == "error: --jobs must be at least 1, got 0\n"
 
 
-def test_jobs_from_the_environment_must_be_a_number(capsys, monkeypatch):
-    monkeypatch.setenv("TREE_AMITY_JOBS", "two")
-    assert main(["sweep", "--kind", "question-path", "-m", "2", "--jobs", "1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: TREE_AMITY_JOBS must be a whole number, got 'two'\n"
-    )
+def test_jobs_come_from_the_flag_alone(tmp_path, capsys, monkeypatch):
+    # the environment names no worker count, not even a bad one
+    outs = [tmp_path / "plain.json", tmp_path / "env.json"]
+    argv = ["sweep", "--kind", "question-path", "-m", "3", "--jobs", "1", "--out"]
+    assert main([*argv, str(outs[0])]) == 0
+    monkeypatch.setenv("TREE_AMITY_JOBS", "0")
+    assert main([*argv, str(outs[1])]) == 0
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_reports_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TREE_AMITY_JOBS", raising=False)
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, capsys):
     for argv in (["sweep", "--kind", "question-path", "-m", "9"],
                  ["audit-symmetry", "-m", "4"]):
         outs = [tmp_path / f"jobs{jobs}.json" for jobs in (1, 2)]
@@ -609,7 +620,8 @@ _WORK = (
 
 @pytest.mark.parametrize("command", sorted(_REPORT_FLAG))
 def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch, command):
-    # every command must fail before it works, not after: working exits 4
+    # every command must fail before it works, not after: working exits 4;
+    # a report path that is a directory fails the same way
     def ran(*args, **kwargs):
         raise RuntimeError("the command did its work")
 
@@ -620,12 +632,12 @@ def test_a_report_path_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypa
         "NUMBERING": write(tmp_path, "n.txt", "0 1 1\n1 2 2\n2 3 3\n"),
         "BIJECTION": write(tmp_path, "b.txt", "0 1 -> 0 1\n1 2 -> 1 2\n2 3 -> 2 3\n"),
     }
-    missing = str(tmp_path / "absent" / "report.json")
     argv = [command, *(files.get(a, a) for a in _WORK_ARGV[command]), _REPORT_FLAG[command]]
-    assert main(argv + [missing]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and missing in err
-    assert err.count("\n") == 1
+    for bad in (str(tmp_path / "absent" / "report.json"), str(tmp_path)):
+        assert main(argv + [bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
+        assert err.count("\n") == 1
     # with a report path it can write, the same command reaches its work
     assert main(argv + [str(tmp_path / "r.json")]) == 4
     assert "the command did its work" in capsys.readouterr().err
@@ -644,7 +656,7 @@ def _run_python(*args, timeout=120):
     )
 
 
-def test_commands_load_only_what_they_run(tmp_path, monkeypatch):
+def test_commands_load_only_what_they_run(tmp_path):
     """A survey and an audit with one worker and a check without a report
     load neither the digest nor the process pool; a check with a report
     loads the digest, of each input file's bytes.  Run in a fresh
@@ -670,7 +682,6 @@ def test_commands_load_only_what_they_run(tmp_path, monkeypatch):
         "after = [m for m in heavy if m in sys.modules]\n"
         "print(json.dumps([codes, before, after]))\n"
     )
-    monkeypatch.delenv("TREE_AMITY_JOBS", raising=False)
     proc = _run_python("-c", script, str(tree), str(numbering), str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     codes, before, after = json.loads(proc.stdout.splitlines()[-1])

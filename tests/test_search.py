@@ -450,7 +450,6 @@ def test_audit_counts_inverse_failures(monkeypatch, tmp_path):
 
     monkeypatch.setattr(search_module, "_bijection_checker", flagged)
     # the audit must run in this process, where the patch is in place
-    monkeypatch.delenv("TREE_AMITY_JOBS", raising=False)
     report = symmetry_audit(4)
     trees = {t.canonical_code(): t for m in range(1, 5) for t in enumerate_free_trees(m)}
     for rec in report.records:
